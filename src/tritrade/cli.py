@@ -171,8 +171,6 @@ def _unitrade_sizes(n: int):
 
 
 def _check_alpha(n: int, rng) -> tuple[bool, dict]:
-    if n > 4:
-        return False, {"error": "full unitrade catalog capped at n=4"}
     bad = []
     for bits, mask in _unitrade_sizes(n):
         c = mask.bit_count()
@@ -182,8 +180,6 @@ def _check_alpha(n: int, rng) -> tuple[bool, dict]:
 
 
 def _check_rank2(n: int, rng) -> tuple[bool, dict]:
-    if n > 4:
-        return False, {"error": "rank table capped at n=4"}
     table = monomial.rank_table(n)
     lo, hi = 2 ** n, 2 ** (n + 1)
     admissible = {2 ** (n + 1) - 2 ** (s + 1) for s in range(n)}

@@ -473,7 +473,7 @@ def classify_all(
         stream = enumerate_functions(n) if n >= 1 else iter(
             [TernFn(0, (v,)) for v in (-1, 0, 1)]
         )
-        records = classify(stream, n, with_aut=True, with_keys=with_keys)
+        records = classify(stream, n, with_keys=with_keys)
         return len(records), records
     if n == 5 and allow_stretch:
         return _classify_by_candidates(5, with_keys)
@@ -517,7 +517,7 @@ def _classify_by_candidates(n: int, with_keys: bool) -> tuple[int, list[ClassRec
     function can be moved so its first retract is its class representative.
     Deduplication is a backtracking isometry search inside invariant
     buckets; orbit sizes come from the automorphism counts."""
-    from .symmetry import canonical_form, count_isometries_onto, equivalent
+    from .symmetry import aut_order, canonical_form, equivalent
 
     _, below = classify_all(n - 1)
     buckets: dict[tuple, list[TernFn]] = {}
@@ -536,7 +536,7 @@ def _classify_by_candidates(n: int, with_keys: bool) -> tuple[int, list[ClassRec
     records = []
     for bucket in buckets.values():
         for rep in bucket:
-            aut = count_isometries_onto(rep, rep)
+            aut = aut_order(rep)
             records.append(
                 ClassRecord(rep, group_order(n) // aut, aut,
                             canonical_form(rep) if with_keys else None)

@@ -9,8 +9,9 @@ Order: 2 * n! * 6^n for k = 3.
 
 Classification never canonicalizes the whole stream: orbits are closed
 under a small generator set with hashed membership, and automorphism orders
-come from an independent scan of the full group, so the orbit-stabilizer
-identity is a real cross-check rather than a restatement.
+come from the backtracking isometry matcher, an independent computation, so
+the orbit-stabilizer identity is a real cross-check rather than a
+restatement.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import cube
 from .cube import Isometry
@@ -50,14 +51,6 @@ def generators(n: int) -> list[Isometry]:
             gens.append(Isometry(ident, tuple(sps)))
     gens.append(Isometry(ident, (_ID3,) * n, sign_flip=True))
     return gens
-
-
-def all_isometries(n: int, with_sign: bool = True) -> Iterator[Isometry]:
-    signs = (False, True) if with_sign else (False,)
-    for flip in signs:
-        for cp in itertools.permutations(range(n)):
-            for sps in itertools.product(_SYM3, repeat=n):
-                yield Isometry(cp, sps, flip)
 
 
 @lru_cache(maxsize=None)
@@ -187,38 +180,8 @@ def orbit(f: TernFn, limit: int = DEFAULT_ORBIT_LIMIT) -> set[TernFn]:
 
 
 def aut_order(f: TernFn) -> int:
-    """Number of group elements fixing f, by direct scan with early exit."""
-    n = f.n
-    vals = f.values
-    if n == 0:
-        return 2 if vals[0] == 0 else 1
-    digits = cube.digit_table(n, 3)
-    pw = _powers(n)
-    size = 3 ** n
-    count = 0
-    for sign in (1, -1):
-        fv = vals if sign == 1 else tuple(-v for v in vals)
-        for cp in itertools.permutations(range(n)):
-            for sps in itertools.product(_SYM3, repeat=n):
-                contrib = []
-                for i in range(n):
-                    sp = sps[i]
-                    inv = [0, 0, 0]
-                    for d in range(3):
-                        inv[sp[d]] = d
-                    contrib.append((cp[i], tuple(x * pw[i] for x in inv)))
-                ok = True
-                for j in range(size):
-                    dj = digits[j]
-                    src = 0
-                    for pos, row in contrib:
-                        src += row[dj[pos]]
-                    if fv[src] != vals[j]:
-                        ok = False
-                        break
-                if ok:
-                    count += 1
-    return count
+    """Number of group elements fixing f, counted by the isometry matcher."""
+    return count_isometries_onto(f, f)
 
 
 # ---------------------------------------------------------------------------
@@ -248,13 +211,12 @@ class ClassRecord:
 def classify(
     stream: Iterable[TernFn],
     n: int,
-    with_aut: bool = True,
     with_keys: bool = False,
 ) -> list[ClassRecord]:
     """Partition a stream (each function exactly once) into orbit classes.
 
-    Orbit sizes come from generator closure; automorphism orders (when
-    requested) from the independent full-group scan, making
+    Orbit sizes come from generator closure and automorphism orders from the
+    isometry matcher, two independent computations, making
     orbit * aut == group order a nontrivial invariant.
     """
     seen: set[bytes] = set()
@@ -267,10 +229,7 @@ def classify(
         seen |= members
         records.append(ClassRecord(f, len(members), 0))
     for rec in records:
-        if with_aut:
-            rec.aut = aut_order(rec.representative)
-        else:
-            rec.aut = group_order(n) // rec.orbit_size
+        rec.aut = aut_order(rec.representative)
         if with_keys:
             rec.key = canonical_form(rec.representative)
     records.sort(key=lambda r: (r.cardinality, r.key or _encode(r.representative.values).hex()))
@@ -305,14 +264,19 @@ def _value_counts(values: tuple[int, ...]) -> tuple[int, int, int]:
 def _match_count(f: TernFn, g: TernFn, find_one: bool) -> int:
     """Backtracking matcher: assign source coordinates and symbol
     permutations to target positions one at a time, pruning on value-count
-    profiles of the aligned retract lists."""
+    profiles of the aligned retract lists.  Sub-problems are memoised for
+    the duration of the call, so a symmetric function pays for each
+    distinct pair of aligned retract lists once rather than once per
+    automorphism.  With find_one the search stops at the first match and
+    the result is only meaningful as zero or nonzero."""
     if f.n != g.n:
         return 0
     n = f.n
+    memo: dict[tuple, int] = {}
     total = 0
     for sign in (1, -1):
         fv = f.values if sign == 1 else tuple(-v for v in f.values)
-        total += _match_rec([fv], [g.values], n)
+        total += _match_rec((fv,), (g.values,), n, memo, find_one)
         if find_one and total:
             return total
     return total
@@ -323,9 +287,20 @@ def _retract_tuple(values: tuple[int, ...], m: int, coord: int, val: int) -> tup
     return tuple(values[c] for c in cells)
 
 
-def _match_rec(fs: list[tuple[int, ...]], gs: list[tuple[int, ...]], m: int) -> int:
+def _match_rec(
+    fs: tuple[tuple[int, ...], ...],
+    gs: tuple[tuple[int, ...], ...],
+    m: int,
+    memo: dict[tuple, int],
+    find_one: bool,
+) -> int:
     if m == 0:
         return 1 if all(a[0] == b[0] for a, b in zip(fs, gs)) else 0
+    # the count below a node depends only on its aligned retract lists
+    key = (fs, gs)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
     g_blocks = [
         [_retract_tuple(g, m, 0, s) for s in (0, 1, 2)] for g in gs
     ]
@@ -355,5 +330,8 @@ def _match_rec(fs: list[tuple[int, ...]], gs: list[tuple[int, ...]], m: int) -> 
                 for d in range(3):
                     new_fs.append(fb[d])
                     new_gs.append(gb[sp[d]])
-            total += _match_rec(new_fs, new_gs, m - 1)
+            total += _match_rec(tuple(new_fs), tuple(new_gs), m - 1, memo, find_one)
+            if find_one and total:
+                return total
+    memo[key] = total
     return total

@@ -113,6 +113,12 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--check", "nope", "--n", "2")
         assert code == 2
 
+    def test_resource_limits(self, capsys):
+        for check in ("alpha", "rank2"):
+            code, _, err = run(capsys, "verify", "--check", check, "--n", "5")
+            assert code == EXIT_RESOURCE
+            assert err.strip()
+
     def test_report_payload(self, capsys, tmp_path):
         out_file = tmp_path / "rep.json"
         code, _, _ = run(

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -29,6 +30,22 @@ def _maximal_fn(n):
     from tritrade.construct import maximal_bitrade
 
     return tern_from_trade(maximal_bitrade(n))
+
+
+def _all_isometries(n):
+    """Every element of the group, enumerated independently of symmetry.py."""
+    sym3 = list(itertools.permutations(range(3)))
+    return [
+        Isometry(cp, sps, flip)
+        for flip in (False, True)
+        for cp in itertools.permutations(range(n))
+        for sps in itertools.product(sym3, repeat=n)
+    ]
+
+
+def _scan_count(f, g, group):
+    """Reference count of the group elements mapping f onto g."""
+    return sum(1 for h in group if f.apply_isometry(h) == g)
 
 
 class TestCanonicalForm:
@@ -107,9 +124,13 @@ class TestAutOrder:
 
     def test_matcher_agrees_with_scan(self):
         rng = random.Random(9)
-        fns = list(enumerate_functions(3))
-        for f in rng.sample(fns, 8):
-            assert count_isometries_onto(f, f) == aut_order(f)
+        fns = list(enumerate_functions(2))
+        fns += rng.sample(list(enumerate_functions(3)), 8)
+        for f in fns:
+            group = _all_isometries(f.n)
+            assert aut_order(f) == _scan_count(f, f, group)
+            g = f.apply_isometry(Isometry.random(rng, f.n, 3))
+            assert count_isometries_onto(f, g) == _scan_count(f, g, group)
 
 
 class TestClassify:
@@ -158,10 +179,10 @@ class TestEquivalent:
 
     def test_random_images(self):
         rng = random.Random(11)
-        f = _maximal_fn(3)
-        for _ in range(5):
-            g = Isometry.random(rng, 3, 3)
-            assert equivalent(f, f.apply_isometry(g))
+        for f in (_maximal_fn(3), _maximal_fn(4)):
+            for _ in range(5):
+                g = Isometry.random(rng, f.n, 3)
+                assert equivalent(f, f.apply_isometry(g))
 
     def test_kext_of_minimal_is_maximal_n2(self):
         from tritrade.construct import k_extension
