@@ -12,7 +12,6 @@ recovered exactly from its unitrade by an intersection threshold scan.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
@@ -435,7 +434,3 @@ def rm_embed(U: TradeSet) -> BoolFn:
         if cube.cell_of_word(word, 4) in U:
             bits |= 1 << c2
     return BoolFn(2 * n, bits)
-
-
-def code_json(code: TernaryCode) -> str:
-    return json.dumps(code.to_json(), sort_keys=True)

@@ -27,10 +27,6 @@ from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 
-def ncells(n: int, k: int) -> int:
-    return k ** n
-
-
 def cell_of_word(word: tuple[int, ...], k: int) -> int:
     c = 0
     for d in word:
@@ -118,11 +114,6 @@ def lines_through(n: int, k: int) -> tuple[tuple[int, ...], ...]:
 # Partial order: digit k-1 is maximal, all other digits incomparable
 # ---------------------------------------------------------------------------
 
-def is_below(x: tuple[int, ...], y: tuple[int, ...], k: int) -> bool:
-    """x <= y in the coordinatewise order where only k-1 dominates."""
-    return all(a == b or b == k - 1 for a, b in zip(x, y))
-
-
 def below(y: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
     """Minimal words under y: each maximal digit replaced by any of 0..k-2.
 
@@ -131,15 +122,6 @@ def below(y: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
     """
     choices = [range(k - 1) if d == k - 1 else (d,) for d in y]
     return [tuple(w) for w in itertools.product(*choices)]
-
-
-@lru_cache(maxsize=None)
-def below_cells(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """below_cells(n,k)[cell] = cells of the minimal words under that cell."""
-    return tuple(
-        tuple(cell_of_word(w, k) for w in below(word, k))
-        for word in all_words(n, k)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,7 @@ def _domains_digest(n: int, doms: Sequence[int]) -> str:
 
 
 COUNT_MAX_N = 6
+CHECKPOINT_EVERY = 500  # units between checkpoint saves
 
 
 def count_functions(
@@ -252,7 +253,6 @@ def count_functions(
     cell_domains: Optional[Sequence[Iterable[int]]] = None,
     jobs: int = 1,
     checkpoint_path: Optional[str] = None,
-    checkpoint_every: int = 500,
     unit_budget: Optional[int] = None,
 ) -> int:
     """Exact count of line-sum-zero functions, optionally restricted.
@@ -304,7 +304,7 @@ def count_functions(
         if d1p is not None:
             total += _count(n - 1, d1p)
         done_units += 1
-        if checkpoint_path and done_units % checkpoint_every == 0:
+        if checkpoint_path and done_units % CHECKPOINT_EVERY == 0:
             SearchCheckpoint(
                 SearchCheckpoint.VERSION, n, digest, idx + 1, total
             ).save(checkpoint_path)

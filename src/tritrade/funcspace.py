@@ -253,11 +253,6 @@ def line_sums(f: TernFn) -> tuple[LineSumKind, ...]:
     return tuple(out)
 
 
-def in_function_space(f: TernFn) -> bool:
-    """Integer-sum membership: the space the enumeration walks."""
-    return LineSumKind.INVALID not in line_sums(f)
-
-
 def in_gf3_space(f: TernFn) -> bool:
     """GF(3)-sum membership: line sums vanish mod 3 only (the monomial
     basis lives here; e.g. the constant 1 sums to 3 on every line)."""

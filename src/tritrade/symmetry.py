@@ -7,11 +7,16 @@ flip swaps the two legs of a bitrade; without it the one-point cube would
 already split {-1,0,+1} into three classes instead of the two observed).
 Order: 2 * n! * 6^n for k = 3.
 
+Canonical forms, equivalence and isometry counts recurse on aligned
+retract lists instead of walking the group: an isometry of dimension m is a
+choice of source coordinate and value order for target coordinate 0
+followed by one isometry of dimension m-1 applied to every retract, and
+each recursion memoises its sub-problems for the duration of one call.
+
 Classification never canonicalizes the whole stream: orbits are closed
 under a small generator set with hashed membership, and automorphism orders
-come from the backtracking isometry matcher, an independent computation, so
-the orbit-stabilizer identity is a real cross-check rather than a
-restatement.
+come from the isometry matcher, an independent computation, so the
+orbit-stabilizer identity is a real cross-check rather than a restatement.
 """
 
 from __future__ import annotations
@@ -74,73 +79,60 @@ def _encode(values: Sequence[int]) -> bytes:
 # Canonical form
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _powers(n: int) -> tuple[int, ...]:
-    return tuple(3 ** (n - 1 - i) for i in range(n))
-
-
 def canonical_form(f: TernFn) -> str:
     """Lexicographically minimal value string over all group images.
 
-    Scans the full group lazily: for every (sign, coordinate permutation,
-    symbol permutations) the image is compared cell by cell against the
-    incumbent and abandoned at the first losing position, so only
-    near-minimal elements pay full cost.  Idempotent: the canonical form of
-    the canonical form is itself.
+    The smaller of the retract recursion ``_canon_rec`` on f and on -f, the
+    two signs of the group, with one memo: the minimum over the source
+    coordinate and value order sent to target coordinate 0, following only
+    the branches whose head (the canonical image of their first retract) is
+    minimal.  Idempotent: the canonical form of the canonical form is itself.
     """
-    n = f.n
-    vals = f.values
-    if n == 0:
-        return TernFn(n, (min(vals[0], -vals[0]),)).to_text()
-    digits = cube.digit_table(n, 3)
-    pw = _powers(n)
-    size = 3 ** n
-    best: Optional[list[int]] = None
-    for sign in (1, -1):
-        fv = vals if sign == 1 else tuple(-v for v in vals)
-        for cp in itertools.permutations(range(n)):
-            for sps in itertools.product(_SYM3, repeat=n):
-                # image[j] = fv[preimage cell]; source digit i reads target
-                # digit cp[i] through the inverse symbol permutation
-                contrib = []
-                for i in range(n):
-                    sp = sps[i]
-                    inv = [0, 0, 0]
-                    for d in range(3):
-                        inv[sp[d]] = d
-                    contrib.append((cp[i], tuple(x * pw[i] for x in inv)))
-                if best is None:
-                    cur = []
-                    for j in range(size):
-                        dj = digits[j]
-                        src = 0
-                        for pos, row in contrib:
-                            src += row[dj[pos]]
-                        cur.append(fv[src])
-                    best = cur
-                    continue
-                verdict = 0  # -1 new wins, +1 incumbent wins
-                cur = []
-                for j in range(size):
-                    dj = digits[j]
-                    src = 0
-                    for pos, row in contrib:
-                        src += row[dj[pos]]
-                    v = fv[src]
-                    b = best[j]
-                    if v != b:
-                        verdict = -1 if v < b else 1
-                        break
-                    cur.append(v)
-                if verdict == -1:
-                    for j in range(len(cur), size):
-                        dj = digits[j]
-                        src = 0
-                        for pos, row in contrib:
-                            src += row[dj[pos]]
-                        cur.append(fv[src])
-                    best = cur
-    return TernFn(n, tuple(best)).to_text()
+    memo: dict[tuple, tuple[int, ...]] = {}
+    neg = tuple(-v for v in f.values)
+    best = min(_canon_rec((f.values,), f.n, memo), _canon_rec((neg,), f.n, memo))
+    return TernFn(f.n, best).to_text()
+
+
+def _canon_rec(
+    fs: tuple[tuple[int, ...], ...],
+    m: int,
+    memo: dict[tuple, tuple[int, ...]],
+) -> tuple[int, ...]:
+    """Lex-minimal concatenated image of the aligned list fs under the
+    unsigned isometries of dimension m.
+
+    In cell order the image of fs is the concatenation of the images of its
+    retracts at the source coordinate c sent to target coordinate 0, taken
+    in target value order; so the minimum is the minimum over (c, order) of
+    the recursion on the reordered retract list.  The first block of each
+    candidate is the recursion on the first retract alone (its head), and
+    only branches with a minimal head are followed.
+    """
+    if m == 0:
+        return tuple(f[0] for f in fs)
+    # the minimum depends only on fs, which also fixes m
+    hit = memo.get(fs)
+    if hit is not None:
+        return hit
+    heads = {
+        (c, d): _canon_rec((_retract_tuple(fs[0], m, c, d),), m - 1, memo)
+        for c in range(m)
+        for d in (0, 1, 2)
+    }
+    top = min(heads.values())
+    best = None
+    for c in range(m):
+        blocks = [[_retract_tuple(f, m, c, d) for d in (0, 1, 2)] for f in fs]
+        for order in _SYM3:
+            if heads[c, order[0]] != top:
+                continue
+            sub = tuple(b[d] for b in blocks for d in order)
+            img = _canon_rec(sub, m - 1, memo)
+            if best is None or img < best:
+                best = img
+    memo[fs] = best
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,18 @@ class TestEnumerateCommand:
         assert code == EXIT_OK
         assert out.strip().splitlines()[0] == "3"
 
+    def test_classes_n3_payload_pinned(self, capsys, tmp_path):
+        # locks the class keys (canonical forms) and their record order
+        out_file = tmp_path / "classes.json"
+        code, _, _ = run(
+            capsys, "enumerate", "--n", "3", "--mode", "classes", "--out", str(out_file)
+        )
+        assert code == EXIT_OK
+        doc = json.loads(out_file.read_text())
+        assert doc["manifest"]["payload_sha256"] == (
+            "a43cc868e8d3a4c2dc5ddce9dda91589a5b15a2fb803baf8752e09d55d19724c"
+        )
+
     def test_spectrum_json(self, capsys, tmp_path):
         out_file = tmp_path / "spec.json"
         code, _, _ = run(

@@ -16,6 +16,7 @@ from tritrade.symmetry import (
     equivalent,
     group_order,
     orbit,
+    orbit_values,
 )
 
 
@@ -41,6 +42,12 @@ def _all_isometries(n):
         for cp in itertools.permutations(range(n))
         for sps in itertools.product(sym3, repeat=n)
     ]
+
+
+def _orbit_min_text(f):
+    """Reference canonical form: the smallest member of the orbit closure."""
+    key = min(orbit_values(f.values, f.n))
+    return TernFn(f.n, tuple(b - 1 for b in key)).to_text()
 
 
 def _scan_count(f, g, group):
@@ -89,6 +96,28 @@ class TestCanonicalForm:
     def test_distinct_across_classes_n2(self):
         keys = {canonical_form(f) for f in enumerate_functions(2)}
         assert len(keys) == 3
+
+    def test_minimal_over_orbit_small(self):
+        for n in (0, 1, 2, 3):
+            for f in enumerate_functions(n):
+                assert canonical_form(f) == _orbit_min_text(f)
+
+    def test_minimal_over_orbit_n4_classes(self, classes4):
+        rng = random.Random(13)
+        for rec in classes4[1]:
+            f = rec.representative
+            key = _orbit_min_text(f)
+            for g in [f] + [f.apply_isometry(Isometry.random(rng, 4, 3)) for _ in range(2)]:
+                assert canonical_form(g) == key
+
+    def test_minimal_over_orbit_n5_symmetric(self):
+        # generic n=5 orbits hold about 933k elements; these hold a few hundred
+        rng = random.Random(17)
+        for f in (TernFn.zero(5), _minimal_fn(5), _maximal_fn(5)):
+            g = f.apply_isometry(Isometry.random(rng, 5, 3))
+            key = _orbit_min_text(f)
+            assert canonical_form(f) == key
+            assert canonical_form(g) == key
 
 
 class TestOrbit:
