@@ -20,7 +20,7 @@ from typing import Optional
 
 from . import __version__, construct, enumeration, monomial, refdata, testsets
 from .enumeration import bitrade_catalog, classify_all, count_functions, spectrum
-from .errors import CheckpointMismatch, DimensionTooLarge, TritradeError
+from .errors import CheckpointMismatch, DimensionTooLarge, DimensionTooSmall, TritradeError
 from .funcspace import BoolFn, u_from_bool
 from .monomial import MonomialSet, rank
 from .trade import (
@@ -134,6 +134,9 @@ def _cmd_enumerate(args, argv) -> int:
     except DimensionTooLarge as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_RESOURCE
+    except (DimensionTooSmall, ValueError) as exc:
+        print(f"parameter error: {exc}", file=sys.stderr)
+        return EXIT_BAD_PARAMS
     if args.out or args.mode == "spectrum" or args.format == "csv":
         _emit(payload, csv_rows, f"enumerate/{args.mode}", argv, args.seed, jobs, t0, args.out, args.format)
     return EXIT_OK
@@ -146,6 +149,8 @@ def _cmd_enumerate(args, argv) -> int:
 def _spectrum_entries(n: int) -> dict[int, int]:
     if n <= enumeration.SPECTRUM_MAX_N:
         return dict(spectrum(n).entries)
+    if n not in refdata.SPECTRUM_LISTS:
+        raise DimensionTooLarge(f"no reference spectrum for n={n}")
     return refdata.spectrum_entries(n)
 
 
@@ -166,13 +171,9 @@ def _check_small_spectrum(n: int, rng) -> tuple[bool, dict]:
     return not mism, {"window": [lo, hi], "mismatches": mism}
 
 
-def _unitrade_sizes(n: int):
-    yield from enumeration.unitrade_supports(n)
-
-
 def _check_alpha(n: int, rng) -> tuple[bool, dict]:
     bad = []
-    for bits, mask in _unitrade_sizes(n):
+    for bits, mask in enumeration.unitrade_supports(n):
         c = mask.bit_count()
         if not unitrade_alpha_admissible(n, c):
             bad.append({"f": bits, "size": c})
@@ -185,7 +186,7 @@ def _check_rank2(n: int, rng) -> tuple[bool, dict]:
     admissible = {2 ** (n + 1) - 2 ** (s + 1) for s in range(n)}
     bad = []
     checked = 0
-    for bits, mask in _unitrade_sizes(n):
+    for bits, mask in enumeration.unitrade_supports(n):
         c = mask.bit_count()
         if not lo <= c < hi:
             continue
@@ -371,6 +372,9 @@ def _cmd_verify(args, argv) -> int:
     except DimensionTooLarge as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_RESOURCE
+    except (DimensionTooSmall, ValueError) as exc:
+        print(f"parameter error: {exc}", file=sys.stderr)
+        return EXIT_BAD_PARAMS
     payload = {
         "check": args.check,
         "n": args.n,
@@ -525,6 +529,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.n < 0 or getattr(args, "jobs", 1) < 1:
+        print("parameter error: need --n >= 0 and --jobs >= 1", file=sys.stderr)
+        return EXIT_BAD_PARAMS
     if args.cmd == "enumerate":
         return _cmd_enumerate(args, argv)
     if args.cmd == "verify":

@@ -20,6 +20,7 @@ from . import cube
 from .errors import (
     AmbiguousRecovery,
     BadS,
+    BrokenInvariant,
     DimensionTooSmall,
     NotAUnitrade,
     NotBalanced,
@@ -33,7 +34,7 @@ from .funcspace import (
     trade_from_tern,
     u_from_bool,
 )
-from .monomial import CUBE_FACTOR, MonomialSet, f_from_monomials
+from .monomial import MonomialSet, f_from_monomials, subcube_mask, trade_from_monomials
 from .trade import BipartiteTrade, TradeSet, bipartition, is_unitrade
 
 
@@ -119,7 +120,8 @@ def rank2_family(n: int, s: int) -> BipartiteTrade:
     v = (0,) * s + (1,) * (n - s)
     U = u_from_bool(f_from_monomials(MonomialSet(n, [u, v])))
     B = bipartition(U)
-    assert B is not None  # rank <= 2 unitrades are bitrades
+    if B is None:
+        raise BrokenInvariant(f"rank-2 unitrade {u}, {v} is not bipartite")
     return B
 
 
@@ -135,7 +137,8 @@ def bitrade14(n: int) -> BipartiteTrade:
         raise DimensionTooSmall("the series starts at n=3")
     U = u_from_bool(f_from_monomials(MonomialSet(3, BITRADE14_WITNESS)))
     B = bipartition(U)
-    assert B is not None and B.cardinality == 14
+    if B is None or B.cardinality != 14:
+        raise BrokenInvariant("the witness 100/011/002 is not a size-14 bitrade")
     return k_extension(B, n - 3)
 
 
@@ -167,7 +170,8 @@ def grid_cycle_bitrade(k: int) -> BipartiteTrade:
         words.append((i, (i + 1) % k))
     base = TradeSet.from_words(2, k, words)
     B = bipartition(base)
-    assert B is not None
+    if B is None:
+        raise BrokenInvariant(f"the {2 * k}-cycle in Q_{k}^2 is not bipartite")
     return B
 
 
@@ -316,29 +320,6 @@ def verify_odd_distance_bound(A: Sequence[tuple[int, ...]], q: int) -> OddDistan
 # Monomial recovery
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _factor_masks(n: int) -> tuple[tuple[int, int, int], ...]:
-    """Per coordinate, support masks of cells whose digit lies in the cube
-    factor of exponent digit 0 / 1 / 2."""
-    out = []
-    for i in range(n):
-        masks = [0, 0, 0]
-        for c, word in enumerate(cube.all_words(n, 3)):
-            for d in range(3):
-                if word[i] in CUBE_FACTOR[d]:
-                    masks[d] |= 1 << c
-        out.append(tuple(masks))
-    return tuple(out)
-
-
-def fast_cube_mask(v: tuple[int, ...]) -> int:
-    masks = _factor_masks(len(v))
-    m = -1
-    for i, d in enumerate(v):
-        m &= masks[i][d]
-    return m
-
-
 def min_distance(words: Sequence[tuple[int, ...]]) -> int:
     """Minimal pairwise Hamming distance; n+1 for fewer than two words."""
     ws = list(words)
@@ -359,7 +340,7 @@ def recover_monomials(U: TradeSet, D: int) -> MonomialSet:
     found = []
     mask = U.mask
     for v in cube.all_words(n, 3):
-        if (mask & fast_cube_mask(v)).bit_count() >= threshold:
+        if (mask & subcube_mask(v)).bit_count() >= threshold:
             found.append(v)
     V = MonomialSet(n, found)
     d_found = min_distance(found)
@@ -367,8 +348,6 @@ def recover_monomials(U: TradeSet, D: int) -> MonomialSet:
         raise PreconditionUnverifiable(
             f"|V|*2^(n-D+1) vs 2^(n-2) fails for |V|={len(found)}, D<={d_found}"
         )
-    from .monomial import trade_from_monomials
-
     if trade_from_monomials(V).mask != U.mask:
         raise AmbiguousRecovery("recovered set does not reproduce the input")
     return V

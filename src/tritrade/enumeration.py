@@ -27,8 +27,10 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
+    BrokenInvariant,
     CheckpointMismatch,
     DimensionTooLarge,
+    DimensionTooSmall,
     Interrupted,
 )
 from .funcspace import TernFn, trade_from_tern
@@ -412,8 +414,10 @@ def spectrum(n: int, engine: str = "auto") -> SpectrumTable:
     (n <= 4); engine="classes" runs one weighted stream per equivalence
     class of the hyperplane below (the only feasible route at n = 5).
     """
-    if n < 1 or n > SPECTRUM_MAX_N:
-        raise DimensionTooLarge(f"spectrum available for 1 <= n <= {SPECTRUM_MAX_N}")
+    if n < 1:
+        raise DimensionTooSmall("spectrum available for n >= 1")
+    if n > SPECTRUM_MAX_N:
+        raise DimensionTooLarge(f"spectrum available for n <= {SPECTRUM_MAX_N}")
     if engine == "auto":
         engine = "direct" if n <= 3 else "classes"
     counts: Counter[int] = Counter()
@@ -448,7 +452,8 @@ def spectrum(n: int, engine: str = "auto") -> SpectrumTable:
                     counts[w] += orb
     else:
         raise ValueError(f"unknown engine {engine!r}")
-    assert all(c % 2 == 0 for c in counts.values())
+    if any(c % 2 for c in counts.values()):
+        raise BrokenInvariant("every set has two sign functions, got an odd count")
     return SpectrumTable(n, {s: c // 2 for s, c in counts.items()}, total)
 
 
@@ -559,12 +564,9 @@ def unitrade_supports(n: int) -> Iterator[tuple[int, int]]:
         raise DimensionTooLarge(f"full unitrade catalog capped at n={CATALOG_MAX_N}")
     from . import cube as _cube
     from .funcspace import BoolFn, mobius
-    from .monomial import _cube_masks
+    from .monomial import subcube_mask
 
-    masks = _cube_masks(n)
-    bool_masks = [
-        masks[_cube.cell_of_word(w, 3)] for w in _cube.all_words(n, 2)
-    ]
+    bool_masks = [subcube_mask(w) for w in _cube.all_words(n, 2)]
     for bits in range(1 << (1 << n)):
         anf = mobius(BoolFn(n, bits)).bits
         m = 0

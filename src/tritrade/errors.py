@@ -21,6 +21,10 @@ class OrbitTooLarge(TritradeError):
     """Orbit closure exceeded the configured element limit."""
 
 
+class BrokenInvariant(TritradeError):
+    """A result breaks an identity the theory guarantees: a bug, not bad input."""
+
+
 class DimensionTooLarge(TritradeError):
     """Exact computation is not supported at this dimension."""
 

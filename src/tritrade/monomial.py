@@ -87,59 +87,55 @@ class MonomialSet:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _cube_masks(n: int) -> tuple[int, ...]:
-    """Support bitmask over Q_3^n of every monomial cube, indexed by the
-    cell of the exponent word."""
-    masks = []
-    for v in cube.all_words(n, 3):
-        m = 0
-        for combo in itertools.product(*(CUBE_FACTOR[d] for d in v)):
-            m |= 1 << cube.cell_of_word(combo, 3)
-        masks.append(m)
-    return tuple(masks)
+def _factor_masks(n: int, k: int) -> tuple[tuple[int, int, int], ...]:
+    """_factor_masks(n, k)[i][d] = mask over Q_k^n of the cells whose
+    digit i lies in CUBE_FACTOR[d]."""
+    out = []
+    for i in range(n):
+        stride = k ** (n - 1 - i)
+        # one bit per period of k * stride cells: a product repeats a block
+        repeat = ((1 << k ** n) - 1) // ((1 << k * stride) - 1)
+        digit = [(((1 << stride) - 1) << a * stride) * repeat for a in range(k)]
+        out.append(tuple(sum(digit[a] for a in f if a < k) for f in CUBE_FACTOR))
+    return tuple(out)
+
+
+def subcube_mask(v: tuple[int, ...], k: int = 3) -> int:
+    """Mask over Q_k^n of the cells x with x_i in CUBE_FACTOR[v_i] for all i.
+
+    k = 3 gives the monomial cube of v; k = 2 gives the truth table of x^v,
+    since CUBE_FACTOR[d] meets {0, 1} in exactly the literal set of x^d.
+    """
+    m = (1 << k ** len(v)) - 1
+    for masks, d in zip(_factor_masks(len(v), k), v):
+        m &= masks[d]
+    return m
 
 
 @lru_cache(maxsize=None)
 def _monomial_tables(n: int) -> tuple[int, ...]:
-    """Truth table bitmask over Q_2^n of every monomial, same indexing."""
-    lit = []
-    for i in range(n):
-        ones = 0
-        for c in range(1 << n):
-            if (c >> (n - 1 - i)) & 1:
-                ones |= 1 << c
-        full = (1 << (1 << n)) - 1
-        lit.append((full, ones, full ^ ones))  # digit 0, 1, 2 of v_i
-    tables = []
-    for v in cube.all_words(n, 3):
-        t = (1 << (1 << n)) - 1
-        for i, d in enumerate(v):
-            t &= lit[i][d]
-        tables.append(t)
-    return tuple(tables)
+    """Truth table of every monomial, indexed by the cell of its word."""
+    return tuple(subcube_mask(v, 2) for v in cube.all_words(n, 3))
 
 
 def monomial_cube(v: tuple[int, ...]) -> TradeSet:
     """The boolean subcube picked by v; always a bitrade of size 2^n."""
-    n = len(v)
-    return TradeSet(n, 3, _cube_masks(n)[cube.cell_of_word(v, 3)])
+    return TradeSet(len(v), 3, subcube_mask(v))
 
 
 def f_from_monomials(V: MonomialSet) -> BoolFn:
     """XOR of the monomials of V as a boolean function on Q_2^n."""
-    tabs = _monomial_tables(V.n)
     bits = 0
     for w in V.words:
-        bits ^= tabs[cube.cell_of_word(w, 3)]
+        bits ^= subcube_mask(w, 2)
     return BoolFn(V.n, bits)
 
 
 def trade_from_monomials(V: MonomialSet) -> TradeSet:
     """Symmetric difference of the monomial cubes of V."""
-    masks = _cube_masks(V.n)
     m = 0
     for w in V.words:
-        m ^= masks[cube.cell_of_word(w, 3)]
+        m ^= subcube_mask(w)
     return TradeSet(V.n, 3, m)
 
 

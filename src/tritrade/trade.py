@@ -236,10 +236,6 @@ def bipartition(S: TradeSet) -> Optional[BipartiteTrade]:
     return BipartiteTrade(S, part[0], part[1])
 
 
-def is_bitrade(S: TradeSet) -> bool:
-    return bipartition(S) is not None
-
-
 def is_connected(S: TradeSet) -> bool:
     cells = S.cells()
     if not cells:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from tritrade.cli import CHECKS, EXIT_OK, EXIT_RESOURCE, main
+from tritrade.cli import CHECKS, EXIT_BAD_PARAMS, EXIT_OK, EXIT_RESOURCE, main
 
 
 def run(capsys, *argv):
@@ -126,8 +126,8 @@ class TestVerifyCommand:
         assert code == 2
 
     def test_resource_limits(self, capsys):
-        for check in ("alpha", "rank2"):
-            code, _, err = run(capsys, "verify", "--check", check, "--n", "5")
+        for check, n in (("alpha", 5), ("rank2", 5), ("mod3", 8)):
+            code, _, err = run(capsys, "verify", "--check", check, "--n", str(n))
             assert code == EXIT_RESOURCE
             assert err.strip()
 
@@ -150,6 +150,23 @@ class TestVerifyCommand:
         assert section, "README must list the verify checks"
         documented = set(re.findall(r"`([a-z0-9-]+)`", section.group(1)))
         assert documented == set(CHECKS)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "enumerate --n -1",
+        "enumerate --n 2 --jobs 0",
+        "enumerate --n 2 --jobs -3",
+        "verify --check gap-14 --n 1",
+        "verify --check testset --n 0",
+        "verify --check mod3 --n 0",
+    ],
+)
+def test_boundary_inputs_exit_bad_params(capsys, argv):
+    code, _, err = run(capsys, *argv.split())
+    assert code == EXIT_BAD_PARAMS
+    assert err.startswith("parameter error")
 
 
 class TestConstructCommand:

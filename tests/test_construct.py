@@ -27,6 +27,7 @@ from tritrade.construct import (
 from tritrade.errors import (
     AmbiguousRecovery,
     BadS,
+    BrokenInvariant,
     DimensionTooSmall,
     NotBalanced,
     PreconditionUnverifiable,
@@ -347,3 +348,14 @@ def test_every_construction_is_bipartite_unitrade():
     for B in builders:
         assert is_unitrade(B.base)
         assert bipartition(B.base) is not None
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: rank2_family(3, 1), lambda: bitrade14(3), lambda: grid_cycle_bitrade(4)],
+)
+def test_non_bipartite_construction_raises(monkeypatch, build):
+    # an invariant, not an assert: it must survive python -O
+    monkeypatch.setattr("tritrade.construct.bipartition", lambda S: None)
+    with pytest.raises(BrokenInvariant):
+        build()

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from tritrade.cube import cell_of_word
 from tritrade.errors import (
     DegenerateTriple,
     DimensionTooLarge,
@@ -12,6 +13,7 @@ from tritrade.errors import (
 )
 from tritrade.funcspace import BoolFn, bool_from_unitrade, u_from_bool
 from tritrade.monomial import (
+    CUBE_FACTOR,
     MonomialSet,
     cardinality_formula,
     collapse_pair,
@@ -27,6 +29,7 @@ from tritrade.monomial import (
     rank_table,
     sign_consistency,
     signed_cube_fn,
+    subcube_mask,
     trade_from_monomials,
     triple_cardinality,
     triple_is_bitrade,
@@ -50,6 +53,16 @@ class TestMonomialCube:
         for n in (1, 2, 3, 4):
             for v in itertools.product((0, 1, 2), repeat=n):
                 assert monomial_cube(v).cardinality == 2 ** n
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_subcube_mask_is_product_of_factors(self, k):
+        for n in range(5):
+            for v in itertools.product((0, 1, 2), repeat=n):
+                factors = [[x for x in CUBE_FACTOR[d] if x < k] for d in v]
+                expect = 0
+                for x in itertools.product(*factors):
+                    expect |= 1 << cell_of_word(x, k)
+                assert subcube_mask(v, k) == expect
 
     def test_restriction_is_truth_table(self):
         # the cube's characteristic function on Q_2^n equals the monomial
@@ -206,15 +219,11 @@ class TestROf:
 
     def test_matches_cube_intersections(self):
         rng = random.Random(3)
-        from tritrade.monomial import _cube_masks
-        from tritrade.cube import cell_of_word
-
-        masks = _cube_masks(3)
         for _ in range(100):
             ws = [tuple(rng.randrange(3) for _ in range(3)) for _ in range(rng.randrange(1, 4))]
             inter = -1
             for w in ws:
-                inter &= masks[cell_of_word(w, 3)]
+                inter &= subcube_mask(w)
             r = r_of(ws)
             expect = 0 if r == NEG_INF else 2 ** int(r)
             assert inter.bit_count() == expect
