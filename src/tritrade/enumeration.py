@@ -1,14 +1,25 @@
 """Exhaustive enumeration of line-sum-zero {-1,0,+1} functions on Q_3^n.
 
-The search never branches on a whole cube: cells split into three blocks by
-the first coordinate, the block at digit 0 and the block at digit 1 are
-enumerated recursively, and the digit-2 block is forced cellwise to
--(f0 + f1).  Compatibility is a per-cell domain intersection (a value v
-survives when -f0-v stays in {-1,0,+1} and inside the cell's own domain),
-so infeasible branches die at the first bad cell.  Functions stream in lex
+The search never branches on a whole cube: cells split into three layers by
+the first coordinate, the layer at digit 0 and the layer at digit 1 are
+enumerated recursively, and the digit-2 layer is forced cellwise to
+-(f0 + f1).  A digit-1 value v survives next to f0's value s when -s-v
+stays in {-1,0,+1} and inside the digit-2 cell's domain, so a branch dies
+as soon as one digit-1 cell has no value left.  Functions stream in lex
 order of their value vectors under -1 < 0 < +1.
 
-Counting reuses the recursion with a memo on low-dimensional domain blocks;
+Domains are bit-sliced.  A domain vector over L cells is one int of 3L
+bits: bit 3c + (v+1) allows value v at cell c, so cell c is octal digit c,
+and a solution is the one-hot case.  With B0 the int that has bit 3c set
+for every cell, x & B0, (x >> 1) & B0 and (x >> 2) & B0 are the planes of
+the values -1, 0 and +1.  Every step on a layer is a fixed number of
+big-integer operations, never a loop over its cells: restricting the
+digit-1 domains, the empty-cell check, forcing the digit-2 layer, and the
+support weight (L minus the bits of the 0 plane).  At n <= 2 the solutions
+inside a domain vector D are the f with f & D == f among the 3, 7 or 31
+one-hot solutions.  Value tuples are read off a solution's octal digits.
+
+Counting reuses the recursion with a memo on the n = 2 domain vectors;
 the spectrum and the class-based count replace the outer enumeration by one
 representative per equivalence class of the hyperplane below, weighted by
 orbit size (the double-counting trick that also validates N(n)).
@@ -22,8 +33,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from array import array
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -38,128 +51,137 @@ from .symmetry import ClassRecord, classify, group_order
 from .trade import BipartiteTrade, mod3_admissible
 
 # ---------------------------------------------------------------------------
-# Cell domains: 3-bit masks, bit (v+1) allows value v
+# Packed domains: 3 bits per cell, bit 3c + (v+1) allows value v at cell c
 # ---------------------------------------------------------------------------
 
 FULL_MASK = 0b111
 
-_POP = tuple(bin(m).count("1") for m in range(8))
-
-# the 7 single-line solutions (a, b, c) with a+b+c = 0, lex order
-_SOLS1 = tuple(
-    sorted(
-        (a, b, c)
-        for a in (-1, 0, 1)
-        for b in (-1, 0, 1)
-        for c in (-1, 0, 1)
-        if a + b + c == 0
-    )
-)
-
-# _RESTRICT[((s+1)*8 + m1)*8 + m2]: allowed mask for the digit-1 cell when
-# the digit-0 cell took value s and the digit-2 cell has domain m2
-_RESTRICT = [0] * 192
-for _s in (-1, 0, 1):
-    for _m1 in range(8):
-        for _m2 in range(8):
-            _out = 0
-            for _v in (-1, 0, 1):
-                if (_m1 >> (_v + 1)) & 1:
-                    _c = -_s - _v
-                    if -1 <= _c <= 1 and (_m2 >> (_c + 1)) & 1:
-                        _out |= 1 << (_v + 1)
-            _RESTRICT[((_s + 1) * 8 + _m1) * 8 + _m2] = _out
+_ONE_HOT_DIGIT = {-1: "1", 0: "2", 1: "4"}  # octal digit of a one-value domain
+_DIGIT_BYTE = bytes.maketrans(b"01234567", bytes(range(8)))
+_DIGIT_VALUE = bytes.maketrans(b"124", b"\xff\x00\x01")  # signed bytes -1, 0, +1
 
 
-def _full_domains(n: int) -> tuple[int, ...]:
-    return (FULL_MASK,) * 3 ** n
+@lru_cache(maxsize=None)
+def _b0(cells: int) -> int:
+    """The -1 plane: bit 3c set for every cell c < cells."""
+    return int("1" * cells, 8)
 
 
-def domains_from_values(cell_domains: Sequence[Iterable[int]]) -> tuple[int, ...]:
-    """Public domain spec (iterables of allowed values) to internal masks."""
-    out = []
+def _packed_domains(n: int, cell_domains: Optional[Sequence[Iterable[int]]]) -> int:
+    """Public domain spec (one iterable of allowed values per cell, or None
+    for no restriction) to a packed int: cell c is octal digit c."""
+    if n < 0:
+        raise DimensionTooSmall(f"dimension must be >= 0, got {n}")
+    if cell_domains is None:
+        return FULL_MASK * _b0(3 ** n)
+    digits = []
     for dom in cell_domains:
         m = 0
         for v in dom:
             if v not in (-1, 0, 1):
                 raise ValueError(f"domain value {v} outside {{-1,0,1}}")
             m |= 1 << (v + 1)
-        out.append(m)
-    return tuple(out)
+        digits.append(str(m))
+    if len(digits) != 3 ** n:
+        raise ValueError("need one domain per cell")
+    return int("".join(reversed(digits)), 8)
 
 
-def compatible_domains(layer: Sequence[int]) -> tuple[int, ...]:
-    """Domains for a second layer next to a fixed first layer: value v is
-    allowed at a cell when the forced third value -(s+v) stays in range."""
-    return tuple(_RESTRICT[((s + 1) * 8 + FULL_MASK) * 8 + FULL_MASK] for s in layer)
+def _pinned(layer: Sequence[int]) -> int:
+    """Domains one dimension up with the digit-0 layer fixed to `layer` and
+    the other two layers free."""
+    pin = "".join(_ONE_HOT_DIGIT[v] for v in reversed(layer))
+    return int("7" * (2 * len(layer)) + pin, 8)
 
 
-def _restrict(
-    d1: Sequence[int], d2: Sequence[int], f0: Sequence[int]
-) -> Optional[tuple[int, ...]]:
-    out = []
-    R = _RESTRICT
-    for s, m1, m2 in zip(f0, d1, d2):
-        m = R[((s + 1) * 8 + m1) * 8 + m2]
-        if not m:
-            return None
-        out.append(m)
-    return tuple(out)
+def _mirror(x: int, b0: int) -> int:
+    """Swap the -1 and +1 planes: value v becomes -v in every cell."""
+    return (x & b0) << 2 | x & (b0 << 1) | (x >> 2) & b0
 
 
-def _enum(n: int, doms: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """All solutions as value tuples, lex-ascending under -1 < 0 < +1."""
-    if n == 1:
-        m0, m1, m2 = doms
-        for s in _SOLS1:
-            if (m0 >> (s[0] + 1)) & 1 and (m1 >> (s[1] + 1)) & 1 and (m2 >> (s[2] + 1)) & 1:
-                yield s
-        return
-    if n == 0:
-        for v in (-1, 0, 1):
-            if (doms[0] >> (v + 1)) & 1:
-                yield (v,)
-        return
-    t = 3 ** (n - 1)
-    d0, d1, d2 = doms[:t], doms[t : 2 * t], doms[2 * t :]
-    for f0 in _enum(n - 1, d0):
-        d1p = _restrict(d1, d2, f0)
-        if d1p is None:
-            continue
-        for f1 in _enum(n - 1, d1p):
-            yield f0 + f1 + tuple(-a - b for a, b in zip(f0, f1))
+def _twist(f: int, b0: int) -> tuple[int, int, int]:
+    """The masks of the cells where solution f is 0, -1 and +1, the last two
+    without bit 0 and bit 2 respectively (see _branches)."""
+    return ((f >> 1) & b0) * 7, (f & b0) * 6, ((f >> 2) & b0) * 3
 
 
-_MEMO2: dict[bytes, int] = {}
+def _heads(n: int, doms: int) -> Iterable[tuple[int, tuple[int, int, int]]]:
+    """(f, twist) for every solution f inside `doms`, lex order."""
+    if n <= 2:
+        return [h for h in _solutions(n) if h[0] & doms == h[0]]
+    b0 = _b0(3 ** n)
+    return ((f, _twist(f, b0)) for f in _enum_split(n, doms))
 
 
-def _count(n: int, doms: Sequence[int]) -> int:
-    if n >= 3:
-        return _count_rec(n, doms)
+def _branches(n: int, doms: int) -> Iterator[tuple[int, tuple[int, int, int], int]]:
+    """(f0, twist, d1p) for every digit-0 layer f0 inside `doms`, lex order.
+
+    A digit-1 value v fits next to f0's value s when the forced digit-2
+    value -s-v lies in the digit-2 domain: per cell, the mirrored digit-2
+    domain shifted up one bit (s = -1), left alone (s = 0) or shifted down
+    (s = +1).  The twist of f0 holds the three cell masks that pick those
+    shifts, and turns a mirrored digit-1 layer into the forced digit-2
+    layer the same way.  d1p is 0 when some digit-1 cell has no value left.
+    """
+    w = 3 ** n  # bits per layer
+    b0 = _b0(3 ** (n - 1))
+    full = FULL_MASK * b0
+    d1, r2 = (doms >> w) & full, _mirror(doms >> 2 * w, b0)
+    # the shifts carry bits in from the neighbouring cells; the s = -1 mask
+    # has no bit 0 and the s = +1 mask no bit 2, which drops them
+    up, mid, down = d1 & (r2 << 1), d1 & r2, d1 & (r2 >> 1)
+    for f0, tw in _heads(n - 1, doms & full):
+        z, m, p = tw
+        d1p = mid & z | up & m | down & p
+        yield f0, tw, d1p if (d1p | d1p >> 1 | d1p >> 2) & b0 == b0 else 0
+
+
+def _enum(n: int, doms: int) -> Iterable[int]:
+    """All packed solutions inside `doms`, lex-ascending under -1 < 0 < +1."""
+    if n <= 2:
+        return [f for f, _ in _solutions(n) if f & doms == f]
+    return _enum_split(n, doms)
+
+
+def _enum_split(n: int, doms: int) -> Iterator[int]:
+    w = 3 ** n
+    b0 = _b0(3 ** (n - 1))
+    for f0, (z, m, p), d1p in _branches(n, doms):
+        if d1p:
+            for f1 in _enum(n - 1, d1p):
+                r1 = _mirror(f1, b0)
+                f2 = r1 & z | (r1 << 1) & m | (r1 >> 1) & p
+                yield f0 | f1 << w | f2 << 2 * w
+
+
+@lru_cache(maxsize=None)
+def _solutions(n: int) -> tuple[tuple[int, tuple[int, int, int]], ...]:
+    """(f, twist) for the 3, 7 or 31 packed solutions at n <= 2, lex order."""
+    b0 = _b0(3 ** n)
+    sols = (0b001, 0b010, 0b100) if n == 0 else _enum_split(n, FULL_MASK * b0)
+    return tuple((f, _twist(f, b0)) for f in sols)
+
+
+def _values(f: int) -> tuple[int, ...]:
+    """Value tuple of a packed solution: its octal digits, cell 0 first,
+    read as signed bytes."""
+    return tuple(array("b", oct(f)[:1:-1].encode().translate(_DIGIT_VALUE)))
+
+
+_MEMO2: dict[int, int] = {}
+
+
+def _count(n: int, doms: int) -> int:
+    if n < 2:
+        return len(_enum(n, doms))
     if n == 2:
-        key = bytes(doms)
-        r = _MEMO2.get(key)
+        r = _MEMO2.get(doms)
         if r is None:
-            r = _count_rec(2, doms)
-            _MEMO2[key] = r
+            r = _MEMO2[doms] = len(_enum(2, doms))
         return r
-    if n == 1:
-        c = 0
-        m0, m1, m2 = doms
-        for s in _SOLS1:
-            if (m0 >> (s[0] + 1)) & 1 and (m1 >> (s[1] + 1)) & 1 and (m2 >> (s[2] + 1)) & 1:
-                c += 1
-        return c
-    return _POP[doms[0]]
-
-
-def _count_rec(n: int, doms: Sequence[int]) -> int:
-    t = 3 ** (n - 1)
-    d0, d1, d2 = doms[:t], doms[t : 2 * t], doms[2 * t :]
     total = 0
-    for f0 in _enum(n - 1, d0):
-        d1p = _restrict(d1, d2, f0)
-        if d1p is not None:
+    for _, _, d1p in _branches(n, doms):
+        if d1p:
             total += _count(n - 1, d1p)
     return total
 
@@ -177,15 +199,8 @@ def enumerate_functions(
     """Stream every line-sum-zero function once, in lex cell order."""
     if n > STREAM_MAX_N:
         raise DimensionTooLarge(f"streaming capped at n={STREAM_MAX_N}")
-    doms = (
-        _full_domains(n)
-        if cell_domains is None
-        else domains_from_values(cell_domains)
-    )
-    if len(doms) != 3 ** n:
-        raise ValueError("need one domain per cell")
-    for values in _enum(n, doms):
-        yield TernFn(n, values)
+    for f in _enum(n, _packed_domains(n, cell_domains)):
+        yield TernFn(n, _values(f))
 
 
 @dataclass
@@ -239,10 +254,11 @@ class SearchCheckpoint:
             return SearchCheckpoint.from_json(json.load(fh))
 
 
-def _domains_digest(n: int, doms: Sequence[int]) -> str:
+def _domains_digest(n: int, doms: int) -> str:
+    """SHA-256 over n and one byte per cell holding its 3-bit mask."""
     h = hashlib.sha256()
     h.update(f"n={n};".encode())
-    h.update(bytes(doms))
+    h.update(oct(doms)[2:].zfill(3 ** n)[::-1].encode().translate(_DIGIT_BYTE))
     return h.hexdigest()
 
 
@@ -266,13 +282,7 @@ def count_functions(
     """
     if n > COUNT_MAX_N:
         raise DimensionTooLarge(f"counting capped at n={COUNT_MAX_N}")
-    doms = (
-        _full_domains(n)
-        if cell_domains is None
-        else domains_from_values(cell_domains)
-    )
-    if len(doms) != 3 ** n:
-        raise ValueError("need one domain per cell")
+    doms = _packed_domains(n, cell_domains)
     if n == 0:
         return _count(0, doms)
     if jobs > 1:
@@ -295,15 +305,12 @@ def count_functions(
             return ck.partial_count
         start, partial = ck.next_index, ck.partial_count
 
-    t = 3 ** (n - 1)
-    d0, d1, d2 = doms[:t], doms[t : 2 * t], doms[2 * t :]
     total = partial
     done_units = 0
-    for idx, f0 in enumerate(_enum(n - 1, d0)):
+    for idx, (_, _, d1p) in enumerate(_branches(n, doms)):
         if idx < start:
             continue
-        d1p = _restrict(d1, d2, f0)
-        if d1p is not None:
+        if d1p:
             total += _count(n - 1, d1p)
         done_units += 1
         if checkpoint_path and done_units % CHECKPOINT_EVERY == 0:
@@ -328,19 +335,15 @@ def count_functions(
 
 def _count_worker(args) -> tuple[int, int]:
     n, doms, jobs, worker = args
-    t = 3 ** (n - 1)
-    d0, d1, d2 = doms[:t], doms[t : 2 * t], doms[2 * t :]
-    total = 0
-    for idx, f0 in enumerate(_enum(n - 1, d0)):
-        if idx % jobs != worker:
-            continue
-        d1p = _restrict(d1, d2, f0)
-        if d1p is not None:
-            total += _count(n - 1, d1p)
+    total = sum(
+        _count(n - 1, d1p)
+        for idx, (_, _, d1p) in enumerate(_branches(n, doms))
+        if d1p and idx % jobs == worker
+    )
     return worker, total
 
 
-def _count_parallel(n: int, doms: tuple[int, ...], jobs: int) -> int:
+def _count_parallel(n: int, doms: int, jobs: int) -> int:
     import multiprocessing as mp
 
     ctx = mp.get_context("fork")
@@ -356,17 +359,14 @@ def _count_parallel(n: int, doms: tuple[int, ...], jobs: int) -> int:
 # ---------------------------------------------------------------------------
 
 def count_by_retract_classes(n: int, classes: Sequence[ClassRecord]) -> int:
-    """N(n) from the dimension n-1 classification: one compatible-layer
-    count per representative, weighted by orbit size."""
+    """N(n) from the dimension n-1 classification: the completions of each
+    representative as the first hyperplane, weighted by orbit size."""
     if n < 1:
         raise ValueError("needs n >= 1")
-    total = 0
-    for rec in classes:
-        doms = compatible_domains(rec.representative.values)
-        if not all(doms):
-            continue
-        total += rec.orbit_size * _count(n - 1, doms)
-    return total
+    return sum(
+        rec.orbit_size * _count(n, _pinned(rec.representative.values))
+        for rec in classes
+    )
 
 
 @dataclass
@@ -420,38 +420,26 @@ def spectrum(n: int, engine: str = "auto") -> SpectrumTable:
         raise DimensionTooLarge(f"spectrum available for n <= {SPECTRUM_MAX_N}")
     if engine == "auto":
         engine = "direct" if n <= 3 else "classes"
-    counts: Counter[int] = Counter()
     if engine == "direct":
         if n > 4:
             raise DimensionTooLarge("direct spectrum capped at n=4")
-        total = 0
-        for values in _enum(n, _full_domains(n)):
-            total += 1
-            w = sum(1 for v in values if v)
-            if w:
-                counts[w] += 1
+        streams = [(_packed_domains(n, None), 1)]
     elif engine == "classes":
-        classes = classify_all(n - 1)[1]
-        total = 0
-        for rec in classes:
-            rep = rec.representative.values
-            doms = compatible_domains(rep)
-            if not all(doms):
-                continue
-            w0 = sum(1 for v in rep if v)
-            orb = rec.orbit_size
-            for f1 in _enum(n - 1, doms):
-                w = w0
-                for a, b in zip(rep, f1):
-                    if b:
-                        w += 1
-                    if a + b:
-                        w += 1
-                total += orb
-                if w:
-                    counts[w] += orb
+        streams = [
+            (_pinned(rec.representative.values), rec.orbit_size)
+            for rec in classify_all(n - 1)[1]
+        ]
     else:
         raise ValueError(f"unknown engine {engine!r}")
+    cells, b0 = 3 ** n, _b0(3 ** n)
+    counts: Counter[int] = Counter()
+    total = 0
+    for doms, weight in streams:
+        for f in _enum(n, doms):
+            total += weight
+            w = cells - ((f >> 1) & b0).bit_count()  # the 0 plane counts zeros
+            if w:
+                counts[w] += weight
     if any(c % 2 for c in counts.values()):
         raise BrokenInvariant("every set has two sign functions, got an odd count")
     return SpectrumTable(n, {s: c // 2 for s, c in counts.items()}, total)
@@ -475,10 +463,7 @@ def classify_all(
     orbit sizes come from automorphism orders.
     """
     if n <= CLASSIFY_MAX_N:
-        stream = enumerate_functions(n) if n >= 1 else iter(
-            [TernFn(0, (v,)) for v in (-1, 0, 1)]
-        )
-        records = classify(stream, n, with_keys=with_keys)
+        records = classify(enumerate_functions(n), n, with_keys=with_keys)
         return len(records), records
     if n == 5 and allow_stretch:
         return _classify_by_candidates(5, with_keys)
@@ -527,12 +512,8 @@ def _classify_by_candidates(n: int, with_keys: bool) -> tuple[int, list[ClassRec
     _, below = classify_all(n - 1)
     buckets: dict[tuple, list[TernFn]] = {}
     for rec in below:
-        rep = rec.representative.values
-        doms = compatible_domains(rep)
-        if not all(doms):
-            continue
-        for f1 in _enum(n - 1, doms):
-            full = rep + f1 + tuple(-a - b for a, b in zip(rep, f1))
+        for f in _enum(n, _pinned(rec.representative.values)):
+            full = _values(f)
             cand = TernFn(n, full)
             key = _cheap_invariant(full, n)
             bucket = buckets.setdefault(key, [])
@@ -560,6 +541,8 @@ CATALOG_MAX_N = 4
 def unitrade_supports(n: int) -> Iterator[tuple[int, int]]:
     """(truth table, support mask) over all 2^(2^n) unitrades, via the ANF:
     the set is the xor of the boolean-exponent subcubes the ANF selects."""
+    if n < 0:
+        raise DimensionTooSmall(f"dimension must be >= 0, got {n}")
     if n > CATALOG_MAX_N:
         raise DimensionTooLarge(f"full unitrade catalog capped at n={CATALOG_MAX_N}")
     from . import cube as _cube

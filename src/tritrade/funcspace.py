@@ -190,7 +190,7 @@ class TernFn:
 
     @property
     def cardinality(self) -> int:
-        return sum(1 for v in self.values if v)
+        return len(self.values) - self.values.count(0)
 
     def support(self) -> TradeSet:
         m = 0

@@ -462,18 +462,13 @@ def sign_consistency(u: tuple[int, ...], v: tuple[int, ...]) -> int:
     one sign; for triples in general position the three relations multiply
     to -1 exactly when the pairwise distance sum is odd.
     """
-    n = len(u)
-    inter = []
+    # read both signs at the intersection cell of lowest digits: each is the
+    # parity of the digits that take the high member of their factor
+    flips = 0
     for a, b in zip(u, v):
-        fa, fb = set(CUBE_FACTOR[a]), set(CUBE_FACTOR[b])
-        common = fa & fb
-        if not common:
-            raise ValueError("cube factors never have empty intersection")
-        inter.append(sorted(common))
-    bu, bv = signed_cube_fn(u), signed_cube_fn(v)
-    x = tuple(ch[0] for ch in inter)
-    c = cube.cell_of_word(x, 3)
-    return bu.values[c] * bv.values[c]
+        x = min(set(CUBE_FACTOR[a]) & set(CUBE_FACTOR[b]))
+        flips += (x == CUBE_FACTOR[a][1]) + (x == CUBE_FACTOR[b][1])
+    return -1 if flips % 2 else 1
 
 
 def jointly_consistent(words: Sequence[tuple[int, ...]]) -> bool:

@@ -1,4 +1,7 @@
+import itertools
+import json
 import os
+import random
 
 import pytest
 
@@ -8,10 +11,31 @@ from tritrade.enumeration import (
     count_functions,
     enumerate_functions,
     spectrum,
+    unitrade_supports,
 )
-from tritrade.errors import CheckpointMismatch, DimensionTooLarge, Interrupted
-from tritrade.funcspace import LineSumKind, line_sums
+from tritrade.errors import (
+    CheckpointMismatch,
+    DimensionTooLarge,
+    DimensionTooSmall,
+    Interrupted,
+)
+from tritrade.funcspace import LineSumKind, TernFn, line_sums
 from tritrade.refdata import N_FUNCTIONS, spectrum_entries
+
+FREE = (-1, 0, 1)
+
+
+def _random_domains(rng, n):
+    """One domain per cell: up to n + 3 cells restricted (an empty
+    domain included), the rest free, so that often some functions fit."""
+    doms = [FREE] * 3 ** n
+    for c in rng.sample(range(3 ** n), rng.randint(1, n + 3)):
+        doms[c] = rng.choice([(-1,), (0,), (1,), (-1, 0), (-1, 1), (0, 1), ()])
+    return doms
+
+
+def _inside(values, doms):
+    return all(v in dom for v, dom in zip(values, doms))
 
 
 class TestEnumerate:
@@ -24,10 +48,9 @@ class TestEnumerate:
             assert LineSumKind.INVALID not in line_sums(f)
 
     def test_lex_order_no_duplicates(self):
-        seen = []
-        for f in enumerate_functions(2):
-            seen.append(f.values)
-        assert seen == sorted(set(seen))
+        for n in (2, 3):
+            seen = [f.values for f in enumerate_functions(n)]
+            assert seen == sorted(set(seen))
 
     def test_cell_domains(self):
         # forcing the first cell to +1 keeps exactly the functions with f(0)=1
@@ -39,6 +62,35 @@ class TestEnumerate:
     def test_streaming_guard(self):
         with pytest.raises(DimensionTooLarge):
             next(enumerate_functions(6))
+
+
+class TestRandomDomains:
+    """Restricted counts and streams against oracles that never restrict:
+    the unrestricted stream filtered by value, and at n = 2 a scan of all
+    3^9 value vectors."""
+
+    @pytest.fixture(scope="class")
+    def brute2(self):
+        return [
+            values
+            for values in itertools.product(FREE, repeat=9)
+            if LineSumKind.INVALID not in line_sums(TernFn(2, values))
+        ]
+
+    @pytest.mark.parametrize("n,seed", [(2, 11), (3, 12)])
+    def test_against_filtered_stream(self, n, seed, brute2):
+        rng = random.Random(seed)
+        full = [f.values for f in enumerate_functions(n)]
+        if n == 2:
+            assert full == brute2
+        nonzero = 0
+        for _ in range(40):
+            doms = _random_domains(rng, n)
+            expect = [values for values in full if _inside(values, doms)]
+            assert [f.values for f in enumerate_functions(n, doms)] == expect
+            assert count_functions(n, doms) == len(expect)
+            nonzero += bool(expect)
+        assert nonzero >= 10  # the draw must not be empty domains only
 
 
 class TestCount:
@@ -58,6 +110,21 @@ class TestCount:
     def test_parallel_agrees(self):
         assert count_functions(3, jobs=2) == 403
         assert count_functions(4, jobs=2) == 29875
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: count_functions(-1),
+        lambda: next(enumerate_functions(-1)),
+        lambda: next(unitrade_supports(-1)),
+        lambda: classify_all(-1),
+    ],
+    ids=["count_functions", "enumerate_functions", "unitrade_supports", "classify_all"],
+)
+def test_negative_dimension_rejected(call):
+    with pytest.raises(DimensionTooSmall):
+        call()
 
 
 class TestCheckpoint:
@@ -85,6 +152,25 @@ class TestCheckpoint:
                 except Interrupted:
                     pass
             assert total == 403
+
+    def test_resumes_checkpoint_of_per_cell_layout(self, tmp_path):
+        # a file as written before domains were packed: its digest hashes
+        # one byte per cell mask, and its first 10 units in stream order
+        # hold 42 of the 62 functions
+        doms = [FREE] * 27
+        doms[5], doms[20] = (0, 1), (-1,)
+        path = tmp_path / "ck.json"
+        path.write_text(json.dumps({
+            "version": "tritrade-ckpt/1",
+            "n": 3,
+            "domains_digest": "b24afeed8b738bbc70fb974df430d157"
+                              "6b57030511d1998a202f572bcdd070d3",
+            "next_index": 10,
+            "partial_count": "42",
+            "complete": False,
+        }))
+        assert count_functions(3, doms, checkpoint_path=str(path)) == 62
+        assert count_functions(3, doms) == 62
 
     def test_mismatch_detected(self, tmp_path):
         path = str(tmp_path / "ck.json")

@@ -410,6 +410,15 @@ class TestSignConsistency:
             }
             assert prods == {sign_consistency(u, v)}
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_matches_signed_functions_on_every_pair(self, n):
+        words = list(itertools.product(range(3), repeat=n))
+        fns = {w: signed_cube_fn(w).values for w in words}
+        for u in words:
+            for v in words:
+                prods = {a * b for a, b in zip(fns[u], fns[v]) if a and b}
+                assert prods == {sign_consistency(u, v)}, (u, v)
+
     def test_constant_triple_parity(self):
         for n, expect in ((2, False), (3, True), (4, False), (5, True)):
             words = [(0,) * n, (1,) * n, (2,) * n]
