@@ -111,12 +111,10 @@ def _cmd_enumerate(args, argv) -> int:
                 [s, c] for s, c in sorted(table.entries.items())
             ]
         elif args.mode == "classes":
-            if n > enumeration.CLASSIFY_MAX_N and not args.allow_big:
-                print("n=5 classification is a nightly run; pass --allow-big", file=sys.stderr)
+            if n == 5 and not args.allow_big:
+                print("n=5 classes take minutes for their 92 canonical keys; pass --allow-big", file=sys.stderr)
                 return EXIT_RESOURCE
-            count, records = classify_all(
-                n, with_keys=True, allow_stretch=args.allow_big
-            )
+            count, records = classify_all(n, with_keys=True)
             payload = {
                 "n": n,
                 "classes": count,

@@ -24,6 +24,10 @@ the spectrum and the class-based count replace the outer enumeration by one
 representative per equivalence class of the hyperplane below, weighted by
 orbit size (the double-counting trick that also validates N(n)).
 
+Classification closes orbits up to n = 4.  At n = 5 it keys every candidate
+(first hyperplane a class representative) by the classes of its retracts,
+and the double count certifies the keys: the kept orbits must sum to N(5).
+
 All counters are exact Python integers; reports serialize them as decimal
 strings because the dimension-7 reference values overflow 64 bits.
 """
@@ -31,14 +35,17 @@ strings because the dimension-7 reference values overflow 64 bits.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
+from . import cube
 from .errors import (
     BrokenInvariant,
     CheckpointMismatch,
@@ -47,7 +54,7 @@ from .errors import (
     Interrupted,
 )
 from .funcspace import TernFn, trade_from_tern
-from .symmetry import ClassRecord, classify, group_order
+from .symmetry import ClassRecord, aut_order, canonical_form, classify, group_order
 from .trade import BipartiteTrade, mod3_admissible
 
 # ---------------------------------------------------------------------------
@@ -59,12 +66,21 @@ FULL_MASK = 0b111
 _ONE_HOT_DIGIT = {-1: "1", 0: "2", 1: "4"}  # octal digit of a one-value domain
 _DIGIT_BYTE = bytes.maketrans(b"01234567", bytes(range(8)))
 _DIGIT_VALUE = bytes.maketrans(b"124", b"\xff\x00\x01")  # signed bytes -1, 0, +1
+_DIGIT_CODE = bytes.maketrans(b"124", b"\x00\x01\x02")  # symmetry._encode bytes
 
 
 @lru_cache(maxsize=None)
 def _b0(cells: int) -> int:
     """The -1 plane: bit 3c set for every cell c < cells."""
     return int("1" * cells, 8)
+
+
+# octal digit of every domain that lists each of its values once
+_DOMAIN_DIGIT = {
+    dom: str(sum(1 << (v + 1) for v in dom))
+    for k in range(4)
+    for dom in itertools.permutations((-1, 0, 1), k)
+}
 
 
 def _packed_domains(n: int, cell_domains: Optional[Sequence[Iterable[int]]]) -> int:
@@ -74,14 +90,12 @@ def _packed_domains(n: int, cell_domains: Optional[Sequence[Iterable[int]]]) -> 
         raise DimensionTooSmall(f"dimension must be >= 0, got {n}")
     if cell_domains is None:
         return FULL_MASK * _b0(3 ** n)
-    digits = []
-    for dom in cell_domains:
-        m = 0
-        for v in dom:
-            if v not in (-1, 0, 1):
-                raise ValueError(f"domain value {v} outside {{-1,0,1}}")
-            m |= 1 << (v + 1)
-        digits.append(str(m))
+    digits = [
+        _DOMAIN_DIGIT.get(dom) or _DOMAIN_DIGIT.get(tuple(dict.fromkeys(dom)))
+        for dom in map(tuple, cell_domains)
+    ]
+    if None in digits:
+        raise ValueError(f"cell {digits.index(None)}: domain value outside {{-1,0,1}}")
     if len(digits) != 3 ** n:
         raise ValueError("need one domain per cell")
     return int("".join(reversed(digits)), 8)
@@ -449,84 +463,67 @@ def spectrum(n: int, engine: str = "auto") -> SpectrumTable:
 # Classification of the full stream
 # ---------------------------------------------------------------------------
 
-CLASSIFY_MAX_N = 4
+CLASSIFY_MAX_N = 5
 
 
-def classify_all(
-    n: int, with_keys: bool = False, allow_stretch: bool = False
-) -> tuple[int, list[ClassRecord]]:
+def classify_all(n: int, with_keys: bool = False) -> tuple[int, list[ClassRecord]]:
     """Equivalence classes of all line-sum-zero functions at dimension n.
 
-    Up to n = 4 the stream is partitioned by orbit closure.  n = 5 is the
-    stretch path (allow_stretch): candidates with a canonical first
-    hyperplane are deduplicated by backtracking equivalence tests, and
-    orbit sizes come from automorphism orders.
+    Up to n = 4 the stream is partitioned by orbit closure, the reference
+    the candidate engine is tested against; n = 5 runs the candidate engine,
+    exact retract-class keys certified by the double count.
     """
-    if n <= CLASSIFY_MAX_N:
-        records = classify(enumerate_functions(n), n, with_keys=with_keys)
+    if n > CLASSIFY_MAX_N:
+        raise DimensionTooLarge(f"classification capped at n={CLASSIFY_MAX_N}")
+    if n <= 4:
+        records, _ = classify(enumerate_functions(n), n, with_keys=with_keys)
         return len(records), records
-    if n == 5 and allow_stretch:
-        return _classify_by_candidates(5, with_keys)
-    raise DimensionTooLarge(
-        f"classification capped at n={CLASSIFY_MAX_N} (n=5 behind allow_stretch)"
+    return _classify_by_candidates(n, with_keys)
+
+
+def _retract_class_key(code: bytes, getters, class_of: dict[bytes, int]) -> tuple:
+    """Cardinality and, sorted over coordinates, the sorted triple of the
+    classes of the three retracts that `getters` read off the encoded value
+    string.  Invariant under isometry and sign, so it never splits a class."""
+    per_coord = sorted(
+        tuple(sorted(class_of[bytes(g(code))] for g in triple)) for triple in getters
     )
-
-
-def _cheap_invariant(values: tuple[int, ...], n: int) -> tuple:
-    """Isometry-and-sign-invariant bucket key: cardinality, sorted
-    per-direction retract-size triples, and the degree histogram of the
-    support graph."""
-    from . import cube as _cube
-
-    card = sum(1 for v in values if v)
-    per_coord = []
-    for i in range(n):
-        sizes = []
-        for val in range(3):
-            cells = _cube.retract_cells(n, 3, i, val)
-            sizes.append(sum(1 for c in cells if values[c]))
-        per_coord.append(tuple(sorted(sizes)))
-    degrees: dict[int, int] = {}
-    lines_of = _cube.lines_through(n, 3)
-    line_list = _cube.lines(n, 3)
-    for c, v in enumerate(values):
-        if not v:
-            continue
-        deg = 0
-        for li in lines_of[c]:
-            for other in line_list[li].cells:
-                if other != c and values[other]:
-                    deg += 1
-        degrees[deg] = degrees.get(deg, 0) + 1
-    return (card, tuple(sorted(per_coord)), tuple(sorted(degrees.items())))
+    return len(code) - code.count(1), tuple(per_coord)
 
 
 def _classify_by_candidates(n: int, with_keys: bool) -> tuple[int, list[ClassRecord]]:
     """Classes from one candidate per (class representative of the first
-    hyperplane, compatible second layer): every class is hit because any
+    hyperplane, compatible rest), n >= 2: every class is hit because any
     function can be moved so its first retract is its class representative.
-    Deduplication is a backtracking isometry search inside invariant
-    buckets; orbit sizes come from the automorphism counts."""
-    from .symmetry import aut_order, canonical_form, equivalent
 
-    _, below = classify_all(n - 1)
-    buckets: dict[tuple, list[TernFn]] = {}
+    The first candidate per _retract_class_key is kept, over the member
+    table of the dimension n-1 closure; its orbit size is group order /
+    automorphism order.  A key can merge classes but never split one, so
+    the kept orbits sum to N(n), counted from the n-1 classes on a path of
+    its own, exactly when no key merges two; otherwise BrokenInvariant.
+    """
+    below, class_of = classify(enumerate_functions(n - 1), n - 1)
+    getters = [
+        [itemgetter(*cube.retract_cells(n, 3, i, d)) for d in range(3)]
+        for i in range(n)
+    ]
+    reps: dict[tuple, int] = {}
     for rec in below:
         for f in _enum(n, _pinned(rec.representative.values)):
-            full = _values(f)
-            cand = TernFn(n, full)
-            key = _cheap_invariant(full, n)
-            bucket = buckets.setdefault(key, [])
-            if not any(equivalent(cand, known) for known in bucket):
-                bucket.append(cand)
+            code = oct(f)[:1:-1].encode().translate(_DIGIT_CODE)
+            reps.setdefault(_retract_class_key(code, getters, class_of), f)
     records = []
-    for bucket in buckets.values():
-        for rep in bucket:
-            aut = aut_order(rep)
-            records.append(
-                ClassRecord(rep, group_order(n) // aut, aut,
-                            canonical_form(rep) if with_keys else None)
-            )
+    for f in reps.values():
+        rep = TernFn(n, _values(f))
+        aut = aut_order(rep)
+        records.append(ClassRecord(rep, group_order(n) // aut, aut))
+    total = sum(r.orbit_size for r in records)
+    expected = count_by_retract_classes(n, below)
+    if total != expected:
+        raise BrokenInvariant(f"{len(records)} keys cover {total} functions, N({n}) = {expected}")
+    if with_keys:
+        for rec in records:
+            rec.key = canonical_form(rec.representative)
     records.sort(key=lambda r: (r.cardinality, r.key or ""))
     return len(records), records
 
@@ -545,11 +542,10 @@ def unitrade_supports(n: int) -> Iterator[tuple[int, int]]:
         raise DimensionTooSmall(f"dimension must be >= 0, got {n}")
     if n > CATALOG_MAX_N:
         raise DimensionTooLarge(f"full unitrade catalog capped at n={CATALOG_MAX_N}")
-    from . import cube as _cube
     from .funcspace import BoolFn, mobius
     from .monomial import subcube_mask
 
-    bool_masks = [subcube_mask(w) for w in _cube.all_words(n, 2)]
+    bool_masks = [subcube_mask(w) for w in cube.all_words(n, 2)]
     for bits in range(1 << (1 << n)):
         anf = mobius(BoolFn(n, bits)).bits
         m = 0

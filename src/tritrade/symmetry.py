@@ -204,28 +204,30 @@ def classify(
     stream: Iterable[TernFn],
     n: int,
     with_keys: bool = False,
-) -> list[ClassRecord]:
+) -> tuple[list[ClassRecord], dict[bytes, int]]:
     """Partition a stream (each function exactly once) into orbit classes.
 
     Orbit sizes come from generator closure and automorphism orders from the
     isometry matcher, two independent computations, making
     orbit * aut == group order a nontrivial invariant.
+
+    Also returns the member table: each encoded orbit member to the index
+    of its class before the records are sorted.
     """
-    seen: set[bytes] = set()
+    class_of: dict[bytes, int] = {}
     records: list[ClassRecord] = []
     for f in stream:
-        key = _encode(f.values)
-        if key in seen:
+        if _encode(f.values) in class_of:
             continue
         members = orbit_values(f.values, n)
-        seen |= members
+        class_of.update(dict.fromkeys(members, len(records)))
         records.append(ClassRecord(f, len(members), 0))
     for rec in records:
         rec.aut = aut_order(rec.representative)
         if with_keys:
             rec.key = canonical_form(rec.representative)
     records.sort(key=lambda r: (r.cardinality, r.key or _encode(r.representative.values).hex()))
-    return records
+    return records, class_of
 
 
 def double_count_check(classes: Sequence[ClassRecord], expected_total: int, n: int) -> bool:

@@ -25,6 +25,11 @@ def classes4():
 
 
 @pytest.fixture(scope="session")
+def classes5():
+    return enumeration.classify_all(5)
+
+
+@pytest.fixture(scope="session")
 def spectra():
     return {n: enumeration.spectrum(n) for n in (1, 2, 3, 4)}
 

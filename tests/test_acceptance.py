@@ -89,15 +89,12 @@ class TestCriterion2Classes:
         assert got == NPRIME_EXPECTED
         _report(f"2: PASS — N'(0..4) = {got}, double-count identity exact")
 
-    @pytest.mark.nightly
-    def test_classes_n5_nightly(self):
-        t0 = time.time()
-        count, records = classify_all(5, allow_stretch=True)
-        elapsed = time.time() - t0
+    def test_classes_n5(self, classes5):
+        count, records = classes5
         assert count == 92
+        assert sum(r.orbit_size for r in records) == N_FUNCTIONS[5]
         assert double_count_check(records, N_EXPECTED[5], 5)
-        assert elapsed < 12 * 3600
-        _report(f"2 (nightly): PASS — N'(5) = 92 in {elapsed:.0f}s")
+        _report("2: PASS — N'(5) = 92, double-count identity exact")
 
 
 class TestCriterion3Spectra:

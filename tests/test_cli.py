@@ -79,6 +79,13 @@ class TestEnumerateCommand:
         assert code == EXIT_RESOURCE
         code, _, err = run(capsys, "enumerate", "--n", "6", "--mode", "count")
         assert code == EXIT_RESOURCE  # needs --allow-big
+        code, _, err = run(capsys, "enumerate", "--n", "5", "--mode", "classes")
+        assert code == EXIT_RESOURCE  # needs --allow-big
+        assert "canonical keys" in err
+        code, _, err = run(
+            capsys, "enumerate", "--n", "6", "--mode", "classes", "--allow-big"
+        )
+        assert code == EXIT_RESOURCE
 
     def test_checkpoint_mismatch_exit4(self, capsys, tmp_path):
         from tritrade.errors import Interrupted

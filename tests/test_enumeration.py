@@ -14,6 +14,7 @@ from tritrade.enumeration import (
     unitrade_supports,
 )
 from tritrade.errors import (
+    BrokenInvariant,
     CheckpointMismatch,
     DimensionTooLarge,
     DimensionTooSmall,
@@ -91,6 +92,28 @@ class TestRandomDomains:
             assert count_functions(n, doms) == len(expect)
             nonzero += bool(expect)
         assert nonzero >= 10  # the draw must not be empty domains only
+
+    def test_domain_spec_forms(self):
+        rng = random.Random(13)
+        for _ in range(20):
+            doms = _random_domains(rng, 3)
+            expect = count_functions(3, doms)
+            assert count_functions(3, [list(d) for d in doms]) == expect
+            assert count_functions(3, [set(d) for d in doms]) == expect
+            assert count_functions(3, [(v for v in d) for d in doms]) == expect
+            # a repeated value allows nothing more
+            assert count_functions(3, [d + d for d in doms]) == expect
+
+    def test_domain_spec_errors(self):
+        bad = [FREE] * 27
+        bad[5] = (0, 2)
+        for _ in range(2):  # a rejected domain is never remembered
+            with pytest.raises(ValueError, match="outside"):
+                count_functions(3, bad)
+        with pytest.raises(ValueError, match="outside"):
+            count_functions(3, [(0, 2)] * 27)
+        with pytest.raises(ValueError, match="one domain per cell"):
+            count_functions(3, [FREE] * 26)
 
 
 class TestCount:
@@ -193,6 +216,10 @@ class TestRetractClassCount:
     def test_n5_from_classes4(self, classes4):
         assert count_by_retract_classes(5, classes4[1]) == 32184151
 
+    @pytest.mark.nightly
+    def test_n6_from_classes5(self, classes5):
+        assert count_by_retract_classes(6, classes5[1]) == N_FUNCTIONS[6]
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_agrees_with_direct(self, n):
         _, classes = classify_all(n - 1)
@@ -242,30 +269,43 @@ class TestClassifyAll:
 
     def test_guard(self):
         with pytest.raises(DimensionTooLarge):
-            classify_all(5)
+            classify_all(6)
 
-    def test_candidate_engine_agrees_with_closure_n3(self):
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_candidate_engine_agrees_with_closure(self, n, request):
         from tritrade.enumeration import _classify_by_candidates
-        from tritrade.symmetry import double_count_check
+        from tritrade.symmetry import orbit_values
 
-        count, records = _classify_by_candidates(3, with_keys=False)
-        assert count == 5
-        assert sum(r.orbit_size for r in records) == 403
-        assert double_count_check(records, 403, 3)
+        count, records = _classify_by_candidates(n, with_keys=False)
+        ref_count, ref = request.getfixturevalue(f"classes{n}")
+        assert count == ref_count
 
-    @pytest.mark.slow
-    def test_candidate_engine_agrees_with_closure_n4(self):
-        from tritrade.enumeration import _classify_by_candidates
+        def profile(recs):
+            return sorted((r.cardinality, r.orbit_size, r.aut) for r in recs)
 
-        count, records = _classify_by_candidates(4, with_keys=False)
-        assert count == 13
-        assert sum(r.orbit_size for r in records) == 29875
+        assert profile(records) == profile(ref)
+        # pairwise inequivalent, checked by orbit closure alone
+        seen = set()
+        for rec in records:
+            orbit = orbit_values(rec.representative.values, n)
+            assert seen.isdisjoint(orbit)
+            seen |= orbit
 
-    @pytest.mark.nightly
-    def test_n5_stretch(self):
-        count, records = classify_all(5, allow_stretch=True)
+    def test_coarse_key_is_caught(self, monkeypatch):
+        from tritrade import enumeration
+
+        monkeypatch.setattr(
+            enumeration,
+            "_retract_class_key",
+            lambda code, getters, class_of: len(code) - code.count(1),
+        )
+        with pytest.raises(BrokenInvariant):
+            enumeration._classify_by_candidates(4, with_keys=False)
+
+    def test_n5(self, classes5):
+        count, records = classes5
         assert count == 92
-        assert sum(r.orbit_size for r in records) == 32184151
+        assert sum(r.orbit_size for r in records) == N_FUNCTIONS[5]
 
 
 class TestCatalog:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -164,8 +165,10 @@ class TestAutOrder:
 
 class TestClassify:
     def test_n2_classes_and_orbits(self):
-        recs = classify(enumerate_functions(2), 2)
+        recs, class_of = classify(enumerate_functions(2), 2)
         assert len(recs) == 3
+        assert len(class_of) == 31
+        assert sorted(Counter(class_of.values()).values()) == [1, 12, 18]
         assert sorted(r.orbit_size for r in recs) == [1, 12, 18]
         assert sorted(r.aut for r in recs) == [8, 12, 144]
 
@@ -190,7 +193,7 @@ class TestDoubleCount:
         assert double_count_check([], 0, 2)
 
     def test_n2_arithmetic(self):
-        recs = classify(enumerate_functions(2), 2)
+        recs, _ = classify(enumerate_functions(2), 2)
         assert double_count_check(recs, 31, 2)
         assert 144 // 144 + 144 // 8 + 144 // 12 == 31
 
