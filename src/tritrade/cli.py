@@ -10,6 +10,7 @@ identical payload checksums.  Exit codes: 0 success, 1 failed check,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -23,6 +24,7 @@ from .enumeration import bitrade_catalog, classify_all, count_functions, spectru
 from .errors import CheckpointMismatch, DimensionTooLarge, DimensionTooSmall, TritradeError
 from .funcspace import BoolFn, u_from_bool
 from .monomial import MonomialSet, rank
+from .symmetry import canonical_form
 from .trade import (
     TradeSet,
     bipartition,
@@ -114,7 +116,11 @@ def _cmd_enumerate(args, argv) -> int:
             if n == 5 and not args.allow_big:
                 print("n=5 classes take minutes for their 92 canonical keys; pass --allow-big", file=sys.stderr)
                 return EXIT_RESOURCE
-            count, records = classify_all(n, with_keys=True)
+            count, records = classify_all(n)
+            records = sorted(
+                (dataclasses.replace(r, key=canonical_form(r.representative)) for r in records),
+                key=lambda r: (r.cardinality, r.key),
+            )
             payload = {
                 "n": n,
                 "classes": count,
@@ -170,6 +176,8 @@ def _check_small_spectrum(n: int, rng) -> tuple[bool, dict]:
 
 
 def _check_alpha(n: int, rng) -> tuple[bool, dict]:
+    if n < 1:  # H(0,3) has no lines, so the unitrade catalog is vacuous
+        raise DimensionTooSmall("alpha check needs n >= 1")
     bad = []
     for bits, mask in enumeration.unitrade_supports(n):
         c = mask.bit_count()
@@ -179,6 +187,8 @@ def _check_alpha(n: int, rng) -> tuple[bool, dict]:
 
 
 def _check_rank2(n: int, rng) -> tuple[bool, dict]:
+    if n < 1:  # as in _check_alpha
+        raise DimensionTooSmall("rank2 check needs n >= 1")
     table = monomial.rank_table(n)
     lo, hi = 2 ** n, 2 ** (n + 1)
     admissible = {2 ** (n + 1) - 2 ** (s + 1) for s in range(n)}
@@ -530,13 +540,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.n < 0 or getattr(args, "jobs", 1) < 1:
         print("parameter error: need --n >= 0 and --jobs >= 1", file=sys.stderr)
         return EXIT_BAD_PARAMS
-    if args.cmd == "enumerate":
-        return _cmd_enumerate(args, argv)
-    if args.cmd == "verify":
-        return _cmd_verify(args, argv)
-    if args.cmd == "construct":
-        return _cmd_construct(args, argv)
-    return EXIT_BAD_PARAMS
+    commands = {"enumerate": _cmd_enumerate, "verify": _cmd_verify, "construct": _cmd_construct}
+    try:
+        return commands[args.cmd](args, argv)
+    except OSError as exc:  # unreadable input, unwritable --out or --checkpoint
+        print(f"parameter error: {exc}", file=sys.stderr)
+        return EXIT_BAD_PARAMS
 
 
 if __name__ == "__main__":

@@ -19,14 +19,13 @@ support weight (L minus the bits of the 0 plane).  At n <= 2 the solutions
 inside a domain vector D are the f with f & D == f among the 3, 7 or 31
 one-hot solutions.  Value tuples are read off a solution's octal digits.
 
-Counting reuses the recursion with a memo on the n = 2 domain vectors;
-the spectrum and the class-based count replace the outer enumeration by one
-representative per equivalence class of the hyperplane below, weighted by
-orbit size (the double-counting trick that also validates N(n)).
-
-Classification closes orbits up to n = 4.  At n = 5 it keys every candidate
-(first hyperplane a class representative) by the classes of its retracts,
-and the double count certifies the keys: the kept orbits must sum to N(5).
+Counting reuses the recursion with a memo on the n = 2 domain vectors.
+One cached class layer, `_closed_classes(n)`, closes the orbits of the
+whole stream at n <= 4 once per process.  The spectrum and the class-based
+count stream the completions of each class of `classify_all(n-1)`, weighted
+by orbit size (the double count that also validates N(n)).  At n = 5 every
+candidate is keyed by the layer's n = 4 classes of its retracts, and the
+double count certifies the keys: the kept orbits must sum to N(5).
 
 All counters are exact Python integers; reports serialize them as decimal
 strings because the dimension-7 reference values overflow 64 bits.
@@ -54,8 +53,8 @@ from .errors import (
     Interrupted,
 )
 from .funcspace import TernFn, trade_from_tern
-from .symmetry import ClassRecord, aut_order, canonical_form, classify, group_order
-from .trade import BipartiteTrade, mod3_admissible
+from .symmetry import ClassRecord, aut_order, classify, group_order
+from .trade import BipartiteTrade, TradeSet, mod3_admissible
 
 # ---------------------------------------------------------------------------
 # Packed domains: 3 bits per cell, bit 3c + (v+1) allows value v at cell c
@@ -372,14 +371,15 @@ def _count_parallel(n: int, doms: int, jobs: int) -> int:
 # Class-accelerated counting and the spectrum
 # ---------------------------------------------------------------------------
 
-def count_by_retract_classes(n: int, classes: Sequence[ClassRecord]) -> int:
-    """N(n) from the dimension n-1 classification: the completions of each
-    representative as the first hyperplane, weighted by orbit size."""
+def count_by_retract_classes(n: int) -> int:
+    """N(n) from `classify_all(n-1)` (the cached class layer up to n = 5):
+    the completions of each representative as the first hyperplane,
+    weighted by orbit size.  The classes always come from dimension n-1."""
     if n < 1:
         raise ValueError("needs n >= 1")
     return sum(
         rec.orbit_size * _count(n, _pinned(rec.representative.values))
-        for rec in classes
+        for rec in classify_all(n - 1)[1]
     )
 
 
@@ -421,35 +421,20 @@ class SpectrumTable:
 SPECTRUM_MAX_N = 5
 
 
-def spectrum(n: int, engine: str = "auto") -> SpectrumTable:
-    """Exact per-cardinality bitrade counts.
-
-    engine="direct" streams every function and takes support weights
-    (n <= 4); engine="classes" runs one weighted stream per equivalence
-    class of the hyperplane below (the only feasible route at n = 5).
-    """
+def spectrum(n: int) -> SpectrumTable:
+    """Exact per-cardinality bitrade counts: one stream per class of
+    `classify_all(n-1)`, its first hyperplane pinned to the representative,
+    each function's support weight counted orbit-size times."""
     if n < 1:
         raise DimensionTooSmall("spectrum available for n >= 1")
     if n > SPECTRUM_MAX_N:
         raise DimensionTooLarge(f"spectrum available for n <= {SPECTRUM_MAX_N}")
-    if engine == "auto":
-        engine = "direct" if n <= 3 else "classes"
-    if engine == "direct":
-        if n > 4:
-            raise DimensionTooLarge("direct spectrum capped at n=4")
-        streams = [(_packed_domains(n, None), 1)]
-    elif engine == "classes":
-        streams = [
-            (_pinned(rec.representative.values), rec.orbit_size)
-            for rec in classify_all(n - 1)[1]
-        ]
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
     cells, b0 = 3 ** n, _b0(3 ** n)
     counts: Counter[int] = Counter()
     total = 0
-    for doms, weight in streams:
-        for f in _enum(n, doms):
+    for rec in classify_all(n - 1)[1]:
+        weight = rec.orbit_size
+        for f in _enum(n, _pinned(rec.representative.values)):
             total += weight
             w = cells - ((f >> 1) & b0).bit_count()  # the 0 plane counts zeros
             if w:
@@ -463,22 +448,36 @@ def spectrum(n: int, engine: str = "auto") -> SpectrumTable:
 # Classification of the full stream
 # ---------------------------------------------------------------------------
 
+CLOSURE_MAX_N = 4
 CLASSIFY_MAX_N = 5
 
 
-def classify_all(n: int, with_keys: bool = False) -> tuple[int, list[ClassRecord]]:
-    """Equivalence classes of all line-sum-zero functions at dimension n.
+@lru_cache(maxsize=None)
+def _closed_classes(n: int) -> tuple[tuple[ClassRecord, ...], dict[bytes, int]]:
+    """The class layer: the stream at n <= 4 partitioned by orbit closure,
+    as the records and member table of `symmetry.classify`.  Both are
+    shared, so callers copy the records and only read the table."""
+    if n > CLOSURE_MAX_N:
+        raise DimensionTooLarge(f"orbit closure capped at n={CLOSURE_MAX_N}")
+    records, class_of = classify(enumerate_functions(n), n)
+    return tuple(records), class_of
 
-    Up to n = 4 the stream is partitioned by orbit closure, the reference
-    the candidate engine is tested against; n = 5 runs the candidate engine,
-    exact retract-class keys certified by the double count.
+
+def classify_all(n: int) -> tuple[int, list[ClassRecord]]:
+    """Equivalence classes of all line-sum-zero functions at dimension n,
+    as a fresh list of shared, frozen records.
+
+    Up to n = 4 they come from the class layer, the orbit-closure
+    reference that the candidate search is tested against; n = 5 runs the
+    candidate search, exact retract-class keys certified by the double
+    count.
     """
     if n > CLASSIFY_MAX_N:
         raise DimensionTooLarge(f"classification capped at n={CLASSIFY_MAX_N}")
-    if n <= 4:
-        records, _ = classify(enumerate_functions(n), n, with_keys=with_keys)
+    if n <= CLOSURE_MAX_N:
+        records = list(_closed_classes(n)[0])
         return len(records), records
-    return _classify_by_candidates(n, with_keys)
+    return _classify_by_candidates(n)
 
 
 def _retract_class_key(code: bytes, getters, class_of: dict[bytes, int]) -> tuple:
@@ -491,18 +490,18 @@ def _retract_class_key(code: bytes, getters, class_of: dict[bytes, int]) -> tupl
     return len(code) - code.count(1), tuple(per_coord)
 
 
-def _classify_by_candidates(n: int, with_keys: bool) -> tuple[int, list[ClassRecord]]:
+def _classify_by_candidates(n: int) -> tuple[int, list[ClassRecord]]:
     """Classes from one candidate per (class representative of the first
     hyperplane, compatible rest), n >= 2: every class is hit because any
     function can be moved so its first retract is its class representative.
 
     The first candidate per _retract_class_key is kept, over the member
-    table of the dimension n-1 closure; its orbit size is group order /
+    table of the class layer at n-1; its orbit size is group order /
     automorphism order.  A key can merge classes but never split one, so
     the kept orbits sum to N(n), counted from the n-1 classes on a path of
     its own, exactly when no key merges two; otherwise BrokenInvariant.
     """
-    below, class_of = classify(enumerate_functions(n - 1), n - 1)
+    below, class_of = _closed_classes(n - 1)
     getters = [
         [itemgetter(*cube.retract_cells(n, 3, i, d)) for d in range(3)]
         for i in range(n)
@@ -518,13 +517,10 @@ def _classify_by_candidates(n: int, with_keys: bool) -> tuple[int, list[ClassRec
         aut = aut_order(rep)
         records.append(ClassRecord(rep, group_order(n) // aut, aut))
     total = sum(r.orbit_size for r in records)
-    expected = count_by_retract_classes(n, below)
+    expected = count_by_retract_classes(n)
     if total != expected:
         raise BrokenInvariant(f"{len(records)} keys cover {total} functions, N({n}) = {expected}")
-    if with_keys:
-        for rec in records:
-            rec.key = canonical_form(rec.representative)
-    records.sort(key=lambda r: (r.cardinality, r.key or ""))
+    records.sort(key=lambda r: r.cardinality)
     return len(records), records
 
 
@@ -558,22 +554,13 @@ def unitrade_supports(n: int) -> Iterator[tuple[int, int]]:
         yield bits, m
 
 
-def bitrade_catalog(
-    n: int, include_empty: bool = True, allow_big: bool = False
-) -> list[BipartiteTrade]:
+def bitrade_catalog(n: int) -> list[BipartiteTrade]:
     """Every bitrade of dimension n as a BipartiteTrade, one per set (the
-    two sign functions of a trade collapse to one entry).
-
-    Capped at n = 4 (14938 sets) unless allow_big: the n = 5 catalog holds
-    about 16 million sets and needs several GB resident.
-    """
-    if n > CATALOG_MAX_N and not (n == 5 and allow_big):
+    two sign functions of a trade collapse to one entry), the empty set
+    first.  Capped at n = 4 (14938 sets)."""
+    if n > CATALOG_MAX_N:
         raise DimensionTooLarge(f"catalog capped at n={CATALOG_MAX_N}")
-    out = []
-    if include_empty:
-        from .trade import TradeSet
-
-        out.append(BipartiteTrade(TradeSet(n, 3, 0), 0, 0))
+    out = [BipartiteTrade(TradeSet(n, 3, 0), 0, 0)]
     for f in enumerate_functions(n):
         values = f.values
         first = next((v for v in values if v), 0)

@@ -54,7 +54,9 @@ class BoolFn:
 
     @staticmethod
     def from_text(text: str) -> "BoolFn":
-        return BoolFn.from_values([int(ch) for ch in text])
+        if set(text) - {"0", "1"}:
+            raise ValueError(f"truth table text must hold only 0 and 1, got {text!r}")
+        return BoolFn.from_values([ch == "1" for ch in text])
 
     @staticmethod
     def from_callable(n: int, fn) -> "BoolFn":

@@ -180,7 +180,7 @@ def aut_order(f: TernFn) -> int:
 # Classification
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ClassRecord:
     representative: TernFn
     orbit_size: int
@@ -200,33 +200,27 @@ class ClassRecord:
         }
 
 
-def classify(
-    stream: Iterable[TernFn],
-    n: int,
-    with_keys: bool = False,
-) -> tuple[list[ClassRecord], dict[bytes, int]]:
+def classify(stream: Iterable[TernFn], n: int) -> tuple[list[ClassRecord], dict[bytes, int]]:
     """Partition a stream (each function exactly once) into orbit classes.
 
     Orbit sizes come from generator closure and automorphism orders from the
     isometry matcher, two independent computations, making
-    orbit * aut == group order a nontrivial invariant.
+    orbit * aut == group order a nontrivial invariant.  Records are sorted by
+    cardinality, then by value tuple.
 
     Also returns the member table: each encoded orbit member to the index
     of its class before the records are sorted.
     """
     class_of: dict[bytes, int] = {}
-    records: list[ClassRecord] = []
+    orbits: list[tuple[TernFn, int]] = []
     for f in stream:
         if _encode(f.values) in class_of:
             continue
         members = orbit_values(f.values, n)
-        class_of.update(dict.fromkeys(members, len(records)))
-        records.append(ClassRecord(f, len(members), 0))
-    for rec in records:
-        rec.aut = aut_order(rec.representative)
-        if with_keys:
-            rec.key = canonical_form(rec.representative)
-    records.sort(key=lambda r: (r.cardinality, r.key or _encode(r.representative.values).hex()))
+        class_of.update(dict.fromkeys(members, len(orbits)))
+        orbits.append((f, len(members)))
+    records = [ClassRecord(f, size, aut_order(f)) for f, size in orbits]
+    records.sort(key=lambda r: (r.cardinality, r.representative.values))
     return records, class_of
 
 

@@ -35,7 +35,7 @@ def spectra():
 
 
 @pytest.fixture(scope="session")
-def spectrum5(classes4):
+def spectrum5():
     return enumeration.spectrum(5)
 
 

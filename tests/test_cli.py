@@ -41,6 +41,22 @@ class TestEnumerateCommand:
             "a43cc868e8d3a4c2dc5ddce9dda91589a5b15a2fb803baf8752e09d55d19724c"
         )
 
+    @pytest.mark.parametrize(
+        "mode,n,digest",
+        [
+            ("classes", 4, "4212a3bcd31ed2e2d685a52ffce7d036112b6d1dcb82e83ff24649b1bbd77f7f"),
+            ("spectrum", 3, "164df01ee36571393e91948dffe3c5facbd691ea31d559f491cfeb42a247d245"),
+            ("spectrum", 4, "3e5a8b22a6e4895d1e0eda4e413a8abe9f578c3818464b87aef4bfc6ef350b34"),
+        ],
+    )
+    def test_payload_pinned(self, capsys, tmp_path, mode, n, digest):
+        out_file = tmp_path / "out.json"
+        code, _, _ = run(
+            capsys, "enumerate", "--n", str(n), "--mode", mode, "--out", str(out_file)
+        )
+        assert code == EXIT_OK
+        assert json.loads(out_file.read_text())["manifest"]["payload_sha256"] == digest
+
     def test_spectrum_json(self, capsys, tmp_path):
         out_file = tmp_path / "spec.json"
         code, _, _ = run(
@@ -168,6 +184,13 @@ class TestVerifyCommand:
         "verify --check gap-14 --n 1",
         "verify --check testset --n 0",
         "verify --check mod3 --n 0",
+        "verify --check alpha --n 0",
+        "verify --check rank2 --n 0",
+        "enumerate --n 2 --mode spectrum --out /nonexistent/dir/x.json",
+        "enumerate --n 2 --checkpoint /nonexistent/dir/ck.json",
+        "construct --what product --left @/nonexistent",
+        "construct --what pot12 --f 2",
+        "construct --what pot12 --f 0121",
     ],
 )
 def test_boundary_inputs_exit_bad_params(capsys, argv):

@@ -2,6 +2,9 @@ import itertools
 import json
 import os
 import random
+from collections import Counter
+from dataclasses import FrozenInstanceError
+from functools import lru_cache
 
 import pytest
 
@@ -207,23 +210,21 @@ class TestCheckpoint:
 
 class TestRetractClassCount:
     def test_n2_from_classes1(self):
-        _, classes1 = classify_all(1)
-        assert count_by_retract_classes(2, classes1) == 31
+        assert count_by_retract_classes(2) == 31
 
-    def test_n4_from_classes3(self, classes3):
-        assert count_by_retract_classes(4, classes3[1]) == 29875
+    def test_n4_from_classes3(self):
+        assert count_by_retract_classes(4) == 29875
 
-    def test_n5_from_classes4(self, classes4):
-        assert count_by_retract_classes(5, classes4[1]) == 32184151
+    def test_n5_from_classes4(self):
+        assert count_by_retract_classes(5) == 32184151
 
     @pytest.mark.nightly
-    def test_n6_from_classes5(self, classes5):
-        assert count_by_retract_classes(6, classes5[1]) == N_FUNCTIONS[6]
+    def test_n6_from_classes5(self):
+        assert count_by_retract_classes(6) == N_FUNCTIONS[6]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_agrees_with_direct(self, n):
-        _, classes = classify_all(n - 1)
-        assert count_by_retract_classes(n, classes) == count_functions(n)
+        assert count_by_retract_classes(n) == count_functions(n)
 
 
 class TestSpectrum:
@@ -246,11 +247,15 @@ class TestSpectrum:
             assert table.consistent()
             assert table.total_functions == N_FUNCTIONS[table.n]
 
-    def test_engines_agree(self, classes3):
-        direct = spectrum(4, engine="direct")
-        via_classes = spectrum(4, engine="classes")
-        assert direct.entries == via_classes.entries
-        assert direct.total_functions == via_classes.total_functions
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_direct_stream(self, n):
+        # the reference walks every function and reads its cardinality,
+        # sharing no code with the class streams or the packed support weight
+        direct = Counter(f.cardinality for f in enumerate_functions(n))
+        table = spectrum(n)
+        assert table.total_functions == sum(direct.values())
+        assert direct.pop(0) == 1
+        assert table.entries == {s: c // 2 for s, c in direct.items()}
 
     def test_json_uses_decimal_strings(self, spectra):
         doc = spectra[3].to_json()
@@ -276,7 +281,7 @@ class TestClassifyAll:
         from tritrade.enumeration import _classify_by_candidates
         from tritrade.symmetry import orbit_values
 
-        count, records = _classify_by_candidates(n, with_keys=False)
+        count, records = _classify_by_candidates(n)
         ref_count, ref = request.getfixturevalue(f"classes{n}")
         assert count == ref_count
 
@@ -300,7 +305,36 @@ class TestClassifyAll:
             lambda code, getters, class_of: len(code) - code.count(1),
         )
         with pytest.raises(BrokenInvariant):
-            enumeration._classify_by_candidates(4, with_keys=False)
+            enumeration._classify_by_candidates(4)
+
+    def test_records_are_frozen_and_lists_fresh(self):
+        count, records = classify_all(3)
+        with pytest.raises(FrozenInstanceError):
+            records[0].aut = 1
+        before = [(r.cardinality, r.orbit_size, r.aut) for r in records]
+        records.sort(key=lambda r: -r.orbit_size)
+        records.clear()
+        again_count, again = classify_all(3)
+        assert again_count == count
+        assert [(r.cardinality, r.orbit_size, r.aut) for r in again] == before
+
+    def test_class_layer_closes_orbits_once(self, monkeypatch):
+        from tritrade import enumeration, symmetry
+
+        calls = []
+
+        def counting_classify(stream, n):
+            calls.append(n)
+            return symmetry.classify(stream, n)
+
+        # a fresh cache, so the session's cached classes stay in place
+        fresh = lru_cache(maxsize=None)(enumeration._closed_classes.__wrapped__)
+        monkeypatch.setattr(enumeration, "_closed_classes", fresh)
+        monkeypatch.setattr(enumeration, "classify", counting_classify)
+        classify_all(3)
+        spectrum(4)
+        enumeration._classify_by_candidates(4)
+        assert calls == [3]
 
     def test_n5(self, classes5):
         count, records = classes5

@@ -270,3 +270,9 @@ def test_text_roundtrips():
     assert TernFn.from_text(f.to_text()) == f
     g = BoolFn(3, 0b10110001)
     assert BoolFn.from_text(g.to_text()) == g
+
+
+@pytest.mark.parametrize("text", ["2", "0121", "01 1", "0a"])
+def test_bool_text_rejects_other_characters(text):
+    with pytest.raises(ValueError):
+        BoolFn.from_text(text)
