@@ -114,7 +114,7 @@ def _cmd_enumerate(args, argv) -> int:
             ]
         elif args.mode == "classes":
             if n == 5 and not args.allow_big:
-                print("n=5 classes take minutes for their 92 canonical keys; pass --allow-big", file=sys.stderr)
+                print("n=5 classes take over a minute for their 92 canonical keys; pass --allow-big", file=sys.stderr)
                 return EXIT_RESOURCE
             count, records = classify_all(n)
             records = sorted(
@@ -339,14 +339,14 @@ def _check_testset(n: int, rng) -> tuple[bool, dict]:
             decomposable += 1
             continue
         extractable += 1
-        T = testsets.extract_testset(U, catalog=None, check_precondition=False)
+        T = testsets.extract_testset(U)
         if len(T) != 2 ** m - 1:
             ok = False
     report["xor_decomposable"] = decomposable
     report["extractable"] = extractable
     # mechanics: ranks behave even when the hypothesis fails
     U = construct.maximal_bitrade(m).base
-    T = testsets.extract_testset(U, check_precondition=False)
+    T = testsets.extract_testset(U)
     report["mechanics_points"] = len(T)
     ok = ok and len(T) == 2 ** m - 1
     ok = ok and testsets.line_system_rank(m) == 3 ** m - 2 ** m

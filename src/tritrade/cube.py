@@ -24,7 +24,8 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from operator import itemgetter
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 
 def cell_of_word(word: tuple[int, ...], k: int) -> int:
@@ -143,6 +144,28 @@ def retract_cells(n: int, k: int, coord: int, value: int) -> tuple[int, ...]:
     for sub in itertools.product(range(k), repeat=n - 1):
         word = sub[:coord] + (value,) + sub[coord:]
         out.append(cell_of_word(word, k))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def retract_splitters(n: int) -> tuple[Callable[[Sequence], tuple], ...]:
+    """Per coordinate c of Q_3^n, a callable that splits a 3^n-long value
+    tuple or bytes string into its three retracts at x_c = 0, 1, 2, each a
+    tuple in sub-cube cell order.
+
+    One itemgetter per coordinate reads the three retracts at once (the
+    cells of ``retract_cells(n, 3, c, d)`` for d = 0, 1, 2, concatenated)
+    and the result is cut into three runs of 3^(n-1) entries.
+    """
+    out = []
+    for c in range(n):
+        get = itemgetter(*(cell for d in range(3) for cell in retract_cells(n, 3, c, d)))
+
+        def split(values, get=get, a=3 ** (n - 1), b=2 * 3 ** (n - 1)):
+            flat = get(values)
+            return flat[:a], flat[a:b], flat[b:]
+
+        out.append(split)
     return tuple(out)
 
 

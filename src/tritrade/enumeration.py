@@ -41,7 +41,6 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import cube
@@ -480,12 +479,13 @@ def classify_all(n: int) -> tuple[int, list[ClassRecord]]:
     return _classify_by_candidates(n)
 
 
-def _retract_class_key(code: bytes, getters, class_of: dict[bytes, int]) -> tuple:
+def _retract_class_key(code: bytes, n: int, class_of: dict[bytes, int]) -> tuple:
     """Cardinality and, sorted over coordinates, the sorted triple of the
-    classes of the three retracts that `getters` read off the encoded value
-    string.  Invariant under isometry and sign, so it never splits a class."""
+    classes of the three retracts of the encoded value string.  Invariant
+    under isometry and sign, so it never splits a class."""
     per_coord = sorted(
-        tuple(sorted(class_of[bytes(g(code))] for g in triple)) for triple in getters
+        tuple(sorted(class_of[bytes(r)] for r in split(code)))
+        for split in cube.retract_splitters(n)
     )
     return len(code) - code.count(1), tuple(per_coord)
 
@@ -502,15 +502,11 @@ def _classify_by_candidates(n: int) -> tuple[int, list[ClassRecord]]:
     its own, exactly when no key merges two; otherwise BrokenInvariant.
     """
     below, class_of = _closed_classes(n - 1)
-    getters = [
-        [itemgetter(*cube.retract_cells(n, 3, i, d)) for d in range(3)]
-        for i in range(n)
-    ]
     reps: dict[tuple, int] = {}
     for rec in below:
         for f in _enum(n, _pinned(rec.representative.values)):
             code = oct(f)[:1:-1].encode().translate(_DIGIT_CODE)
-            reps.setdefault(_retract_class_key(code, getters, class_of), f)
+            reps.setdefault(_retract_class_key(code, n, class_of), f)
     records = []
     for f in reps.values():
         rep = TernFn(n, _values(f))

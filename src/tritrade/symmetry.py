@@ -12,6 +12,9 @@ retract lists instead of walking the group: an isometry of dimension m is a
 choice of source coordinate and value order for target coordinate 0
 followed by one isometry of dimension m-1 applied to every retract, and
 each recursion memoises its sub-problems for the duration of one call.
+Both read retracts through ``cube.retract_splitters`` and build the next
+level's list alike: the canonical form minimises over the branches, the
+matcher counts those that reproduce g's runs of 3^m consecutive cells.
 
 Classification never canonicalizes the whole stream: orbits are closed
 under a small generator set with hashed membership, and automorphism orders
@@ -115,24 +118,26 @@ def _canon_rec(
     hit = memo.get(fs)
     if hit is not None:
         return hit
-    heads = {
-        (c, d): _canon_rec((_retract_tuple(fs[0], m, c, d),), m - 1, memo)
-        for c in range(m)
-        for d in (0, 1, 2)
-    }
-    top = min(heads.values())
+    splitters = cube.retract_splitters(m)
+    heads = [[_canon_rec((r,), m - 1, memo) for r in split(fs[0])] for split in splitters]
+    top = min(map(min, heads))
     best = None
-    for c in range(m):
-        blocks = [[_retract_tuple(f, m, c, d) for d in (0, 1, 2)] for f in fs]
+    for split, head in zip(splitters, heads):
+        if top not in head:
+            continue
+        blocks = [split(f) for f in fs]
         for order in _SYM3:
-            if heads[c, order[0]] != top:
-                continue
-            sub = tuple(b[d] for b in blocks for d in order)
-            img = _canon_rec(sub, m - 1, memo)
-            if best is None or img < best:
-                best = img
+            if head[order[0]] == top:
+                img = _canon_rec(_children(blocks, order), m - 1, memo)
+                if best is None or img < best:
+                    best = img
     memo[fs] = best
     return best
+
+
+def _children(blocks: list[tuple], order: tuple[int, int, int]) -> tuple:
+    """The aligned list one level down: each member's retracts in value order."""
+    return tuple(b[d] for b in blocks for d in order)
 
 
 # ---------------------------------------------------------------------------
@@ -239,87 +244,59 @@ def count_isometries_onto(f: TernFn, g: TernFn) -> int:
     return _match_count(f, g, find_one=False)
 
 
-def _value_counts(values: tuple[int, ...]) -> tuple[int, int, int]:
-    p = m = 0
-    for v in values:
-        if v > 0:
-            p += 1
-        elif v < 0:
-            m += 1
-    return (p, m, len(values) - p - m)
-
-
 def _match_count(f: TernFn, g: TernFn, find_one: bool) -> int:
-    """Backtracking matcher: assign source coordinates and symbol
-    permutations to target positions one at a time, pruning on value-count
-    profiles of the aligned retract lists.  Sub-problems are memoised for
-    the duration of the call, so a symmetric function pays for each
-    distinct pair of aligned retract lists once rather than once per
-    automorphism.  With find_one the search stops at the first match and
-    the result is only meaningful as zero or nonzero."""
+    """Backtracking matcher: the retract recursion of `canonical_form`,
+    counted against g instead of minimised.
+
+    Every node sends its source coordinate to target coordinate 0, so at
+    level m the i-th aligned list member must become the i-th run of 3^m
+    consecutive cells of g.  The value counts of those runs, computed once
+    per call, prune each (coordinate, value order); the count below a node
+    depends only on its aligned list, the memo key for the whole call, so
+    a symmetric function pays for each distinct list once rather than once
+    per automorphism.  With find_one the search stops at the first match
+    and the result is only meaningful as zero or nonzero."""
     if f.n != g.n:
         return 0
     n = f.n
+    # targets[m]: at m = 0 the leaf list itself; above, per value order, the
+    # counts that the retracts (member i, value d) must have: those of run
+    # 3i + order.index(d) of 3^(m-1) cells
+    targets: list[tuple] = [tuple((v,) for v in g.values)]
+    for size in (3 ** m for m in range(n)):
+        runs = [_profile(g.values[i:i + size]) for i in range(0, 3 ** n, size)]
+        targets.append(tuple(
+            tuple(runs[i + order.index(d)] for i in range(0, len(runs), 3) for d in range(3))
+            for order in _SYM3
+        ))
     memo: dict[tuple, int] = {}
     total = 0
-    for sign in (1, -1):
-        fv = f.values if sign == 1 else tuple(-v for v in f.values)
-        total += _match_rec((fv,), (g.values,), n, memo, find_one)
+    for fv in (f.values, tuple(-v for v in f.values)):
+        total += _match_rec((fv,), n, targets, memo, find_one)
         if find_one and total:
             return total
     return total
 
 
-def _retract_tuple(values: tuple[int, ...], m: int, coord: int, val: int) -> tuple[int, ...]:
-    cells = cube.retract_cells(m, 3, coord, val)
-    return tuple(values[c] for c in cells)
+def _profile(values: tuple[int, ...]) -> tuple[int, int]:
+    return values.count(1), values.count(-1)
 
 
-def _match_rec(
-    fs: tuple[tuple[int, ...], ...],
-    gs: tuple[tuple[int, ...], ...],
-    m: int,
-    memo: dict[tuple, int],
-    find_one: bool,
-) -> int:
+def _match_rec(fs: tuple, m: int, targets: list[tuple], memo: dict, find_one: bool) -> int:
     if m == 0:
-        return 1 if all(a[0] == b[0] for a, b in zip(fs, gs)) else 0
-    # the count below a node depends only on its aligned retract lists
-    key = (fs, gs)
-    hit = memo.get(key)
+        # the counts checked one level up fix every leaf; only n = 0 needs this
+        return 1 if fs == targets[0] else 0
+    hit = memo.get(fs)
     if hit is not None:
         return hit
-    g_blocks = [
-        [_retract_tuple(g, m, 0, s) for s in (0, 1, 2)] for g in gs
-    ]
-    g_counts = [[_value_counts(b) for b in blocks] for blocks in g_blocks]
     total = 0
-    for c in range(m):
-        f_blocks = [
-            [_retract_tuple(f, m, c, s) for s in (0, 1, 2)] for f in fs
-        ]
-        f_counts = [[_value_counts(b) for b in blocks] for blocks in f_blocks]
-        for sp in _SYM3:
-            # target block s comes from source value sp^{-1}(s); iterate via
-            # source value d landing in block sp[d]
-            ok = True
-            for fc, gc in zip(f_counts, g_counts):
-                for d in range(3):
-                    if fc[d] != gc[sp[d]]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                continue
-            new_fs = []
-            new_gs = []
-            for fb, gb in zip(f_blocks, g_blocks):
-                for d in range(3):
-                    new_fs.append(fb[d])
-                    new_gs.append(gb[sp[d]])
-            total += _match_rec(tuple(new_fs), tuple(new_gs), m - 1, memo, find_one)
-            if find_one and total:
-                return total
-    memo[key] = total
+    for split in cube.retract_splitters(m):
+        blocks = [split(f) for f in fs]
+        counts = tuple(_profile(b) for triple in blocks for b in triple)
+        for order, want in zip(_SYM3, targets[m]):
+            if counts == want:
+                total += _match_rec(_children(blocks, order), m - 1, targets, memo, find_one)
+                if find_one and total:
+                    return total
+    memo[fs] = total
     return total

@@ -126,7 +126,6 @@ def line_system_rank(m: int) -> int:
 def extract_testset(
     U: TradeSet,
     catalog: Optional[Sequence[BipartiteTrade]] = None,
-    check_precondition: bool = True,
 ) -> TestSet:
     """A testing set of 2^m - 1 points for bitrades at dimension m.
 
@@ -138,8 +137,7 @@ def extract_testset(
 
     With a catalog, the hypothesis "U is not an xor of two bitrades" is
     checked and PreconditionFailed carries the witness pair; without one,
-    the caller asserts it (check_precondition=False skips the check even
-    with a catalog, for mechanics-only runs).
+    the caller asserts it.
     """
     if not is_unitrade(U):
         raise NotAUnitrade("extraction needs a unitrade")
@@ -148,7 +146,7 @@ def extract_testset(
             "the empty set is the xor of two equal bitrades", witness=None
         )
     m = U.n
-    if check_precondition and catalog is not None:
+    if catalog is not None:
         pair = xor_of_two_bitrades(U, catalog)
         if pair is not None:
             raise PreconditionFailed(

@@ -153,3 +153,19 @@ def test_retract_commutes_with_isometry():
         g_sub = Isometry(tuple(range(2)), sub_sps)
         right = S.retract(coord, value).apply_isometry(g_sub)
         assert left == right
+
+
+def test_retract_splitters_match_retract_cells():
+    # every coordinate and value, on value tuples and on encoded bytes
+    rng = random.Random(3)
+    for m in range(5):
+        splitters = cube.retract_splitters(m)
+        assert len(splitters) == m
+        values = tuple(rng.choice((-1, 0, 1)) for _ in range(3 ** m))
+        code = bytes(v + 1 for v in values)
+        for c, split in enumerate(splitters):
+            for seq in (values, code):
+                parts = split(seq)
+                assert len(parts) == 3
+                for d, part in enumerate(parts):
+                    assert part == tuple(seq[i] for i in cube.retract_cells(m, 3, c, d))

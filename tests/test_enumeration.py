@@ -302,7 +302,7 @@ class TestClassifyAll:
         monkeypatch.setattr(
             enumeration,
             "_retract_class_key",
-            lambda code, getters, class_of: len(code) - code.count(1),
+            lambda code, n, class_of: len(code) - code.count(1),
         )
         with pytest.raises(BrokenInvariant):
             enumeration._classify_by_candidates(4)

@@ -153,14 +153,22 @@ class TestAutOrder:
             assert len(orbit(f)) * aut_order(f) == group_order(3)
 
     def test_matcher_agrees_with_scan(self):
+        # every function at n <= 2 (n = 0 has no retract level to prune its
+        # leaf), a sample at n = 3, each against an image and against an
+        # inequivalent partner
         rng = random.Random(9)
-        fns = list(enumerate_functions(2))
-        fns += rng.sample(list(enumerate_functions(3)), 8)
+        by_n = {n: list(enumerate_functions(n)) for n in range(4)}
+        fns = by_n[0] + by_n[1] + by_n[2] + rng.sample(by_n[3], 8)
         for f in fns:
             group = _all_isometries(f.n)
             assert aut_order(f) == _scan_count(f, f, group)
             g = f.apply_isometry(Isometry.random(rng, f.n, 3))
             assert count_isometries_onto(f, g) == _scan_count(f, g, group)
+            h = rng.choice(by_n[f.n])
+            while _scan_count(f, h, group):
+                h = rng.choice(by_n[f.n])
+            assert count_isometries_onto(f, h) == 0
+            assert not equivalent(f, h)
 
 
 class TestClassify:

@@ -74,13 +74,13 @@ class TestExtractTestset:
     def test_point_count_m2(self):
         from tritrade.construct import maximal_bitrade
 
-        T = extract_testset(maximal_bitrade(2).base, check_precondition=False)
+        T = extract_testset(maximal_bitrade(2).base)
         assert len(T) == 3
 
     def test_point_count_every_unitrade_m2(self):
         for bits in range(1, 16):
             U = u_from_bool(BoolFn(2, bits))
-            T = extract_testset(U, check_precondition=False)
+            T = extract_testset(U)
             assert len(T) == 3
             # T lies outside U
             from tritrade.cube import cell_of_word
@@ -90,7 +90,7 @@ class TestExtractTestset:
     def test_point_count_m3(self):
         for bits in (1, 37, 255, 128):
             U = u_from_bool(BoolFn(3, bits))
-            assert len(extract_testset(U, check_precondition=False)) == 7
+            assert len(extract_testset(U)) == 7
 
     def test_m1_precondition_fails_with_witness(self):
         from tritrade.enumeration import bitrade_catalog
@@ -124,7 +124,7 @@ class TestExtractTestset:
         from tritrade.trade import xor_of_two_bitrades
 
         pair = xor_of_two_bitrades(U, catalog3)
-        T = extract_testset(U, check_precondition=False)
+        T = extract_testset(U)
         if pair is not None:
             r1 = restriction(pair[0].base, T)
             r2 = restriction(pair[1].base, T)
@@ -134,7 +134,7 @@ class TestExtractTestset:
     def test_distinct_bitrades_differ_off_T_only_via_U(self, catalog3):
         # pairs of catalog bitrades agreeing on T must xor to exactly U
         U = u_from_bool(BoolFn(3, 37))
-        T = extract_testset(U, check_precondition=False)
+        T = extract_testset(U)
         by_restriction = {}
         collisions = []
         for B in catalog3:
