@@ -9,10 +9,10 @@ monomials and symmetric differences of subcubes are the same thing and the
 *rank* of a unitrade equals the minimal ESOP term count of its boolean
 function.
 
-Rank engines: a coset BFS over GF(2)^(2^n) gives the full rank table for
-n <= 4 in one pass; an independent iterative-deepening branch-and-bound
-(restriction ranks as the admissible bound) cross-checks it and handles
-n = 5 on request.
+Rank engines: a bit-sliced BFS over GF(2)^(2^n) gives the full rank table
+for n <= 4 in one pass; an independent iterative-deepening branch-and-bound,
+bounded by ranks one dimension down, cross-checks it and handles n = 5 on
+request.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from typing import Iterable, Sequence
 
 from . import cube
 from .errors import (
+    BrokenInvariant,
     DegenerateTriple,
     DimensionTooLarge,
     NotAUnitrade,
@@ -180,27 +181,57 @@ _RANK_TABLE_MAX_N = 4
 @lru_cache(maxsize=None)
 def rank_table(n: int) -> bytes:
     """rank_table(n)[truth table] = minimal ESOP term count, for all 2^(2^n)
-    boolean functions at once: BFS layering of the GF(2) span of the 3^n
-    monomial truth tables (distance from 0 in the Cayley graph)."""
+    boolean functions at once: the distance from 0 in the Cayley graph of
+    GF(2)^(2^n) generated by the 3^n monomial truth tables.
+
+    Bit-sliced BFS: each distance layer is one int whose bit t marks the
+    function with truth table t.  Translating a layer by a monomial m swaps,
+    for each set bit j of m, the blocks of functions with bit j clear and
+    set; the next layer is the union of the frontier's 3^n translates minus
+    the functions already reached.  Raises BrokenInvariant if the monomials
+    do not span all 2^(2^n) functions.
+    """
     if n > _RANK_TABLE_MAX_N:
         raise DimensionTooLarge(f"rank table infeasible at n={n}")
-    tabs = _monomial_tables(n)
     size = 1 << (1 << n)
-    dist = bytearray([255]) * size
-    dist[0] = 0
-    frontier = [0]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for t in frontier:
-            for m in tabs:
-                u = t ^ m
-                if dist[u] == 255:
-                    dist[u] = d
-                    nxt.append(u)
-        frontier = nxt
-    return bytes(dist)
+    full = (1 << size) - 1
+    clear = []  # clear[j]: the functions whose truth table has bit j clear
+    for j in range(1 << n):
+        mask, width = (1 << (1 << j)) - 1, 2 << j
+        while width < size:
+            mask |= mask << width
+            width *= 2
+        clear.append(mask)
+    swaps = [
+        [(1 << j, clear[j]) for j in range(1 << n) if m >> j & 1]
+        for m in _monomial_tables(n)
+    ]
+    layers = [1]
+    seen = 1
+    while seen != full:
+        reach = 0
+        for pairs in swaps:
+            t = layers[-1]
+            for shift, c in pairs:
+                t = (t & c) << shift | (t >> shift) & c
+            reach |= t
+        frontier = reach & ~seen
+        if not frontier:
+            raise BrokenInvariant(
+                f"monomials span {seen.bit_count()} of {size} functions at n={n}"
+            )
+        layers.append(frontier)
+        seen |= frontier
+    # format() writes bit t as character size-1-t, so a big-endian read of
+    # the layer's digits mapped to bytes (0, d) and a little-endian write
+    # put d at byte t; the layers are disjoint, so their sum is their union
+    table = 0
+    for d, layer in enumerate(layers):
+        digits = format(layer, f"0{size}b").encode()
+        table += int.from_bytes(
+            digits.translate(bytes.maketrans(b"01", bytes((0, d)))), "big"
+        )
+    return table.to_bytes(size, "little")
 
 
 def rank_of_boolfn(f: BoolFn, allow_slow: bool = False) -> int:
@@ -231,10 +262,8 @@ def _cofactor(bits: int, n: int, coord: int, value: int) -> int:
 def _rank_lower_bound(bits: int, n: int) -> int:
     """Restriction to a hyperface maps every monomial to a monomial or
     kills it, so sub-function ranks bound rank from below."""
-    if bits == 0:
-        return 0
-    if n <= _RANK_TABLE_MAX_N:
-        return rank_table(n)[bits]
+    if n == 0 or bits == 0:
+        return bits  # at n = 0 the one nonzero function is the monomial 1
     sub = rank_table(n - 1)
     return max(
         sub[_cofactor(bits, n, i, c)] for i in range(n) for c in (0, 1)
@@ -245,8 +274,8 @@ def rank_upper_bound(f: BoolFn) -> int:
     """Best of the Shannon and both Davio expansions over all coordinates,
     with exact cofactor ranks from the table one dimension down."""
     n = f.n
-    if n <= _RANK_TABLE_MAX_N:
-        return rank_table(n)[f.bits]
+    if n == 0:
+        return f.bits
     sub = rank_table(n - 1)
     best = None
     for i in range(n):
@@ -271,8 +300,8 @@ def _covering_monomials(n: int, cell: int) -> tuple[int, ...]:
 def rank_branch_and_bound(f: BoolFn) -> int:
     """Exact rank by iterative deepening on the first uncovered cell.
 
-    Independent of the BFS table above it; below it uses only restriction
-    ranks one dimension down as the admissible bound.
+    Independent of the BFS table at its own dimension: both bounds read
+    only rank_table(n - 1).
     """
     n = f.n
     if f.bits == 0:

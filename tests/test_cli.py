@@ -127,6 +127,7 @@ class TestVerifyCommand:
             ("small-spectrum", 4),
             ("alpha", 3),
             ("rank2", 3),
+            ("rank2", 4),
             ("minimal-count", 5),
             ("max-unique", 3),
             ("gap-14", 4),

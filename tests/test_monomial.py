@@ -1,10 +1,13 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
+from tritrade import monomial
 from tritrade.cube import cell_of_word
 from tritrade.errors import (
+    BrokenInvariant,
     DegenerateTriple,
     DimensionTooLarge,
     NotAUnitrade,
@@ -124,11 +127,51 @@ class TestRank:
             rank_of_boolfn(BoolFn(5, 1))
 
     def test_engines_agree_n3_exhaustive_max(self):
-        table = rank_table(3)
-        assert max(table) == 3
-        rng = random.Random(1)
-        for bits in rng.sample(range(256), 40):
-            assert rank_branch_and_bound(BoolFn(3, bits)) == table[bits]
+        # the branch-and-bound reads only rank_table(n - 1), so it checks
+        # the BFS table at n rather than reading it back
+        for n in range(4):
+            table = rank_table(n)
+            for bits in range(len(table)):
+                assert rank_branch_and_bound(BoolFn(n, bits)) == table[bits]
+        assert max(rank_table(3)) == 3
+
+    def test_engines_agree_n4_sample_per_rank(self, rank4):
+        rng = random.Random(4)
+        by_rank: dict[int, list[int]] = {}
+        for bits, r in enumerate(rank4):
+            by_rank.setdefault(r, []).append(bits)
+        for r, funcs in sorted(by_rank.items()):
+            for bits in rng.sample(funcs, min(10, len(funcs))):
+                assert rank_branch_and_bound(BoolFn(4, bits)) == r
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_table_rank_distribution(self, n):
+        # the known minimal-ESOP distributions: functions per rank 0, 1, ...
+        counts = {
+            0: [1, 1],
+            1: [1, 3],
+            2: [1, 9, 6],
+            3: [1, 27, 162, 66],
+            4: [1, 81, 2268, 21744, 37530, 3888, 24],
+        }[n]
+        table = rank_table(n)
+        assert [table.count(r) for r in range(max(table) + 1)] == counts
+        assert len(table) == sum(counts)
+
+    def test_table_n4_bytes_pinned(self, rank4):
+        assert hashlib.sha256(rank4).hexdigest() == (
+            "cf887880f4634f49988e8c98ed44c9b27c45746c2cce0bdc2b73357125fdbfce"
+        )
+
+    def test_incomplete_span_raises(self, monkeypatch):
+        # the single-cell function alone reaches 2 of the 16 functions at n=2
+        monkeypatch.setattr(monomial, "_monomial_tables", lambda n: (1,))
+        rank_table.cache_clear()
+        try:
+            with pytest.raises(BrokenInvariant):
+                rank_table(2)
+        finally:
+            rank_table.cache_clear()
 
     def test_n4_max_rank(self, rank4):
         assert max(rank4) == 6
