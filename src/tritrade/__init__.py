@@ -72,7 +72,6 @@ from .construct import (
 )
 from .testsets import TestSet, extract_testset, family_bound, product_testset
 from .enumeration import (
-    SearchCheckpoint,
     SpectrumTable,
     classify_all,
     count_by_retract_classes,

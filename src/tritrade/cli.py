@@ -4,7 +4,8 @@ construction dumps.
 Every output embeds a run manifest (command line, seed, versions, wall
 time, worker count, payload checksum); identical inputs must reproduce
 identical payload checksums.  Exit codes: 0 success, 1 failed check,
-2 bad parameters, 3 resource limit, 4 checkpoint mismatch.
+2 bad parameters, 3 resource limit.  Counts up to n = 5 run directly;
+N(6) is counted through the 92 n = 5 classes behind --allow-big.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Optional
 
 from . import __version__, construct, enumeration, monomial, refdata, testsets
 from .enumeration import bitrade_catalog, classify_all, count_functions, spectrum
-from .errors import CheckpointMismatch, DimensionTooLarge, DimensionTooSmall, TritradeError
+from .errors import DimensionTooLarge, DimensionTooSmall, TritradeError
 from .funcspace import BoolFn, u_from_bool
 from .monomial import MonomialSet, rank
 from .symmetry import canonical_form
@@ -41,7 +42,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_PARAMS = 2
 EXIT_RESOURCE = 3
-EXIT_CHECKPOINT = 4
 
 
 def _manifest(args_list, seed, jobs, t0, payload_bytes) -> dict:
@@ -93,13 +93,17 @@ def _cmd_enumerate(args, argv) -> int:
     n = args.n
     try:
         if args.mode == "count":
-            if n > enumeration.COUNT_MAX_N:
-                print(f"count capped at n={enumeration.COUNT_MAX_N}", file=sys.stderr)
+            if n <= enumeration.COUNT_MAX_N:
+                total = count_functions(n, jobs=jobs)
+            elif n == enumeration.COUNT_MAX_N + 1 and args.allow_big:
+                total = enumeration.count_by_retract_classes(n, jobs=jobs)
+            else:
+                print(
+                    f"count capped at n={enumeration.COUNT_MAX_N + 1}; n=6 counts through"
+                    " the 92 n=5 classes in about 1.5 min and needs --allow-big",
+                    file=sys.stderr,
+                )
                 return EXIT_RESOURCE
-            if n == 6 and not args.allow_big:
-                print("n=6 counting is a stretch run; pass --allow-big", file=sys.stderr)
-                return EXIT_RESOURCE
-            total = count_functions(n, jobs=jobs, checkpoint_path=args.checkpoint)
             payload = {"n": n, "count": str(total)}
             csv_rows = [["n", "count"], [n, total]]
             print(total)
@@ -132,9 +136,6 @@ def _cmd_enumerate(args, argv) -> int:
             print(count)
         else:
             return EXIT_BAD_PARAMS
-    except CheckpointMismatch as exc:
-        print(f"checkpoint mismatch: {exc}", file=sys.stderr)
-        return EXIT_CHECKPOINT
     except DimensionTooLarge as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_RESOURCE
@@ -503,7 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--n", type=int, required=True)
     pe.add_argument("--mode", choices=["count", "spectrum", "classes"], default="count")
     pe.add_argument("--jobs", type=int, default=default_jobs)
-    pe.add_argument("--checkpoint", default=None)
     pe.add_argument("--out", default=None)
     pe.add_argument("--format", choices=["json", "csv"], default="json")
     pe.add_argument("--seed", type=int, default=0)
@@ -543,7 +543,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     commands = {"enumerate": _cmd_enumerate, "verify": _cmd_verify, "construct": _cmd_construct}
     try:
         return commands[args.cmd](args, argv)
-    except OSError as exc:  # unreadable input, unwritable --out or --checkpoint
+    except OSError as exc:  # unreadable input or unwritable --out
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
 

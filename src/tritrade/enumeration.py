@@ -20,6 +20,7 @@ inside a domain vector D are the f with f & D == f among the 3, 7 or 31
 one-hot solutions.  Value tuples are read off a solution's octal digits.
 
 Counting reuses the recursion with a memo on the n = 2 domain vectors.
+The direct count stops at n = 5; N(6) is counted through the n = 5 classes.
 One cached class layer, `_closed_classes(n)`, closes the orbits of the
 whole stream at n <= 4 once per process.  The spectrum and the class-based
 count stream the completions of each class of `classify_all(n-1)`, weighted
@@ -33,10 +34,7 @@ strings because the dimension-7 reference values overflow 64 bits.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
-import os
 from array import array
 from collections import Counter
 from dataclasses import dataclass
@@ -44,13 +42,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import cube
-from .errors import (
-    BrokenInvariant,
-    CheckpointMismatch,
-    DimensionTooLarge,
-    DimensionTooSmall,
-    Interrupted,
-)
+from .errors import BrokenInvariant, DimensionTooLarge, DimensionTooSmall
 from .funcspace import TernFn, trade_from_tern
 from .symmetry import ClassRecord, aut_order, classify, group_order
 from .trade import BipartiteTrade, TradeSet, mod3_admissible
@@ -62,7 +54,6 @@ from .trade import BipartiteTrade, TradeSet, mod3_admissible
 FULL_MASK = 0b111
 
 _ONE_HOT_DIGIT = {-1: "1", 0: "2", 1: "4"}  # octal digit of a one-value domain
-_DIGIT_BYTE = bytes.maketrans(b"01234567", bytes(range(8)))
 _DIGIT_VALUE = bytes.maketrans(b"124", b"\xff\x00\x01")  # signed bytes -1, 0, +1
 _DIGIT_CODE = bytes.maketrans(b"124", b"\x00\x01\x02")  # symmetry._encode bytes
 
@@ -215,171 +206,64 @@ def enumerate_functions(
         yield TernFn(n, _values(f))
 
 
-@dataclass
-class SearchCheckpoint:
-    """Resumable state of a top-block split count.
-
-    The unit of work is one assignment of the first hyperplane; next_index
-    points at the first unit not yet folded into partial_count.  Resuming
-    a complete checkpoint returns its result without re-searching.
-    """
-
-    version: str
-    n: int
-    domains_digest: str
-    next_index: int
-    partial_count: int
-    complete: bool = False
-
-    VERSION = "tritrade-ckpt/1"
-
-    def to_json(self) -> dict:
-        return {
-            "version": self.version,
-            "n": self.n,
-            "domains_digest": self.domains_digest,
-            "next_index": self.next_index,
-            "partial_count": str(self.partial_count),
-            "complete": self.complete,
-        }
-
-    @staticmethod
-    def from_json(obj) -> "SearchCheckpoint":
-        return SearchCheckpoint(
-            version=obj["version"],
-            n=int(obj["n"]),
-            domains_digest=obj["domains_digest"],
-            next_index=int(obj["next_index"]),
-            partial_count=int(obj["partial_count"]),
-            complete=bool(obj.get("complete", False)),
-        )
-
-    def save(self, path: str) -> None:
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(self.to_json(), fh)
-        os.replace(tmp, path)
-
-    @staticmethod
-    def load(path: str) -> "SearchCheckpoint":
-        with open(path) as fh:
-            return SearchCheckpoint.from_json(json.load(fh))
-
-
-def _domains_digest(n: int, doms: int) -> str:
-    """SHA-256 over n and one byte per cell holding its 3-bit mask."""
-    h = hashlib.sha256()
-    h.update(f"n={n};".encode())
-    h.update(oct(doms)[2:].zfill(3 ** n)[::-1].encode().translate(_DIGIT_BYTE))
-    return h.hexdigest()
-
-
-COUNT_MAX_N = 6
-CHECKPOINT_EVERY = 500  # units between checkpoint saves
+COUNT_MAX_N = 5
 
 
 def count_functions(
     n: int,
     cell_domains: Optional[Sequence[Iterable[int]]] = None,
     jobs: int = 1,
-    checkpoint_path: Optional[str] = None,
-    unit_budget: Optional[int] = None,
 ) -> int:
     """Exact count of line-sum-zero functions, optionally restricted.
 
-    Work splits at the first hyperplane: each of its assignments is one
-    unit, processed in stream order.  `jobs` fans units over forked
-    workers (unit index mod jobs) with a deterministic ordered merge;
-    checkpointing and unit budgets apply to the single-worker path.
+    With `jobs` > 1 the work splits at the first hyperplane: each of its
+    assignments is one unit, fanned over forked workers by `_fan_out`.
+    N(6) is counted through the n = 5 classes (`count_by_retract_classes`).
     """
     if n > COUNT_MAX_N:
         raise DimensionTooLarge(f"counting capped at n={COUNT_MAX_N}")
     doms = _packed_domains(n, cell_domains)
-    if n == 0:
-        return _count(0, doms)
-    if jobs > 1:
-        if checkpoint_path or unit_budget:
-            raise ValueError("checkpoint/budget need jobs=1")
-        return _count_parallel(n, doms, jobs)
-
-    digest = _domains_digest(n, doms)
-    start = 0
-    partial = 0
-    if checkpoint_path and os.path.exists(checkpoint_path):
-        ck = SearchCheckpoint.load(checkpoint_path)
-        if (
-            ck.version != SearchCheckpoint.VERSION
-            or ck.n != n
-            or ck.domains_digest != digest
-        ):
-            raise CheckpointMismatch(f"checkpoint does not match n={n}")
-        if ck.complete:
-            return ck.partial_count
-        start, partial = ck.next_index, ck.partial_count
-
-    total = partial
-    done_units = 0
-    for idx, (_, _, d1p) in enumerate(_branches(n, doms)):
-        if idx < start:
-            continue
-        if d1p:
-            total += _count(n - 1, d1p)
-        done_units += 1
-        if checkpoint_path and done_units % CHECKPOINT_EVERY == 0:
-            SearchCheckpoint(
-                SearchCheckpoint.VERSION, n, digest, idx + 1, total
-            ).save(checkpoint_path)
-        if unit_budget is not None and done_units >= unit_budget:
-            ck = SearchCheckpoint(
-                SearchCheckpoint.VERSION, n, digest, idx + 1, total
-            )
-            if checkpoint_path:
-                ck.save(checkpoint_path)
-            raise Interrupted(
-                f"unit budget {unit_budget} exhausted", checkpoint=ck
-            )
-    if checkpoint_path:
-        SearchCheckpoint(
-            SearchCheckpoint.VERSION, n, digest, 0, total, complete=True
-        ).save(checkpoint_path)
-    return total
+    if n == 0 or jobs <= 1:
+        return _count(n, doms)
+    units = [(1, d1p) for _, _, d1p in _branches(n, doms) if d1p]
+    return _fan_out(n - 1, units, jobs)
 
 
-def _count_worker(args) -> tuple[int, int]:
-    n, doms, jobs, worker = args
-    total = sum(
-        _count(n - 1, d1p)
-        for idx, (_, _, d1p) in enumerate(_branches(n, doms))
-        if d1p and idx % jobs == worker
-    )
-    return worker, total
+def _count_units(n: int, units: Sequence[tuple[int, int]]) -> int:
+    return sum(weight * _count(n, doms) for weight, doms in units)
 
 
-def _count_parallel(n: int, doms: int, jobs: int) -> int:
+def _fan_out(n: int, units: Sequence[tuple[int, int]], jobs: int) -> int:
+    """Sum of weight * _count(n, doms) over the (weight, doms) units.
+
+    Worker w of `jobs` forked workers takes units[w::jobs]; the merge is an
+    integer sum, so the result does not depend on `jobs`.  The package
+    starts no threads, and forked workers keep the parent's n = 2 memo.
+    """
+    if jobs <= 1:
+        return _count_units(n, units)
     import multiprocessing as mp
 
-    ctx = mp.get_context("fork")
-    with ctx.Pool(jobs) as pool:
-        parts = pool.map(
-            _count_worker, [(n, doms, jobs, w) for w in range(jobs)]
-        )
-    return sum(total for _, total in sorted(parts))
+    with mp.get_context("fork").Pool(jobs) as pool:
+        return sum(pool.starmap(_count_units, [(n, units[w::jobs]) for w in range(jobs)]))
 
 
 # ---------------------------------------------------------------------------
 # Class-accelerated counting and the spectrum
 # ---------------------------------------------------------------------------
 
-def count_by_retract_classes(n: int) -> int:
+def count_by_retract_classes(n: int, jobs: int = 1) -> int:
     """N(n) from `classify_all(n-1)` (the cached class layer up to n = 5):
     the completions of each representative as the first hyperplane,
-    weighted by orbit size.  The classes always come from dimension n-1."""
+    weighted by orbit size.  The classes always come from dimension n-1;
+    `jobs` > 1 fans them over forked workers (`_fan_out`)."""
     if n < 1:
-        raise ValueError("needs n >= 1")
-    return sum(
-        rec.orbit_size * _count(n, _pinned(rec.representative.values))
+        raise DimensionTooSmall("class count needs n >= 1")
+    units = [
+        (rec.orbit_size, _pinned(rec.representative.values))
         for rec in classify_all(n - 1)[1]
-    )
+    ]
+    return _fan_out(n, units, jobs)
 
 
 @dataclass

@@ -76,14 +76,3 @@ class RankDefect(TritradeError):
 class OutOfRange(TritradeError):
     """Cardinality outside the window the predicate covers."""
 
-
-class Interrupted(TritradeError):
-    """Search stopped on budget; carries the checkpoint written so far."""
-
-    def __init__(self, message, checkpoint=None):
-        super().__init__(message)
-        self.checkpoint = checkpoint
-
-
-class CheckpointMismatch(TritradeError):
-    """Checkpoint file does not describe the requested computation."""

@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from tritrade import enumeration
 from tritrade.cli import CHECKS, EXIT_BAD_PARAMS, EXIT_OK, EXIT_RESOURCE, main
+from tritrade.refdata import N_FUNCTIONS
 
 
 def run(capsys, *argv):
@@ -95,6 +97,10 @@ class TestEnumerateCommand:
         assert code == EXIT_RESOURCE
         code, _, err = run(capsys, "enumerate", "--n", "6", "--mode", "count")
         assert code == EXIT_RESOURCE  # needs --allow-big
+        code, _, err = run(capsys, "enumerate", "--n", "6", "--mode", "count", "--jobs", "2")
+        assert code == EXIT_RESOURCE  # needs --allow-big
+        code, _, err = run(capsys, "enumerate", "--n", "7", "--mode", "count", "--allow-big")
+        assert code == EXIT_RESOURCE
         code, _, err = run(capsys, "enumerate", "--n", "5", "--mode", "classes")
         assert code == EXIT_RESOURCE  # needs --allow-big
         assert "canonical keys" in err
@@ -103,20 +109,28 @@ class TestEnumerateCommand:
         )
         assert code == EXIT_RESOURCE
 
-    def test_checkpoint_mismatch_exit4(self, capsys, tmp_path):
-        from tritrade.errors import Interrupted
-        from tritrade.enumeration import count_functions
+    def test_count_n6_routes_through_classes(self, capsys, monkeypatch):
+        calls = []
 
-        path = tmp_path / "ck.json"
-        try:
-            count_functions(3, checkpoint_path=str(path), unit_budget=2)
-        except Interrupted:
-            pass
-        code, _, err = run(
-            capsys, "enumerate", "--n", "2", "--mode", "count",
-            "--checkpoint", str(path)
+        def stub(n, jobs=1):
+            calls.append((n, jobs))
+            return 12345
+
+        monkeypatch.setattr(enumeration, "count_by_retract_classes", stub)
+        code, out, _ = run(
+            capsys, "enumerate", "--n", "6", "--mode", "count", "--allow-big", "--jobs", "2"
         )
-        assert code == 4
+        assert code == EXIT_OK
+        assert calls == [(6, 2)]
+        assert out.strip() == "12345"
+
+    @pytest.mark.nightly
+    def test_count_n6(self, capsys):
+        code, out, _ = run(
+            capsys, "enumerate", "--n", "6", "--mode", "count", "--allow-big", "--jobs", "2"
+        )
+        assert code == EXIT_OK
+        assert out.strip() == str(N_FUNCTIONS[6])
 
 
 class TestVerifyCommand:
@@ -188,7 +202,6 @@ class TestVerifyCommand:
         "verify --check alpha --n 0",
         "verify --check rank2 --n 0",
         "enumerate --n 2 --mode spectrum --out /nonexistent/dir/x.json",
-        "enumerate --n 2 --checkpoint /nonexistent/dir/ck.json",
         "construct --what product --left @/nonexistent",
         "construct --what pot12 --f 2",
         "construct --what pot12 --f 0121",

@@ -1,6 +1,4 @@
 import itertools
-import json
-import os
 import random
 from collections import Counter
 from dataclasses import FrozenInstanceError
@@ -16,13 +14,7 @@ from tritrade.enumeration import (
     spectrum,
     unitrade_supports,
 )
-from tritrade.errors import (
-    BrokenInvariant,
-    CheckpointMismatch,
-    DimensionTooLarge,
-    DimensionTooSmall,
-    Interrupted,
-)
+from tritrade.errors import BrokenInvariant, DimensionTooLarge, DimensionTooSmall
 from tritrade.funcspace import LineSumKind, TernFn, line_sums
 from tritrade.refdata import N_FUNCTIONS, spectrum_entries
 
@@ -136,6 +128,15 @@ class TestCount:
     def test_parallel_agrees(self):
         assert count_functions(3, jobs=2) == 403
         assert count_functions(4, jobs=2) == 29875
+        rng = random.Random(14)
+        for _ in range(8):
+            doms = _random_domains(rng, 3)
+            assert count_functions(3, doms, jobs=2) == count_functions(3, doms)
+
+    def test_direct_count_capped(self):
+        # N(6) is counted through the n = 5 classes, never directly
+        with pytest.raises(DimensionTooLarge):
+            count_functions(6)
 
 
 @pytest.mark.parametrize(
@@ -145,67 +146,19 @@ class TestCount:
         lambda: next(enumerate_functions(-1)),
         lambda: next(unitrade_supports(-1)),
         lambda: classify_all(-1),
+        lambda: count_by_retract_classes(0),
     ],
-    ids=["count_functions", "enumerate_functions", "unitrade_supports", "classify_all"],
+    ids=[
+        "count_functions",
+        "enumerate_functions",
+        "unitrade_supports",
+        "classify_all",
+        "count_by_retract_classes",
+    ],
 )
 def test_negative_dimension_rejected(call):
     with pytest.raises(DimensionTooSmall):
         call()
-
-
-class TestCheckpoint:
-    def test_resume_reproduces_total(self, tmp_path):
-        path = str(tmp_path / "ck.json")
-        total = None
-        budget = 40
-        while total is None:
-            try:
-                total = count_functions(4, checkpoint_path=path, unit_budget=budget)
-            except Interrupted as exc:
-                assert exc.checkpoint is not None
-                assert os.path.exists(path)
-        assert total == 29875
-        # completed checkpoint short-circuits
-        assert count_functions(4, checkpoint_path=path) == 29875
-
-    def test_arbitrary_split_points(self, tmp_path):
-        for budget in (1, 7, 100):
-            path = str(tmp_path / f"ck{budget}.json")
-            total = None
-            while total is None:
-                try:
-                    total = count_functions(3, checkpoint_path=path, unit_budget=budget)
-                except Interrupted:
-                    pass
-            assert total == 403
-
-    def test_resumes_checkpoint_of_per_cell_layout(self, tmp_path):
-        # a file as written before domains were packed: its digest hashes
-        # one byte per cell mask, and its first 10 units in stream order
-        # hold 42 of the 62 functions
-        doms = [FREE] * 27
-        doms[5], doms[20] = (0, 1), (-1,)
-        path = tmp_path / "ck.json"
-        path.write_text(json.dumps({
-            "version": "tritrade-ckpt/1",
-            "n": 3,
-            "domains_digest": "b24afeed8b738bbc70fb974df430d157"
-                              "6b57030511d1998a202f572bcdd070d3",
-            "next_index": 10,
-            "partial_count": "42",
-            "complete": False,
-        }))
-        assert count_functions(3, doms, checkpoint_path=str(path)) == 62
-        assert count_functions(3, doms) == 62
-
-    def test_mismatch_detected(self, tmp_path):
-        path = str(tmp_path / "ck.json")
-        try:
-            count_functions(3, checkpoint_path=path, unit_budget=2)
-        except Interrupted:
-            pass
-        with pytest.raises(CheckpointMismatch):
-            count_functions(2, checkpoint_path=path)
 
 
 class TestRetractClassCount:
@@ -225,6 +178,10 @@ class TestRetractClassCount:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_agrees_with_direct(self, n):
         assert count_by_retract_classes(n) == count_functions(n)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_parallel_agrees(self, n):
+        assert count_by_retract_classes(n, jobs=2) == count_by_retract_classes(n)
 
 
 class TestSpectrum:
