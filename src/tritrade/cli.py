@@ -5,13 +5,14 @@ Every output embeds a run manifest (command line, seed, versions, wall
 time, worker count, payload checksum); identical inputs must reproduce
 identical payload checksums.  Exit codes: 0 success, 1 failed check,
 2 bad parameters, 3 resource limit.  Counts up to n = 5 run directly;
-N(6) is counted through the 92 n = 5 classes behind --allow-big.
+N(6) is counted through the 92 n = 5 classes behind --allow-big.  Class
+reports key each class by its representative, which the class layer
+yields in canonical form.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -25,7 +26,6 @@ from .enumeration import bitrade_catalog, classify_all, count_functions, spectru
 from .errors import DimensionTooLarge, DimensionTooSmall, TritradeError
 from .funcspace import BoolFn, u_from_bool
 from .monomial import MonomialSet, rank
-from .symmetry import canonical_form
 from .trade import (
     TradeSet,
     bipartition,
@@ -117,21 +117,15 @@ def _cmd_enumerate(args, argv) -> int:
                 [s, c] for s, c in sorted(table.entries.items())
             ]
         elif args.mode == "classes":
-            if n == 5 and not args.allow_big:
-                print("n=5 classes take over a minute for their 92 canonical keys; pass --allow-big", file=sys.stderr)
-                return EXIT_RESOURCE
             count, records = classify_all(n)
-            records = sorted(
-                (dataclasses.replace(r, key=canonical_form(r.representative)) for r in records),
-                key=lambda r: (r.cardinality, r.key),
-            )
+            records.sort(key=lambda r: (r.cardinality, r.representative.to_text()))
             payload = {
                 "n": n,
                 "classes": count,
                 "records": [r.to_json() for r in records],
             }
             csv_rows = [["key", "orbit", "aut", "cardinality"]] + [
-                [r.key, r.orbit_size, r.aut, r.cardinality] for r in records
+                [r.representative.to_text(), r.orbit_size, r.aut, r.cardinality] for r in records
             ]
             print(count)
         else:

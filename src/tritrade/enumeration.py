@@ -21,12 +21,11 @@ one-hot solutions.  Value tuples are read off a solution's octal digits.
 
 Counting reuses the recursion with a memo on the n = 2 domain vectors.
 The direct count stops at n = 5; N(6) is counted through the n = 5 classes.
-One cached class layer, `_closed_classes(n)`, closes the orbits of the
-whole stream at n <= 4 once per process.  The spectrum and the class-based
-count stream the completions of each class of `classify_all(n-1)`, weighted
-by orbit size (the double count that also validates N(n)).  At n = 5 every
-candidate is keyed by the layer's n = 4 classes of its retracts, and the
-double count certifies the keys: the kept orbits must sum to N(5).
+One cached class layer, `_class_layer(n)` for n <= 5, serves every
+class-based count: it keeps the first completion of an n-1 representative
+per retract-class key, so each representative is its class's canonical
+form.  The spectrum and the class-based count stream those completions,
+weighted by orbit size; the double count also certifies the keys.
 
 All counters are exact Python integers; reports serialize them as decimal
 strings because the dimension-7 reference values overflow 64 bits.
@@ -44,7 +43,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from . import cube
 from .errors import BrokenInvariant, DimensionTooLarge, DimensionTooSmall
 from .funcspace import TernFn, trade_from_tern
-from .symmetry import ClassRecord, aut_order, classify, group_order
+from .symmetry import ClassRecord, aut_order, group_order
 from .trade import BipartiteTrade, TradeSet, mod3_admissible
 
 # ---------------------------------------------------------------------------
@@ -253,15 +252,15 @@ def _fan_out(n: int, units: Sequence[tuple[int, int]], jobs: int) -> int:
 # ---------------------------------------------------------------------------
 
 def count_by_retract_classes(n: int, jobs: int = 1) -> int:
-    """N(n) from `classify_all(n-1)` (the cached class layer up to n = 5):
-    the completions of each representative as the first hyperplane,
-    weighted by orbit size.  The classes always come from dimension n-1;
-    `jobs` > 1 fans them over forked workers (`_fan_out`)."""
+    """N(n) from the class layer at n-1: the completions of each
+    representative as the first hyperplane, weighted by orbit size, which
+    certifies the layer at n; `jobs` > 1 fans the classes over forked
+    workers (`_fan_out`)."""
     if n < 1:
         raise DimensionTooSmall("class count needs n >= 1")
     units = [
         (rec.orbit_size, _pinned(rec.representative.values))
-        for rec in classify_all(n - 1)[1]
+        for rec in _class_layer(n - 1)[0]
     ]
     return _fan_out(n, units, jobs)
 
@@ -305,8 +304,8 @@ SPECTRUM_MAX_N = 5
 
 
 def spectrum(n: int) -> SpectrumTable:
-    """Exact per-cardinality bitrade counts: one stream per class of
-    `classify_all(n-1)`, its first hyperplane pinned to the representative,
+    """Exact per-cardinality bitrade counts: one stream per class of the
+    class layer at n-1, its first hyperplane pinned to the representative,
     each function's support weight counted orbit-size times."""
     if n < 1:
         raise DimensionTooSmall("spectrum available for n >= 1")
@@ -315,7 +314,7 @@ def spectrum(n: int) -> SpectrumTable:
     cells, b0 = 3 ** n, _b0(3 ** n)
     counts: Counter[int] = Counter()
     total = 0
-    for rec in classify_all(n - 1)[1]:
+    for rec in _class_layer(n - 1)[0]:
         weight = rec.orbit_size
         for f in _enum(n, _pinned(rec.representative.values)):
             total += weight
@@ -328,39 +327,68 @@ def spectrum(n: int) -> SpectrumTable:
 
 
 # ---------------------------------------------------------------------------
-# Classification of the full stream
+# The class layer
 # ---------------------------------------------------------------------------
 
-CLOSURE_MAX_N = 4
 CLASSIFY_MAX_N = 5
 
 
+class _ClassIndex(dict):
+    """Encoded value string to the position of its class in a layer's
+    records, filled on first lookup through the layer's certified keys."""
+
+    def __init__(self, n: int, position: dict[tuple, int], below: dict[bytes, int]):
+        super().__init__()
+        self.n, self.position, self.below = n, position, below
+
+    def __missing__(self, code: bytes) -> int:
+        pos = self[code] = self.position[_retract_class_key(code, self.n, self.below)]
+        return pos
+
+
 @lru_cache(maxsize=None)
-def _closed_classes(n: int) -> tuple[tuple[ClassRecord, ...], dict[bytes, int]]:
-    """The class layer: the stream at n <= 4 partitioned by orbit closure,
-    as the records and member table of `symmetry.classify`.  Both are
-    shared, so callers copy the records and only read the table."""
-    if n > CLOSURE_MAX_N:
-        raise DimensionTooLarge(f"orbit closure capped at n={CLOSURE_MAX_N}")
-    records, class_of = classify(enumerate_functions(n), n)
-    return tuple(records), class_of
+def _class_layer(n: int) -> tuple[tuple[ClassRecord, ...], dict[bytes, int]]:
+    """The classes at dimension n, records sorted by (cardinality, values),
+    and their class index; both shared, so callers copy the records and
+    only read the index.
 
-
-def classify_all(n: int) -> tuple[int, list[ClassRecord]]:
-    """Equivalence classes of all line-sum-zero functions at dimension n,
-    as a fresh list of shared, frozen records.
-
-    Up to n = 4 they come from the class layer, the orbit-closure
-    reference that the candidate search is tested against; n = 5 runs the
-    candidate search, exact retract-class keys certified by the double
-    count.
+    The candidates (the three functions at n = 0, else the completions of
+    the n-1 representatives in value order) stream lex-ascending and hit
+    every class.  The first per _retract_class_key is kept, and it is the
+    class's lex-minimal member: that member's first block is lex-minimal
+    in its n-1 class (else an isometry fixing coordinate 0 would lower
+    it), so it is a candidate.  A key never splits a class, so the kept
+    orbits sum to N(n), counted on a path of its own, exactly when no key
+    merges two; otherwise BrokenInvariant.
     """
+    if n < 0:
+        raise DimensionTooSmall(f"dimension must be >= 0, got {n}")
     if n > CLASSIFY_MAX_N:
         raise DimensionTooLarge(f"classification capped at n={CLASSIFY_MAX_N}")
-    if n <= CLOSURE_MAX_N:
-        records = list(_closed_classes(n)[0])
-        return len(records), records
-    return _classify_by_candidates(n)
+    if n == 0:
+        below: dict[bytes, int] = {}
+        candidates: Iterable[int] = _enum(0, FULL_MASK)
+    else:
+        layer, below = _class_layer(n - 1)
+        heads = sorted(rec.representative.values for rec in layer)
+        candidates = itertools.chain.from_iterable(_enum(n, _pinned(v)) for v in heads)
+    kept: dict[tuple, int] = {}
+    for f in candidates:
+        code = oct(f)[:1:-1].encode().translate(_DIGIT_CODE)
+        kept.setdefault(_retract_class_key(code, n, below), f)
+    reps = {key: TernFn(n, _values(f)) for key, f in kept.items()}
+    # reps is in lex order, so a stable sort by cardinality orders the
+    # records by (cardinality, values)
+    keys = sorted(reps, key=lambda k: reps[k].cardinality)
+    records = []
+    for key in keys:
+        aut = aut_order(reps[key])
+        records.append(ClassRecord(reps[key], group_order(n) // aut, aut))
+    total = sum(r.orbit_size for r in records)
+    expected = count_by_retract_classes(n) if n else count_functions(0)
+    if total != expected:
+        raise BrokenInvariant(f"{len(records)} keys cover {total} functions, N({n}) = {expected}")
+    return tuple(records), _ClassIndex(n, {k: i for i, k in enumerate(keys)}, below)
 
 
 def _retract_class_key(code: bytes, n: int, class_of: dict[bytes, int]) -> tuple:
@@ -374,33 +402,11 @@ def _retract_class_key(code: bytes, n: int, class_of: dict[bytes, int]) -> tuple
     return len(code) - code.count(1), tuple(per_coord)
 
 
-def _classify_by_candidates(n: int) -> tuple[int, list[ClassRecord]]:
-    """Classes from one candidate per (class representative of the first
-    hyperplane, compatible rest), n >= 2: every class is hit because any
-    function can be moved so its first retract is its class representative.
-
-    The first candidate per _retract_class_key is kept, over the member
-    table of the class layer at n-1; its orbit size is group order /
-    automorphism order.  A key can merge classes but never split one, so
-    the kept orbits sum to N(n), counted from the n-1 classes on a path of
-    its own, exactly when no key merges two; otherwise BrokenInvariant.
-    """
-    below, class_of = _closed_classes(n - 1)
-    reps: dict[tuple, int] = {}
-    for rec in below:
-        for f in _enum(n, _pinned(rec.representative.values)):
-            code = oct(f)[:1:-1].encode().translate(_DIGIT_CODE)
-            reps.setdefault(_retract_class_key(code, n, class_of), f)
-    records = []
-    for f in reps.values():
-        rep = TernFn(n, _values(f))
-        aut = aut_order(rep)
-        records.append(ClassRecord(rep, group_order(n) // aut, aut))
-    total = sum(r.orbit_size for r in records)
-    expected = count_by_retract_classes(n)
-    if total != expected:
-        raise BrokenInvariant(f"{len(records)} keys cover {total} functions, N({n}) = {expected}")
-    records.sort(key=lambda r: r.cardinality)
+def classify_all(n: int) -> tuple[int, list[ClassRecord]]:
+    """Equivalence classes of all line-sum-zero functions at dimension n,
+    as a fresh list of the class layer's shared, frozen records; each
+    representative is its class's canonical form."""
+    records = list(_class_layer(n)[0])
     return len(records), records
 
 

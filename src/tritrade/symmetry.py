@@ -16,9 +16,10 @@ Both read retracts through ``cube.retract_splitters`` and build the next
 level's list alike: the canonical form minimises over the branches, the
 matcher counts those that reproduce g's runs of 3^m consecutive cells.
 
-Classification never canonicalizes the whole stream: orbits are closed
-under a small generator set with hashed membership, and automorphism orders
-come from the isometry matcher, an independent computation, so the
+`classify` is the reference classification that the production class
+layer (``enumeration._class_layer``) is tested against: it closes orbits
+under a small generator set with hashed membership, and takes automorphism
+orders from the isometry matcher, an independent computation, so the
 orbit-stabilizer identity is a real cross-check rather than a restatement.
 """
 
@@ -28,7 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from . import cube
 from .cube import Isometry
@@ -190,7 +191,6 @@ class ClassRecord:
     representative: TernFn
     orbit_size: int
     aut: int
-    key: Optional[str] = None
 
     @property
     def cardinality(self) -> int:
@@ -198,35 +198,33 @@ class ClassRecord:
 
     def to_json(self) -> dict:
         return {
-            "key": self.key,
+            "key": self.representative.to_text(),
             "orbit": self.orbit_size,
             "aut": self.aut,
             "cardinality": self.cardinality,
         }
 
 
-def classify(stream: Iterable[TernFn], n: int) -> tuple[list[ClassRecord], dict[bytes, int]]:
-    """Partition a stream (each function exactly once) into orbit classes.
+def classify(stream: Iterable[TernFn], n: int) -> list[ClassRecord]:
+    """Partition a stream (each function exactly once) into orbit classes:
+    the reference for the class layer.
 
     Orbit sizes come from generator closure and automorphism orders from the
     isometry matcher, two independent computations, making
     orbit * aut == group order a nontrivial invariant.  Records are sorted by
     cardinality, then by value tuple.
-
-    Also returns the member table: each encoded orbit member to the index
-    of its class before the records are sorted.
     """
-    class_of: dict[bytes, int] = {}
+    seen: set[bytes] = set()
     orbits: list[tuple[TernFn, int]] = []
     for f in stream:
-        if _encode(f.values) in class_of:
+        if _encode(f.values) in seen:
             continue
         members = orbit_values(f.values, n)
-        class_of.update(dict.fromkeys(members, len(orbits)))
+        seen |= members
         orbits.append((f, len(members)))
     records = [ClassRecord(f, size, aut_order(f)) for f, size in orbits]
     records.sort(key=lambda r: (r.cardinality, r.representative.values))
-    return records, class_of
+    return records
 
 
 def double_count_check(classes: Sequence[ClassRecord], expected_total: int, n: int) -> bool:

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from tritrade import enumeration, monomial
+from tritrade import enumeration, monomial, symmetry
 
 
 def pytest_collection_modifyitems(config, items):
@@ -22,6 +22,13 @@ def classes3():
 @pytest.fixture(scope="session")
 def classes4():
     return enumeration.classify_all(4)
+
+
+@pytest.fixture(scope="session")
+def closure4():
+    """The n = 4 reference classes by orbit closure, independent of the
+    class layer."""
+    return symmetry.classify(enumeration.enumerate_functions(4), 4)
 
 
 @pytest.fixture(scope="session")

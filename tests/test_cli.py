@@ -47,6 +47,7 @@ class TestEnumerateCommand:
         "mode,n,digest",
         [
             ("classes", 4, "4212a3bcd31ed2e2d685a52ffce7d036112b6d1dcb82e83ff24649b1bbd77f7f"),
+            ("classes", 5, "9daf820e15c44fbc3f2a31d8aff352488ef26227cefb54862b7a2fc8c904d0f7"),
             ("spectrum", 3, "164df01ee36571393e91948dffe3c5facbd691ea31d559f491cfeb42a247d245"),
             ("spectrum", 4, "3e5a8b22a6e4895d1e0eda4e413a8abe9f578c3818464b87aef4bfc6ef350b34"),
         ],
@@ -101,9 +102,8 @@ class TestEnumerateCommand:
         assert code == EXIT_RESOURCE  # needs --allow-big
         code, _, err = run(capsys, "enumerate", "--n", "7", "--mode", "count", "--allow-big")
         assert code == EXIT_RESOURCE
-        code, _, err = run(capsys, "enumerate", "--n", "5", "--mode", "classes")
-        assert code == EXIT_RESOURCE  # needs --allow-big
-        assert "canonical keys" in err
+        code, _, err = run(capsys, "enumerate", "--n", "6", "--mode", "classes")
+        assert code == EXIT_RESOURCE
         code, _, err = run(
             capsys, "enumerate", "--n", "6", "--mode", "classes", "--allow-big"
         )

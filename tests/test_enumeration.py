@@ -233,25 +233,24 @@ class TestClassifyAll:
         with pytest.raises(DimensionTooLarge):
             classify_all(6)
 
-    @pytest.mark.parametrize("n", [3, 4])
-    def test_candidate_engine_agrees_with_closure(self, n, request):
-        from tritrade.enumeration import _classify_by_candidates
-        from tritrade.symmetry import orbit_values
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_candidate_engine_agrees_with_closure(self, n, closure4):
+        from tritrade.symmetry import classify
 
-        count, records = _classify_by_candidates(n)
-        ref_count, ref = request.getfixturevalue(f"classes{n}")
-        assert count == ref_count
+        ref = closure4 if n == 4 else classify(enumerate_functions(n), n)
+        count, records = classify_all(n)
+        assert count == len(ref)
+        assert [(r.representative.values, r.orbit_size, r.aut) for r in records] == [
+            (r.representative.values, r.orbit_size, r.aut) for r in ref
+        ]
 
-        def profile(recs):
-            return sorted((r.cardinality, r.orbit_size, r.aut) for r in recs)
+    # n = 5 takes about 82 s in canonical_form, the independent oracle
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, pytest.param(5, marks=pytest.mark.nightly)])
+    def test_representatives_are_canonical(self, n):
+        from tritrade.symmetry import canonical_form
 
-        assert profile(records) == profile(ref)
-        # pairwise inequivalent, checked by orbit closure alone
-        seen = set()
-        for rec in records:
-            orbit = orbit_values(rec.representative.values, n)
-            assert seen.isdisjoint(orbit)
-            seen |= orbit
+        for rec in classify_all(n)[1]:
+            assert canonical_form(rec.representative) == rec.representative.to_text()
 
     def test_coarse_key_is_caught(self, monkeypatch):
         from tritrade import enumeration
@@ -261,8 +260,11 @@ class TestClassifyAll:
             "_retract_class_key",
             lambda code, n, class_of: len(code) - code.count(1),
         )
+        # a fresh cache, so the session's cached layers stay in place
+        fresh = lru_cache(maxsize=None)(enumeration._class_layer.__wrapped__)
+        monkeypatch.setattr(enumeration, "_class_layer", fresh)
         with pytest.raises(BrokenInvariant):
-            enumeration._classify_by_candidates(4)
+            classify_all(4)
 
     def test_records_are_frozen_and_lists_fresh(self):
         count, records = classify_all(3)
@@ -275,23 +277,23 @@ class TestClassifyAll:
         assert again_count == count
         assert [(r.cardinality, r.orbit_size, r.aut) for r in again] == before
 
-    def test_class_layer_closes_orbits_once(self, monkeypatch):
-        from tritrade import enumeration, symmetry
+    def test_each_layer_built_once(self, monkeypatch):
+        from tritrade import enumeration
 
         calls = []
+        build = enumeration._class_layer.__wrapped__
 
-        def counting_classify(stream, n):
+        def counting_build(n):
             calls.append(n)
-            return symmetry.classify(stream, n)
+            return build(n)
 
-        # a fresh cache, so the session's cached classes stay in place
-        fresh = lru_cache(maxsize=None)(enumeration._closed_classes.__wrapped__)
-        monkeypatch.setattr(enumeration, "_closed_classes", fresh)
-        monkeypatch.setattr(enumeration, "classify", counting_classify)
+        # a fresh cache, so the session's cached layers stay in place
+        monkeypatch.setattr(enumeration, "_class_layer", lru_cache(maxsize=None)(counting_build))
         classify_all(3)
         spectrum(4)
-        enumeration._classify_by_candidates(4)
-        assert calls == [3]
+        classify_all(4)
+        count_by_retract_classes(5)
+        assert sorted(calls) == [0, 1, 2, 3, 4]
 
     def test_n5(self, classes5):
         count, records = classes5
