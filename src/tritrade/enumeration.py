@@ -24,7 +24,8 @@ The direct count stops at n = 5; N(6) is counted through the n = 5 classes.
 One cached class layer, `_class_layer(n)` for n <= 5, serves every
 class-based count: it keeps the first completion of an n-1 representative
 per retract-class key, so each representative is its class's canonical
-form.  The spectrum and the class-based count stream those completions,
+form, which `symmetry.canonical_form` reads through the layer's class
+index.  The spectrum and the class-based count stream those completions,
 weighted by orbit size; the double count also certifies the keys.
 
 All counters are exact Python integers; reports serialize them as decimal

@@ -174,6 +174,8 @@ class TernFn:
 
     @staticmethod
     def from_text(text: str) -> "TernFn":
+        if set(text) - set(_TERN_VALS):
+            raise ValueError(f"value string must hold only -, 0 and +, got {text!r}")
         n = 0
         while 3 ** n < len(text):
             n += 1

@@ -7,14 +7,18 @@ flip swaps the two legs of a bitrade; without it the one-point cube would
 already split {-1,0,+1} into three classes instead of the two observed).
 Order: 2 * n! * 6^n for k = 3.
 
-Canonical forms, equivalence and isometry counts recurse on aligned
-retract lists instead of walking the group: an isometry of dimension m is a
-choice of source coordinate and value order for target coordinate 0
-followed by one isometry of dimension m-1 applied to every retract, and
-each recursion memoises its sub-problems for the duration of one call.
-Both read retracts through ``cube.retract_splitters`` and build the next
-level's list alike: the canonical form minimises over the branches, the
-matcher counts those that reproduce g's runs of 3^m consecutive cells.
+Equivalence and isometry counts recurse on aligned retract lists instead
+of walking the group: an isometry of dimension m is a choice of source
+coordinate and value order for target coordinate 0 followed by one
+isometry of dimension m-1 applied to every retract.  This matcher is the
+layer's one retract recursion; it reads retracts through
+``cube.retract_splitters``, counts the branches that reproduce g's runs of
+3^m consecutive cells, and memoises its sub-problems for one call.
+
+Canonical forms are not searched for: the class layer
+(``enumeration._class_layer``, n <= 5) keeps each class's lex-minimal
+member as its representative, and `canonical_form` looks f's class up
+there.
 
 `classify` is the reference classification that the production class
 layer (``enumeration._class_layer``) is tested against: it closes orbits
@@ -29,12 +33,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 from . import cube
 from .cube import Isometry
 from .errors import OrbitTooLarge
-from .funcspace import TernFn
+from .funcspace import LineSumKind, TernFn, line_sums
 
 _SYM3 = tuple(itertools.permutations((0, 1, 2)))
 _ID3 = (0, 1, 2)
@@ -63,16 +68,23 @@ def generators(n: int) -> list[Isometry]:
 
 
 @lru_cache(maxsize=None)
-def _gen_cellperms(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Generators as (cell permutation, sign) pairs; new[j] = sign*old[p[j]]."""
+def _gen_getters(n: int) -> tuple[Callable[[bytes], tuple[int, ...]], ...]:
+    """The unsigned generators, one itemgetter each: getter(old)[j] is
+    old[p[j]].  They exist only at n >= 1, so each reads at least three
+    cells and returns a tuple."""
     out = []
     for g in generators(n):
+        if g.sign_flip:
+            continue
         fwd = g.cell_map(3)
         inv = [0] * len(fwd)
         for c, y in enumerate(fwd):
             inv[y] = c
-        out.append((tuple(inv), -1 if g.sign_flip else 1))
+        out.append(itemgetter(*inv))
     return tuple(out)
+
+
+_FLIP = bytes.maketrans(b"\x00\x02", b"\x02\x00")  # the sign flip on encoded values
 
 
 def _encode(values: Sequence[int]) -> bytes:
@@ -86,59 +98,19 @@ def _encode(values: Sequence[int]) -> bytes:
 def canonical_form(f: TernFn) -> str:
     """Lexicographically minimal value string over all group images.
 
-    The smaller of the retract recursion ``_canon_rec`` on f and on -f, the
-    two signs of the group, with one memo: the minimum over the source
-    coordinate and value order sent to target coordinate 0, following only
-    the branches whose head (the canonical image of their first retract) is
-    minimal.  Idempotent: the canonical form of the canonical form is itself.
+    Defined for line-sum-zero functions with n <= 5: the representative of
+    f's class in the class layer (``enumeration._class_layer``), which is
+    the class's lex-minimal member, found through f's certified retract
+    key.  The first call at a dimension builds that layer, about 5 s at
+    n = 5.  Raises ValueError when f is not line-sum-zero (the key of such
+    an f can collide with a real class) and DimensionTooLarge at n >= 6.
     """
-    memo: dict[tuple, tuple[int, ...]] = {}
-    neg = tuple(-v for v in f.values)
-    best = min(_canon_rec((f.values,), f.n, memo), _canon_rec((neg,), f.n, memo))
-    return TernFn(f.n, best).to_text()
+    from .enumeration import _class_layer  # enumeration imports this module
 
-
-def _canon_rec(
-    fs: tuple[tuple[int, ...], ...],
-    m: int,
-    memo: dict[tuple, tuple[int, ...]],
-) -> tuple[int, ...]:
-    """Lex-minimal concatenated image of the aligned list fs under the
-    unsigned isometries of dimension m.
-
-    In cell order the image of fs is the concatenation of the images of its
-    retracts at the source coordinate c sent to target coordinate 0, taken
-    in target value order; so the minimum is the minimum over (c, order) of
-    the recursion on the reordered retract list.  The first block of each
-    candidate is the recursion on the first retract alone (its head), and
-    only branches with a minimal head are followed.
-    """
-    if m == 0:
-        return tuple(f[0] for f in fs)
-    # the minimum depends only on fs, which also fixes m
-    hit = memo.get(fs)
-    if hit is not None:
-        return hit
-    splitters = cube.retract_splitters(m)
-    heads = [[_canon_rec((r,), m - 1, memo) for r in split(fs[0])] for split in splitters]
-    top = min(map(min, heads))
-    best = None
-    for split, head in zip(splitters, heads):
-        if top not in head:
-            continue
-        blocks = [split(f) for f in fs]
-        for order in _SYM3:
-            if head[order[0]] == top:
-                img = _canon_rec(_children(blocks, order), m - 1, memo)
-                if best is None or img < best:
-                    best = img
-    memo[fs] = best
-    return best
-
-
-def _children(blocks: list[tuple], order: tuple[int, int, int]) -> tuple:
-    """The aligned list one level down: each member's retracts in value order."""
-    return tuple(b[d] for b in blocks for d in order)
+    if not set(f.values) <= {-1, 0, 1} or LineSumKind.INVALID in line_sums(f):
+        raise ValueError("canonical forms are defined on line-sum-zero {-1,0,+1} functions")
+    records, index = _class_layer(f.n)
+    return records[index[_encode(f.values)]].representative.to_text()
 
 
 # ---------------------------------------------------------------------------
@@ -149,24 +121,24 @@ DEFAULT_ORBIT_LIMIT = 2_000_000
 
 
 def orbit_values(values: tuple[int, ...], n: int, limit: int = DEFAULT_ORBIT_LIMIT) -> set[bytes]:
-    """Closure of a value tuple under the generators, as encoded byte keys."""
-    gens = _gen_cellperms(n)
+    """Closure of a value tuple under the generators, as encoded byte keys
+    (value v as byte v + 1).  Images are taken on the keys themselves: the
+    sign flip fixes every cell and swaps the bytes 0 and 2, and each other
+    generator is one itemgetter over the cells."""
+    gets = _gen_getters(n)
     start = _encode(values)
     seen = {start}
-    frontier = [values]
+    frontier = [start]
     while frontier:
         nxt = []
-        for g in frontier:
-            for perm, sign in gens:
-                if sign == 1:
-                    img = tuple(g[p] for p in perm)
-                else:
-                    img = tuple(-g[p] for p in perm)
-                key = _encode(img)
-                if key not in seen:
+        for key in frontier:
+            images = [bytes(get(key)) for get in gets]
+            images.append(key.translate(_FLIP))
+            for img in images:
+                if img not in seen:
                     if len(seen) >= limit:
                         raise OrbitTooLarge(f"orbit exceeds {limit} elements")
-                    seen.add(key)
+                    seen.add(img)
                     nxt.append(img)
         frontier = nxt
     return seen
@@ -243,8 +215,7 @@ def count_isometries_onto(f: TernFn, g: TernFn) -> int:
 
 
 def _match_count(f: TernFn, g: TernFn, find_one: bool) -> int:
-    """Backtracking matcher: the retract recursion of `canonical_form`,
-    counted against g instead of minimised.
+    """Backtracking matcher, the retract recursion of the symmetry layer.
 
     Every node sends its source coordinate to target coordinate 0, so at
     level m the i-th aligned list member must become the i-th run of 3^m
@@ -293,7 +264,9 @@ def _match_rec(fs: tuple, m: int, targets: list[tuple], memo: dict, find_one: bo
         counts = tuple(_profile(b) for triple in blocks for b in triple)
         for order, want in zip(_SYM3, targets[m]):
             if counts == want:
-                total += _match_rec(_children(blocks, order), m - 1, targets, memo, find_one)
+                # the aligned list one level down: each member's retracts in value order
+                children = tuple(b[d] for b in blocks for d in order)
+                total += _match_rec(children, m - 1, targets, memo, find_one)
                 if find_one and total:
                     return total
     memo[fs] = total

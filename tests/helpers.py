@@ -1,9 +1,14 @@
 """Shared test utilities."""
 
+import itertools
+
+from tritrade import cube
 from tritrade.construct import embed_in_alphabet, grid_cycle_bitrade
 from tritrade.cube import Isometry
-from tritrade.funcspace import BoolFn, u_from_bool
+from tritrade.funcspace import BoolFn, TernFn, u_from_bool
 from tritrade.trade import bipartition
+
+_SYM3 = tuple(itertools.permutations((0, 1, 2)))
 
 
 def random_q4_unitrade(rng):
@@ -20,3 +25,58 @@ def random_q4_unitrade(rng):
         U = grid_cycle_bitrade(4).base
     g = Isometry.random(rng, U.n, 4, allow_sign=False)
     return U.apply_isometry(g)
+
+
+def canonical_by_recursion(f):
+    """Reference canonical form, independent of the class layer: the
+    smaller of the retract recursion on f and on -f, the two signs of the
+    group, with one memo."""
+    memo = {}
+    neg = tuple(-v for v in f.values)
+    best = min(_canon_rec((f.values,), f.n, memo), _canon_rec((neg,), f.n, memo))
+    return TernFn(f.n, best).to_text()
+
+
+def _canon_rec(fs, m, memo):
+    """Lex-minimal concatenated image of the aligned list fs under the
+    unsigned isometries of dimension m.
+
+    In cell order the image of fs is the concatenation of the images of its
+    retracts at the source coordinate c sent to target coordinate 0, taken
+    in target value order; so the minimum is the minimum over (c, order) of
+    the recursion on the reordered retract list.  The first block of each
+    candidate is the recursion on the first retract alone (its head), and
+    only branches with a minimal head are followed.
+    """
+    if m == 0:
+        return tuple(f[0] for f in fs)
+    # the minimum depends only on fs, which also fixes m
+    hit = memo.get(fs)
+    if hit is not None:
+        return hit
+    splitters = cube.retract_splitters(m)
+    heads = [[_canon_rec((r,), m - 1, memo) for r in split(fs[0])] for split in splitters]
+    top = min(map(min, heads))
+    best = None
+    for split, head in zip(splitters, heads):
+        if top not in head:
+            continue
+        blocks = [split(f) for f in fs]
+        for order in _SYM3:
+            if head[order[0]] == top:
+                children = tuple(b[d] for b in blocks for d in order)
+                img = _canon_rec(children, m - 1, memo)
+                if best is None or img < best:
+                    best = img
+    memo[fs] = best
+    return best
+
+
+def random_n5_function(rng, fl4):
+    """A dimension-5 function from two compatible n = 4 hyperplanes drawn
+    from the list fl4; the third hyperplane is forced."""
+    while True:
+        f0 = rng.choice(fl4).values
+        f1 = rng.choice(fl4).values
+        if all(-1 <= a + b <= 1 for a, b in zip(f0, f1)):
+            return TernFn(5, f0 + f1 + tuple(-a - b for a, b in zip(f0, f1)))

@@ -276,3 +276,9 @@ def test_text_roundtrips():
 def test_bool_text_rejects_other_characters(text):
     with pytest.raises(ValueError):
         BoolFn.from_text(text)
+
+
+@pytest.mark.parametrize("text", ["0x0", "1", "+0-+0-+0 ", "+-0+-0+-2"])
+def test_tern_text_rejects_other_characters(text):
+    with pytest.raises(ValueError):
+        TernFn.from_text(text)

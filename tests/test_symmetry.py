@@ -2,10 +2,11 @@ import itertools
 import random
 
 import pytest
+from helpers import canonical_by_recursion, random_n5_function
 
 from tritrade.cube import Isometry
 from tritrade.enumeration import enumerate_functions
-from tritrade.errors import OrbitTooLarge
+from tritrade.errors import DimensionTooLarge, OrbitTooLarge
 from tritrade.funcspace import TernFn, tern_from_trade
 from tritrade.symmetry import (
     aut_order,
@@ -100,7 +101,7 @@ class TestCanonicalForm:
     def test_minimal_over_orbit_small(self):
         for n in (0, 1, 2, 3):
             for f in enumerate_functions(n):
-                assert canonical_form(f) == _orbit_min_text(f)
+                assert canonical_form(f) == _orbit_min_text(f) == canonical_by_recursion(f)
 
     def test_minimal_over_orbit_n4_classes(self, classes4):
         rng = random.Random(13)
@@ -108,7 +109,36 @@ class TestCanonicalForm:
             f = rec.representative
             key = _orbit_min_text(f)
             for g in [f] + [f.apply_isometry(Isometry.random(rng, 4, 3)) for _ in range(2)]:
-                assert canonical_form(g) == key
+                assert canonical_form(g) == key == canonical_by_recursion(g)
+
+    def test_n5_non_representatives(self, classes5):
+        # generic functions and their images, looked up in the n = 5 class
+        # index through their retract keys; 1-2 s each in the recursion
+        rng = random.Random(4)
+        fl4 = list(enumerate_functions(4))
+        reps = {rec.representative for rec in classes5[1]}
+        for _ in range(3):
+            f = random_n5_function(rng, fl4)
+            g = f.apply_isometry(Isometry.random(rng, 5, 3))
+            assert f not in reps and g not in reps
+            key = canonical_by_recursion(f)
+            assert canonical_form(f) == key
+            assert canonical_form(g) == key
+
+    @pytest.mark.parametrize(
+        "f",
+        [TernFn(1, (1, 1, 0)), TernFn(2, (1, -1, 0) * 3),
+         TernFn(0, (2,)), TernFn(1, (2, -1, -1))],
+        ids=["line-sum-nonzero", "columns-nonzero", "value-2-n0", "value-2-n1"],
+    )
+    def test_rejects_functions_outside_the_space(self, f):
+        # without the check (1, 1, 0) and (2,) would get the answers -0+ and -
+        with pytest.raises(ValueError):
+            canonical_form(f)
+
+    def test_capped_at_n5(self):
+        with pytest.raises(DimensionTooLarge):
+            canonical_form(TernFn.zero(6))
 
     def test_minimal_over_orbit_n5_symmetric(self):
         # generic n=5 orbits hold about 933k elements; these hold a few hundred
@@ -133,6 +163,16 @@ class TestOrbit:
     def test_limit(self):
         with pytest.raises(OrbitTooLarge):
             orbit(_minimal_fn(3), limit=10)
+
+    def test_closure_is_the_set_of_group_images(self):
+        # every function at n <= 2, a seeded sample at n = 3
+        rng = random.Random(23)
+        fns = [f for n in range(3) for f in enumerate_functions(n)]
+        fns += rng.sample(list(enumerate_functions(3)), 6)
+        for f in fns:
+            images = {bytes(v + 1 for v in f.apply_isometry(h).values)
+                      for h in _all_isometries(f.n)}
+            assert orbit_values(f.values, f.n) == images
 
 
 class TestAutOrder:
