@@ -10,7 +10,7 @@ reference tables for the cluster-scale dimensions (refdata).
 
 __version__ = "0.1.0"
 
-from .cube import Isometry, Line, apply_isometry, below, lines, retract
+from .cube import Isometry, Line, below, lines
 from .funcspace import (
     BoolFn,
     LineSumKind,

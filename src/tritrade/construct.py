@@ -34,7 +34,7 @@ from .funcspace import (
     trade_from_tern,
     u_from_bool,
 )
-from .monomial import MonomialSet, f_from_monomials, subcube_mask, trade_from_monomials
+from .monomial import MonomialSet, trade_from_monomials
 from .trade import BipartiteTrade, TradeSet, bipartition, is_unitrade
 
 
@@ -118,7 +118,7 @@ def rank2_family(n: int, s: int) -> BipartiteTrade:
         raise BadS(f"s must be in 0..{n - 1}")
     u = (0,) * n
     v = (0,) * s + (1,) * (n - s)
-    U = u_from_bool(f_from_monomials(MonomialSet(n, [u, v])))
+    U = trade_from_monomials(MonomialSet(n, [u, v]))
     B = bipartition(U)
     if B is None:
         raise BrokenInvariant(f"rank-2 unitrade {u}, {v} is not bipartite")
@@ -135,7 +135,7 @@ def bitrade14(n: int) -> BipartiteTrade:
     strictly between 14*3^(n-3) and 2*3^(n-1)."""
     if n < 3:
         raise DimensionTooSmall("the series starts at n=3")
-    U = u_from_bool(f_from_monomials(MonomialSet(3, BITRADE14_WITNESS)))
+    U = trade_from_monomials(MonomialSet(3, BITRADE14_WITNESS))
     B = bipartition(U)
     if B is None or B.cardinality != 14:
         raise BrokenInvariant("the witness 100/011/002 is not a size-14 bitrade")
@@ -340,7 +340,7 @@ def recover_monomials(U: TradeSet, D: int) -> MonomialSet:
     found = []
     mask = U.mask
     for v in cube.all_words(n, 3):
-        if (mask & subcube_mask(v)).bit_count() >= threshold:
+        if (mask & cube.subcube_mask(v)).bit_count() >= threshold:
             found.append(v)
     V = MonomialSet(n, found)
     d_found = min_distance(found)

@@ -129,6 +129,13 @@ def below(y: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
 # Retract indexing
 # ---------------------------------------------------------------------------
 
+def _check_face(n: int, k: int, coord: int, value: int) -> None:
+    if not 0 <= coord < n:
+        raise ValueError(f"coord {coord} out of range for n={n}")
+    if not 0 <= value < k:
+        raise ValueError(f"value {value} out of range for k={k}")
+
+
 @lru_cache(maxsize=None)
 def retract_cells(n: int, k: int, coord: int, value: int) -> tuple[int, ...]:
     """Cells of the hyperface x_coord = value, in sub-cube cell order.
@@ -136,15 +143,29 @@ def retract_cells(n: int, k: int, coord: int, value: int) -> tuple[int, ...]:
     Entry j is the full-cube cell whose word, with the fixed coordinate
     dropped, has sub-cube cell index j.
     """
-    if not 0 <= coord < n:
-        raise ValueError(f"coord {coord} out of range for n={n}")
-    if not 0 <= value < k:
-        raise ValueError(f"value {value} out of range for k={k}")
+    _check_face(n, k, coord, value)
     out = []
     for sub in itertools.product(range(k), repeat=n - 1):
         word = sub[:coord] + (value,) + sub[coord:]
         out.append(cell_of_word(word, k))
     return tuple(out)
+
+
+def retract_mask(mask: int, n: int, k: int, coord: int, value: int) -> int:
+    """Restriction of a cell mask over Q_k^n to the hyperface
+    x_coord = value, as a mask over Q_k^(n-1) in sub-cube cell order.
+
+    The hyperface is k^coord runs of s = k^(n-1-coord) consecutive cells,
+    one run per block of k*s, so the restriction moves runs, not bits.
+    """
+    _check_face(n, k, coord, value)
+    s = k ** (n - 1 - coord)
+    run = (1 << s) - 1
+    mask >>= value * s
+    out = 0
+    for t in range(k ** coord):
+        out |= (mask >> t * k * s & run) << t * s
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -169,11 +190,38 @@ def retract_splitters(n: int) -> tuple[Callable[[Sequence], tuple], ...]:
     return tuple(out)
 
 
-def retract(obj, coord: int, value: int):
-    """Restrict a TradeSet / TernFn / BoolFn to x_coord = value, re-indexed
-    to dimension n-1.  Unitrade / bitrade / MDS status survives restriction.
+# ---------------------------------------------------------------------------
+# Boolean subcubes
+# ---------------------------------------------------------------------------
+
+# per-digit 2-subsets of Q_3: digit of v -> member digits of the cube factor
+CUBE_FACTOR = ((0, 1), (1, 2), (0, 2))
+
+
+@lru_cache(maxsize=None)
+def _factor_masks(n: int, k: int) -> tuple[tuple[int, int, int], ...]:
+    """_factor_masks(n, k)[i][d] = mask over Q_k^n of the cells whose
+    digit i lies in CUBE_FACTOR[d]."""
+    out = []
+    for i in range(n):
+        stride = k ** (n - 1 - i)
+        # one bit per period of k * stride cells: a product repeats a block
+        repeat = ((1 << k ** n) - 1) // ((1 << k * stride) - 1)
+        digit = [(((1 << stride) - 1) << a * stride) * repeat for a in range(k)]
+        out.append(tuple(sum(digit[a] for a in f if a < k) for f in CUBE_FACTOR))
+    return tuple(out)
+
+
+def subcube_mask(v: tuple[int, ...], k: int = 3) -> int:
+    """Mask over Q_k^n of the cells x with x_i in CUBE_FACTOR[v_i] for all i.
+
+    k = 3 gives the monomial cube of v; k = 2 gives the truth table of x^v,
+    since CUBE_FACTOR[d] meets {0, 1} in exactly the literal set of x^d.
     """
-    return obj.retract(coord, value)
+    m = (1 << k ** len(v)) - 1
+    for masks, d in zip(_factor_masks(len(v), k), v):
+        m &= masks[d]
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +309,3 @@ class Isometry:
             sum(contrib[i][ds[i]] for i in range(n)) for ds in table
         )
 
-
-def apply_isometry(g: Isometry, obj):
-    """Image of a TradeSet or TernFn under g.
-
-    Cardinality, the unitrade predicate, bipartiteness and rank are all
-    invariant; for TernFn, sign_flip additionally negates every value.
-    """
-    return obj.apply_isometry(g)

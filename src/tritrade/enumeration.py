@@ -43,7 +43,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from . import cube
 from .errors import BrokenInvariant, DimensionTooLarge, DimensionTooSmall
-from .funcspace import TernFn, trade_from_tern
+from .funcspace import BoolFn, TernFn, trade_from_tern, u_from_bool
 from .symmetry import ClassRecord, aut_order, group_order
 from .trade import BipartiteTrade, TradeSet, mod3_admissible
 
@@ -419,26 +419,14 @@ CATALOG_MAX_N = 4
 
 
 def unitrade_supports(n: int) -> Iterator[tuple[int, int]]:
-    """(truth table, support mask) over all 2^(2^n) unitrades, via the ANF:
-    the set is the xor of the boolean-exponent subcubes the ANF selects."""
+    """(truth table, support mask) over all 2^(2^n) unitrades, each support
+    built by ``u_from_bool``."""
     if n < 0:
         raise DimensionTooSmall(f"dimension must be >= 0, got {n}")
     if n > CATALOG_MAX_N:
         raise DimensionTooLarge(f"full unitrade catalog capped at n={CATALOG_MAX_N}")
-    from .funcspace import BoolFn, mobius
-    from .monomial import subcube_mask
-
-    bool_masks = [subcube_mask(w) for w in cube.all_words(n, 2)]
     for bits in range(1 << (1 << n)):
-        anf = mobius(BoolFn(n, bits)).bits
-        m = 0
-        i = 0
-        while anf:
-            if anf & 1:
-                m ^= bool_masks[i]
-            anf >>= 1
-            i += 1
-        yield bits, m
+        yield bits, u_from_bool(BoolFn(n, bits)).mask
 
 
 def bitrade_catalog(n: int) -> list[BipartiteTrade]:

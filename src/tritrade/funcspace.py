@@ -11,7 +11,10 @@ U[f](y) = xor of f over the minimal words below y is the characteristic
 function of a ternary unitrade, U[f] restricted to Q_2^n returns f, and the
 map f -> U[f] is a bijection onto the 2^(2^n) unitrades.  Restricting U[f]
 to the top subcube {0,2}^n instead yields the Moebius transform of f, which
-is also the ANF coefficient map G[f].
+is also the ANF coefficient map G[f].  That is how ``u_from_bool`` builds
+U[f]: as the xor of the monomial cubes (``cube.subcube_mask``) of the ANF
+terms of f, each of which meets {0,2}^n in one cell.  The definition by
+minimal words is kept as the test-side oracle.
 """
 
 from __future__ import annotations
@@ -85,12 +88,7 @@ class BoolFn:
         return BoolFn(self.n, self.bits ^ other.bits)
 
     def retract(self, coord: int, value: int) -> "BoolFn":
-        cells = cube.retract_cells(self.n, 2, coord, value)
-        out = 0
-        for j, c in enumerate(cells):
-            if (self.bits >> c) & 1:
-                out |= 1 << j
-        return BoolFn(self.n - 1, out)
+        return BoolFn(self.n - 1, cube.retract_mask(self.bits, self.n, 2, coord, value))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BoolFn) and (self.n, self.bits) == (other.n, other.bits)
@@ -102,25 +100,16 @@ class BoolFn:
         return f"BoolFn(n={self.n}, tt={self.to_text()})"
 
 
-@lru_cache(maxsize=None)
-def _low_masks(n: int) -> tuple[tuple[int, int], ...]:
-    """Per coordinate: (bitmask of cells with digit 0, index step to digit 1)."""
-    out = []
-    for i in range(n):
-        step = 1 << (n - 1 - i)
-        lo = 0
-        for c in range(1 << n):
-            if not (c >> (n - 1 - i)) & 1:
-                lo |= 1 << c
-        out.append((lo, step))
-    return tuple(out)
-
-
 def mobius(f: BoolFn) -> BoolFn:
-    """ANF coefficients via the GF(2) Moebius transform; an involution."""
+    """ANF coefficients via the GF(2) Moebius transform; an involution.
+
+    Per coordinate i, the cells with digit 0 there are xored onto their
+    digit-1 neighbours; they are the factor mask of digit 2, since
+    CUBE_FACTOR[2] meets {0, 1} in {0}.
+    """
     t = f.bits
-    for lo, step in _low_masks(f.n):
-        t ^= (t & lo) << step
+    for i, masks in enumerate(cube._factor_masks(f.n, 2)):
+        t ^= (t & masks[2]) << (1 << f.n - 1 - i)
     return BoolFn(f.n, t)
 
 
@@ -298,27 +287,27 @@ def trade_from_tern(f: TernFn) -> BipartiteTrade:
 # The bijection with ternary unitrades
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _anf_cubes(n: int) -> tuple[int, ...]:
+    """The monomial cube of every boolean exponent word, in Q_2^n cell
+    order: entry c is the cube of the ANF term at cell c."""
+    return tuple(cube.subcube_mask(w) for w in cube.all_words(n, 2))
+
+
 def u_from_bool(f: BoolFn) -> TradeSet:
     """The ternary unitrade with characteristic function U[f].
 
-    Computed cell by cell in lex order: a cell with no digit 2 copies f,
-    otherwise it is the xor of the two earlier cells obtained by setting the
-    first 2-digit to 0 and 1.
+    U[f] is the xor of the monomial cubes of the ANF terms of f (the set
+    bits of mobius(f)): each cube is a unitrade meeting Q_2^n in the truth
+    table of its monomial, a xor of ternary unitrades is a unitrade, and a
+    unitrade is fixed by its restriction to Q_2^n.
     """
-    n = f.n
-    vals = bytearray(3 ** n)
+    anf = mobius(f).bits
     mask = 0
-    for c, word in enumerate(cube.all_words(n, 3)):
-        i = next((j for j, d in enumerate(word) if d == 2), -1)
-        if i < 0:
-            v = f.value(cube.cell_of_word(word, 2))
-        else:
-            step = 3 ** (n - 1 - i)
-            v = vals[c - 2 * step] ^ vals[c - step]
-        vals[c] = v
-        if v:
-            mask |= 1 << c
-    return TradeSet(n, 3, mask)
+    for c, cube_mask in enumerate(_anf_cubes(f.n)):
+        if anf >> c & 1:
+            mask ^= cube_mask
+    return TradeSet(f.n, 3, mask)
 
 
 def bool_from_unitrade(U: TradeSet) -> BoolFn:

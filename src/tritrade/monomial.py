@@ -23,6 +23,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import cube
+from .cube import CUBE_FACTOR, subcube_mask
 from .errors import (
     BrokenInvariant,
     DegenerateTriple,
@@ -33,9 +34,6 @@ from .errors import (
 )
 from .funcspace import BoolFn, TernFn, bool_from_unitrade
 from .trade import TradeSet, is_unitrade
-
-# per-digit 2-subsets of Q_3: digit of v -> member digits of the cube factor
-CUBE_FACTOR = ((0, 1), (1, 2), (0, 2))
 
 NEG_INF = float("-inf")
 
@@ -86,32 +84,6 @@ class MonomialSet:
 # ---------------------------------------------------------------------------
 # Cubes and truth tables
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _factor_masks(n: int, k: int) -> tuple[tuple[int, int, int], ...]:
-    """_factor_masks(n, k)[i][d] = mask over Q_k^n of the cells whose
-    digit i lies in CUBE_FACTOR[d]."""
-    out = []
-    for i in range(n):
-        stride = k ** (n - 1 - i)
-        # one bit per period of k * stride cells: a product repeats a block
-        repeat = ((1 << k ** n) - 1) // ((1 << k * stride) - 1)
-        digit = [(((1 << stride) - 1) << a * stride) * repeat for a in range(k)]
-        out.append(tuple(sum(digit[a] for a in f if a < k) for f in CUBE_FACTOR))
-    return tuple(out)
-
-
-def subcube_mask(v: tuple[int, ...], k: int = 3) -> int:
-    """Mask over Q_k^n of the cells x with x_i in CUBE_FACTOR[v_i] for all i.
-
-    k = 3 gives the monomial cube of v; k = 2 gives the truth table of x^v,
-    since CUBE_FACTOR[d] meets {0, 1} in exactly the literal set of x^d.
-    """
-    m = (1 << k ** len(v)) - 1
-    for masks, d in zip(_factor_masks(len(v), k), v):
-        m &= masks[d]
-    return m
-
 
 @lru_cache(maxsize=None)
 def _monomial_tables(n: int) -> tuple[int, ...]:
@@ -251,14 +223,6 @@ def rank(U: TradeSet, allow_slow: bool = False) -> int:
     return rank_of_boolfn(bool_from_unitrade(U), allow_slow=allow_slow)
 
 
-def _cofactor(bits: int, n: int, coord: int, value: int) -> int:
-    out = 0
-    for j, c in enumerate(cube.retract_cells(n, 2, coord, value)):
-        if (bits >> c) & 1:
-            out |= 1 << j
-    return out
-
-
 def _rank_lower_bound(bits: int, n: int) -> int:
     """Restriction to a hyperface maps every monomial to a monomial or
     kills it, so sub-function ranks bound rank from below."""
@@ -266,7 +230,7 @@ def _rank_lower_bound(bits: int, n: int) -> int:
         return bits  # at n = 0 the one nonzero function is the monomial 1
     sub = rank_table(n - 1)
     return max(
-        sub[_cofactor(bits, n, i, c)] for i in range(n) for c in (0, 1)
+        sub[cube.retract_mask(bits, n, 2, i, c)] for i in range(n) for c in (0, 1)
     )
 
 
@@ -279,9 +243,9 @@ def rank_upper_bound(f: BoolFn) -> int:
     sub = rank_table(n - 1)
     best = None
     for i in range(n):
-        f0 = sub[_cofactor(f.bits, n, i, 0)]
-        f1 = sub[_cofactor(f.bits, n, i, 1)]
-        fx = sub[_cofactor(f.bits, n, i, 0) ^ _cofactor(f.bits, n, i, 1)]
+        b0 = cube.retract_mask(f.bits, n, 2, i, 0)
+        b1 = cube.retract_mask(f.bits, n, 2, i, 1)
+        f0, f1, fx = sub[b0], sub[b1], sub[b0 ^ b1]
         cand = min(f0 + f1, f0 + fx, f1 + fx)
         best = cand if best is None else min(best, cand)
     return best

@@ -91,6 +91,12 @@ def _encode(values: Sequence[int]) -> bytes:
     return bytes(v + 1 for v in values)
 
 
+def _check_signs(values: Sequence[int]) -> None:
+    # any other value would be negated or encoded into a key of another function
+    if not set(values) <= {-1, 0, 1}:
+        raise ValueError("the isometry group acts on {-1,0,+1}-valued functions")
+
+
 # ---------------------------------------------------------------------------
 # Canonical form
 # ---------------------------------------------------------------------------
@@ -107,8 +113,9 @@ def canonical_form(f: TernFn) -> str:
     """
     from .enumeration import _class_layer  # enumeration imports this module
 
-    if not set(f.values) <= {-1, 0, 1} or LineSumKind.INVALID in line_sums(f):
-        raise ValueError("canonical forms are defined on line-sum-zero {-1,0,+1} functions")
+    _check_signs(f.values)
+    if LineSumKind.INVALID in line_sums(f):
+        raise ValueError("canonical forms are defined on line-sum-zero functions")
     records, index = _class_layer(f.n)
     return records[index[_encode(f.values)]].representative.to_text()
 
@@ -124,7 +131,9 @@ def orbit_values(values: tuple[int, ...], n: int, limit: int = DEFAULT_ORBIT_LIM
     """Closure of a value tuple under the generators, as encoded byte keys
     (value v as byte v + 1).  Images are taken on the keys themselves: the
     sign flip fixes every cell and swaps the bytes 0 and 2, and each other
-    generator is one itemgetter over the cells."""
+    generator is one itemgetter over the cells.  Raises ValueError on a
+    value outside {-1,0,+1}."""
+    _check_signs(values)
     gets = _gen_getters(n)
     start = _encode(values)
     seen = {start}
@@ -224,7 +233,10 @@ def _match_count(f: TernFn, g: TernFn, find_one: bool) -> int:
     depends only on its aligned list, the memo key for the whole call, so
     a symmetric function pays for each distinct list once rather than once
     per automorphism.  With find_one the search stops at the first match
-    and the result is only meaningful as zero or nonzero."""
+    and the result is only meaningful as zero or nonzero.  Raises
+    ValueError on a value outside {-1,0,+1} in f or g."""
+    _check_signs(f.values)
+    _check_signs(g.values)
     if f.n != g.n:
         return 0
     n = f.n

@@ -67,6 +67,9 @@ class TradeSet:
     def from_json(obj) -> "TradeSet":
         if isinstance(obj, str):
             obj = json.loads(obj)
+        missing = [key for key in ("n", "k", "support") if key not in obj]
+        if missing:
+            raise ValueError(f"trade set JSON lacks the field(s) {', '.join(missing)}")
         return TradeSet.from_text(int(obj["n"]), int(obj["k"]), obj["support"])
 
     # ---- views ------------------------------------------------------------
@@ -125,12 +128,7 @@ class TradeSet:
         return self._incidence
 
     def retract(self, coord: int, value: int) -> "TradeSet":
-        cells = cube.retract_cells(self.n, self.k, coord, value)
-        m = self.mask
-        out = 0
-        for j, c in enumerate(cells):
-            if (m >> c) & 1:
-                out |= 1 << j
+        out = cube.retract_mask(self.mask, self.n, self.k, coord, value)
         return TradeSet(self.n - 1, self.k, out)
 
     def apply_isometry(self, g: "cube.Isometry") -> "TradeSet":

@@ -213,6 +213,19 @@ def test_boundary_inputs_exit_bad_params(capsys, argv):
     assert err.startswith("parameter error")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    ["construct --what kext --base @{}", "construct --what product --left @{} --right minimal:1",
+     "construct --what product --left minimal:1 --right @{}"],
+)
+def test_trade_file_missing_a_field_exits_bad_params(capsys, tmp_path, argv):
+    spec = tmp_path / "f.json"
+    spec.write_text(json.dumps({"n": 2, "k": 3}))
+    code, _, err = run(capsys, *argv.format(spec).split())
+    assert code == EXIT_BAD_PARAMS
+    assert err.startswith("parameter error") and "support" in err
+
+
 class TestConstructCommand:
     def test_maximal(self, capsys, tmp_path):
         out_file = tmp_path / "max.json"

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from tritrade import cube
 from tritrade.cube import Isometry, below, lines
 from tritrade.funcspace import tern_from_trade
@@ -72,6 +74,22 @@ class TestRetract:
         B = maximal_bitrade(2)
         R = B.base.retract(1, 0)
         assert sorted(R.words()) == [(1,), (2,)]
+
+    @pytest.mark.parametrize("n, k", [(1, 2), (3, 2), (5, 2), (1, 3), (3, 3), (2, 4)])
+    def test_mask_matches_retract_cells(self, n, k):
+        rng = random.Random(10 * n + k)
+        for _ in range(20):
+            mask = rng.getrandbits(k ** n)
+            for coord in range(n):
+                for value in range(k):
+                    cells = cube.retract_cells(n, k, coord, value)
+                    expect = sum(1 << j for j, c in enumerate(cells) if mask >> c & 1)
+                    assert cube.retract_mask(mask, n, k, coord, value) == expect
+
+    @pytest.mark.parametrize("coord, value", [(-1, 0), (2, 0), (0, 3), (0, -1)])
+    def test_mask_rejects_faces_outside_the_cube(self, coord, value):
+        with pytest.raises(ValueError):
+            cube.retract_mask(0, 2, 3, coord, value)
 
     def test_all_n3_bitrade_retracts_are_bitrades(self, catalog3):
         for B in catalog3[:200]:

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from tritrade import funcspace
+from tritrade.cube import below
 from tritrade.errors import BadBaseWord, NotAUnitrade
 from tritrade.funcspace import (
     BoolFn,
@@ -49,6 +50,28 @@ class TestUFromBool:
         for _ in range(100):
             f = BoolFn(4, rng.getrandbits(16))
             assert is_unitrade(u_from_bool(f))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_matches_definition_exhaustive(self, n):
+        for bits in range(1 << (1 << n)):
+            f = BoolFn(n, bits)
+            assert u_from_bool(f) == _u_by_definition(f)
+
+    @pytest.mark.parametrize("n, count", [(4, 40), (5, 10)])
+    def test_matches_definition_random(self, n, count):
+        rng = random.Random(14 + n)
+        for _ in range(count):
+            f = BoolFn(n, rng.getrandbits(1 << n))
+            assert u_from_bool(f) == _u_by_definition(f)
+
+
+def _u_by_definition(f):
+    """U[f] from its definition, sharing no code with the ANF builder:
+    U[f](y) is the xor of f over the minimal words below y."""
+    return TradeSet.from_words(f.n, 3, (
+        y for y in itertools.product(range(3), repeat=f.n)
+        if sum(f(w) for w in below(y, 3)) & 1
+    ))
 
 
 def _cell3(word):

@@ -247,6 +247,25 @@ class TestDoubleCount:
         assert double_count_check(classes3[1], 403, 3)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        aut_order,
+        lambda f: equivalent(f, f),
+        lambda f: count_isometries_onto(TernFn.zero(f.n), f),
+        lambda f: orbit_values(f.values, f.n),
+    ],
+    ids=["aut_order", "equivalent", "count-onto-target", "orbit_values"],
+)
+@pytest.mark.parametrize(
+    "f", [TernFn(0, (2,)), TernFn(1, (2, -1, -1))], ids=["value-2-n0", "value-2-n1"]
+)
+def test_group_calls_reject_values_outside_signs(call, f):
+    # without the check aut_order(f) read 2 at n = 1 and orbit_values gave 6 keys
+    with pytest.raises(ValueError):
+        call(f)
+
+
 class TestEquivalent:
     def test_sign_flip_is_equivalence(self):
         f = _minimal_fn(2)

@@ -225,3 +225,17 @@ def test_tradeset_serialization():
     S = TradeSet.from_words(2, 3, [(0, 1), (2, 2)])
     assert TradeSet.from_json(S.to_json()) == S
     assert TradeSet.from_text(2, 3, S.to_text()) == S
+
+
+@pytest.mark.parametrize(
+    "obj, field",
+    [({"n": 2, "k": 3}, "support"), ({"k": 3, "support": "0"}, "n"), ('{"n": 1, "support": "000"}', "k")],
+)
+def test_tradeset_from_json_names_a_missing_field(obj, field):
+    with pytest.raises(ValueError, match=field):
+        TradeSet.from_json(obj)
+
+
+def test_tradeset_from_json_rejects_a_non_object():
+    with pytest.raises(ValueError):
+        TradeSet.from_json("[2, 3]")
