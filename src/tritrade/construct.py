@@ -35,7 +35,7 @@ from .funcspace import (
     u_from_bool,
 )
 from .monomial import MonomialSet, trade_from_monomials
-from .trade import BipartiteTrade, TradeSet, bipartition, is_unitrade
+from .trade import BipartiteTrade, TradeSet, _normalized, bipartition, is_unitrade
 
 
 # ---------------------------------------------------------------------------
@@ -47,24 +47,13 @@ def product(B: BipartiteTrade, C: BipartiteTrade) -> BipartiteTrade:
     cardinality is exactly |B| * |C| (over any alphabet)."""
     if B.k != C.k:
         raise ValueError("alphabet mismatch")
-    k, nB, nC = B.k, B.n, C.n
-    shift = k ** nC
-    part0 = part1 = 0
-    for cb in range(k ** nB):
-        sb = 1 if (B.part0 >> cb) & 1 else (-1 if (B.part1 >> cb) & 1 else 0)
-        if not sb:
-            continue
-        for cc in range(k ** nC):
-            sc = 1 if (C.part0 >> cc) & 1 else (-1 if (C.part1 >> cc) & 1 else 0)
-            if not sc:
-                continue
-            cell = cb * shift + cc
-            if sb * sc > 0:
-                part0 |= 1 << cell
-            else:
-                part1 |= 1 << cell
-    base = TradeSet(nB + nC, k, part0 | part1)
-    return _normalized(base, part0, part1)
+    shift = B.k ** C.n
+    legs = [0, 0]
+    for cb in B.base.cells():
+        sb = (B.part1 >> cb) & 1
+        legs[sb] |= C.part0 << cb * shift
+        legs[1 - sb] |= C.part1 << cb * shift
+    return _normalized(TradeSet(B.n + C.n, B.k, legs[0] | legs[1]), *legs)
 
 
 def k_extension(B: BipartiteTrade, m: int) -> BipartiteTrade:
@@ -84,14 +73,6 @@ def k_extension(B: BipartiteTrade, m: int) -> BipartiteTrade:
             vals.append(f.values[cube.cell_of_word(folded, k)])
         f = TernFn(n + 1, tuple(vals))
     return trade_from_tern(f)
-
-
-def _normalized(base: TradeSet, part0: int, part1: int) -> BipartiteTrade:
-    if base.mask:
-        low = (base.mask & -base.mask).bit_length() - 1
-        if not (part0 >> low) & 1:
-            part0, part1 = part1, part0
-    return BipartiteTrade(base, part0, part1)
 
 
 # ---------------------------------------------------------------------------
@@ -147,16 +128,11 @@ def embed_in_alphabet(B: BipartiteTrade, k_new: int) -> BipartiteTrade:
     lines either restrict to old lines or miss the support entirely."""
     if k_new < B.k:
         raise ValueError("target alphabet must not shrink")
-    n, k_old = B.n, B.k
-    part0 = part1 = 0
-    for cell in range(k_old ** n):
-        new_cell = cube.cell_of_word(cube.word_of_cell(cell, n, k_old), k_new)
-        if (B.part0 >> cell) & 1:
-            part0 |= 1 << new_cell
-        elif (B.part1 >> cell) & 1:
-            part1 |= 1 << new_cell
-    base = TradeSet(n, k_new, part0 | part1)
-    return _normalized(base, part0, part1)
+    legs = [
+        TradeSet.from_words(B.n, k_new, TradeSet(B.n, B.k, leg).words()).mask
+        for leg in (B.part0, B.part1)
+    ]
+    return _normalized(TradeSet(B.n, k_new, legs[0] | legs[1]), *legs)
 
 
 def grid_cycle_bitrade(k: int) -> BipartiteTrade:
@@ -393,23 +369,14 @@ def pot12(f: BoolFn) -> BipartiteTrade:
 # Degree embedding for k = 4
 # ---------------------------------------------------------------------------
 
-PSI = {(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 3}  # pinned bit-pair coding
-
-
 def rm_embed(U: TradeSet) -> BoolFn:
-    """Boolean re-coordinatization of a Q_4^n unitrade via psi: weight is
-    preserved exactly and the degree is at most n (each fixed n-1 block of
-    bit pairs leaves a whole line free, forcing even ones in big faces)."""
+    """Boolean re-coordinatization of a Q_4^n unitrade via psi(b, b') =
+    2b + b', under which a base-4 cell is the base-2 cell of its bit pairs,
+    so U's mask is the truth table: weight is preserved exactly and the
+    degree is at most n (each fixed n-1 block of bit pairs leaves a whole
+    line free, forcing even ones in big faces)."""
     if U.k != 4:
         raise ValueError("the embedding is for k=4")
     if not is_unitrade(U):
         raise NotAUnitrade("input must be a unitrade")
-    n = U.n
-    bits = 0
-    for c2, bword in enumerate(cube.all_words(2 * n, 2)):
-        word = tuple(
-            PSI[(bword[2 * i], bword[2 * i + 1])] for i in range(n)
-        )
-        if cube.cell_of_word(word, 4) in U:
-            bits |= 1 << c2
-    return BoolFn(2 * n, bits)
+    return BoolFn(2 * U.n, U.mask)

@@ -9,7 +9,8 @@ centered convention used by the function-space layer.
 
 A *line* is a 1-dimensional face: k pairwise adjacent words differing in a
 single coordinate.  Lines are the maximal cliques of the Hamming graph and
-everything trade-related is phrased through them, so their tables are
+everything trade-related is phrased through them: the trade predicates
+read them as the digit planes of ``digit_masks``, and the line tables are
 precomputed once per (n, k) and shared read-only.
 
 Isometries of the cube are generated by coordinate permutations and by
@@ -111,6 +112,20 @@ def lines_through(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(t) for t in table)
 
 
+@lru_cache(maxsize=None)
+def digit_masks(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """digit_masks(n, k)[i][a] = mask over Q_k^n of the cells whose digit i
+    is a: runs of s = k^(n-1-i) cells with period k * s, so a shift by
+    a * s moves plane a onto plane 0 along the lines in direction i."""
+    out = []
+    for i in range(n):
+        stride = k ** (n - 1 - i)
+        # one bit per period of k * stride cells: a product repeats a block
+        repeat = ((1 << k ** n) - 1) // ((1 << k * stride) - 1)
+        out.append(tuple((((1 << stride) - 1) << a * stride) * repeat for a in range(k)))
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # Partial order: digit k-1 is maximal, all other digits incomparable
 # ---------------------------------------------------------------------------
@@ -202,14 +217,10 @@ CUBE_FACTOR = ((0, 1), (1, 2), (0, 2))
 def _factor_masks(n: int, k: int) -> tuple[tuple[int, int, int], ...]:
     """_factor_masks(n, k)[i][d] = mask over Q_k^n of the cells whose
     digit i lies in CUBE_FACTOR[d]."""
-    out = []
-    for i in range(n):
-        stride = k ** (n - 1 - i)
-        # one bit per period of k * stride cells: a product repeats a block
-        repeat = ((1 << k ** n) - 1) // ((1 << k * stride) - 1)
-        digit = [(((1 << stride) - 1) << a * stride) * repeat for a in range(k)]
-        out.append(tuple(sum(digit[a] for a in f if a < k) for f in CUBE_FACTOR))
-    return tuple(out)
+    return tuple(
+        tuple(sum(digit[a] for a in f if a < k) for f in CUBE_FACTOR)
+        for digit in digit_masks(n, k)
+    )
 
 
 def subcube_mask(v: tuple[int, ...], k: int = 3) -> int:

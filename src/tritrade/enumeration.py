@@ -256,14 +256,17 @@ def count_by_retract_classes(n: int, jobs: int = 1) -> int:
     """N(n) from the class layer at n-1: the completions of each
     representative as the first hyperplane, weighted by orbit size, which
     certifies the layer at n; `jobs` > 1 fans the classes over forked
-    workers (`_fan_out`)."""
+    workers (`_fan_out`).  The zero representative's completions are the
+    (0, g, -g), so it adds N(n-1), the layer's certified orbit sum."""
     if n < 1:
         raise DimensionTooSmall("class count needs n >= 1")
+    layer = _class_layer(n - 1)[0]
     units = [
         (rec.orbit_size, _pinned(rec.representative.values))
-        for rec in _class_layer(n - 1)[0]
+        for rec in layer
+        if rec.representative.cardinality
     ]
-    return _fan_out(n, units, jobs)
+    return sum(rec.orbit_size for rec in layer) + _fan_out(n, units, jobs)
 
 
 @dataclass

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 from . import cube
 from .errors import BadBaseWord, NotAUnitrade
-from .trade import BipartiteTrade, TradeSet, is_unitrade
+from .trade import BipartiteTrade, TradeSet, _independent, _normalized, is_unitrade
 
 NEG_INF = float("-inf")
 
@@ -267,20 +267,16 @@ def tern_from_trade(B: BipartiteTrade) -> TernFn:
 
 
 def trade_from_tern(f: TernFn) -> BipartiteTrade:
-    """Bitrade whose legs are the sign classes of f (f must be line-sum-zero)."""
-    p0 = p1 = 0
-    for c, v in enumerate(f.values):
-        if v > 0:
-            p0 |= 1 << c
-        elif v < 0:
-            p1 |= 1 << c
+    """Bitrade whose legs are the sign classes of f; NotAUnitrade unless
+    the support is a unitrade and no leg has two cells on one line."""
+    p0 = sum(1 << c for c, v in enumerate(f.values) if v > 0)
+    p1 = sum(1 << c for c, v in enumerate(f.values) if v < 0)
     base = TradeSet(f.n, 3, p0 | p1)
     if not is_unitrade(base):
         raise NotAUnitrade("support of f is not a unitrade")
-    # normalize: part0 holds the smallest support cell
-    if base.mask and not (p0 >> ((base.mask & -base.mask).bit_length() - 1)) & 1:
-        p0, p1 = p1, p0
-    return BipartiteTrade(base, p0, p1)
+    if not _independent(f.n, 3, p0, p1):
+        raise NotAUnitrade("a sign class of f has two cells on one line")
+    return _normalized(base, p0, p1)
 
 
 # ---------------------------------------------------------------------------

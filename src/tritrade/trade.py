@@ -6,6 +6,11 @@ is connected, so the two legs are unique up to swapping and the whole
 structural layer below (intersection, no proper containment, connectivity)
 is specific to the ternary cube.
 
+The predicates read lines as digit planes (`_line_meets`): the cells of a
+line differ only in its direction's digit, so a set's digit planes, added
+bitwise, mark the lines it meets once, twice or three times, and every
+predicate is a few whole-mask steps on those marks.
+
 Cardinality predicates are pure integer arithmetic: the admissible-size
 families are expanded to exact integer sets per dimension, never touching
 floats, so thresholds like two-and-a-half times 2^n stay exact.
@@ -16,19 +21,19 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import cube
 from .errors import EmptyCatalog, NotAUnitrade, OutOfRange
 
 
 class TradeSet:
-    """Subset of Q_k^n with cached per-line incidence.
+    """Subset of Q_k^n.
 
     Immutable; the support is a bitmask over cells in base-k cell order.
     """
 
-    __slots__ = ("n", "k", "mask", "_incidence")
+    __slots__ = ("n", "k", "mask")
 
     def __init__(self, n: int, k: int, mask: int):
         if mask < 0 or mask >> (k ** n):
@@ -36,7 +41,6 @@ class TradeSet:
         self.n = n
         self.k = k
         self.mask = mask
-        self._incidence: Optional[tuple[int, ...]] = None
 
     # ---- constructors -----------------------------------------------------
 
@@ -120,12 +124,9 @@ class TradeSet:
     # ---- geometry ---------------------------------------------------------
 
     def line_incidence(self) -> tuple[int, ...]:
-        if self._incidence is None:
-            m = self.mask
-            self._incidence = tuple(
-                (m & lm).bit_count() for lm in cube.line_masks(self.n, self.k)
-            )
-        return self._incidence
+        """Per line of ``cube.lines``, the number of support cells on it."""
+        m = self.mask
+        return tuple((m & lm).bit_count() for lm in cube.line_masks(self.n, self.k))
 
     def retract(self, coord: int, value: int) -> "TradeSet":
         out = cube.retract_mask(self.mask, self.n, self.k, coord, value)
@@ -145,9 +146,44 @@ class TradeSet:
         return TradeSet(self.n, self.k, self.mask ^ other.mask)
 
 
+def _line_meets(mask: int, n: int, k: int) -> Iterator[tuple[int, int, int, int]]:
+    """Per coordinate i, its digit stride s and the masks at1, at2, at3 of
+    the digit-0 cells whose line in direction i meets `mask` in at least 1,
+    2, 3 cells: the k digit planes shifted onto digit 0 and added bitwise."""
+    for i, planes in enumerate(cube.digit_masks(n, k)):
+        s = k ** (n - 1 - i)
+        at1 = at2 = at3 = 0
+        for a, plane in enumerate(planes):
+            p = (mask & plane) >> a * s
+            at3 |= at2 & p
+            at2 |= at1 & p
+            at1 |= p
+        yield s, at1, at2, at3
+
+
 def is_unitrade(S: TradeSet) -> bool:
-    """Every line meets S in 0 or 2 cells."""
-    return all(c in (0, 2) for c in S.line_incidence())
+    """Every line meets S in 0 or 2 cells: each line met once is met twice,
+    and none three times."""
+    return all(at1 == at2 and not at3 for _, at1, at2, at3 in _line_meets(S.mask, S.n, S.k))
+
+
+def _independent(n: int, k: int, *legs: int) -> bool:
+    """No leg has two cells on one line."""
+    return not any(at2 for leg in legs for _, _, at2, _ in _line_meets(leg, n, k))
+
+
+def _layers(mask: int, n: int, k: int) -> Iterator[int]:
+    """Breadth-first layers of the induced Hamming graph on `mask` from its
+    smallest cell: each is the unreached part of `mask` on the lines
+    through the last."""
+    layer = reached = mask & -mask
+    while layer:
+        yield layer
+        near = 0
+        for s, at1, _, _ in _line_meets(layer, n, k):
+            near |= sum(at1 << a * s for a in range(k))
+        layer = mask & near & ~reached
+        reached |= layer
 
 
 @dataclass(frozen=True)
@@ -193,60 +229,41 @@ class BipartiteTrade:
         return d
 
 
-def _support_adjacency(S: TradeSet, cell: int) -> list[int]:
-    """Support cells adjacent to `cell` (on a common line)."""
-    out = []
-    mask = S.mask
-    for li in cube.lines_through(S.n, S.k)[cell]:
-        for c in cube.lines(S.n, S.k)[li].cells:
-            if c != cell and (mask >> c) & 1:
-                out.append(c)
-    return out
+def _normalized(base: TradeSet, part0: int, part1: int) -> BipartiteTrade:
+    """The bitrade on `base` with legs part0 and part1, swapped so that
+    part0 holds the smallest support cell: the one rule for ordering legs."""
+    if base.mask:
+        low = (base.mask & -base.mask).bit_length() - 1
+        if not (part0 >> low) & 1:
+            part0, part1 = part1, part0
+    return BipartiteTrade(base, part0, part1)
 
 
 def bipartition(S: TradeSet) -> Optional[BipartiteTrade]:
     """2-color the induced Hamming subgraph; None when an odd cycle exists.
 
     Raises NotAUnitrade when S fails the line predicate.  Each component is
-    normalized so its lexicographically smallest cell lands in part0.
+    colored by the parity of its breadth-first layers from its smallest
+    cell, which lands in part0; the coloring is proper when no leg has two
+    cells on one line.
     """
     if not is_unitrade(S):
         raise NotAUnitrade(f"line incidence outside {{0,2}}: {S!r}")
-    color: dict[int, int] = {}
+    n, k = S.n, S.k
     part = [0, 0]
-    for start in S.cells():
-        if start in color:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            cu = color[u]
-            for v in _support_adjacency(S, u):
-                cv = color.get(v)
-                if cv is None:
-                    color[v] = 1 - cu
-                    queue.append(v)
-                elif cv == cu:
-                    return None
-    for c, col in color.items():
-        part[col] |= 1 << c
+    rest = S.mask
+    while rest:
+        for depth, layer in enumerate(_layers(rest, n, k)):
+            part[depth & 1] |= layer
+            rest ^= layer
+    if not _independent(n, k, *part):
+        return None
     return BipartiteTrade(S, part[0], part[1])
 
 
 def is_connected(S: TradeSet) -> bool:
-    cells = S.cells()
-    if not cells:
-        return True
-    seen = {cells[0]}
-    queue = [cells[0]]
-    while queue:
-        u = queue.pop()
-        for v in _support_adjacency(S, u):
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == len(cells)
+    """The layers grown from the smallest cell of S (disjoint) cover S."""
+    return sum(_layers(S.mask, S.n, S.k)) == S.mask
 
 
 class StructureReport(NamedTuple):

@@ -27,6 +27,45 @@ def random_q4_unitrade(rng):
     return U.apply_isometry(g)
 
 
+def unitrade_by_line_counts(S):
+    """Reference unitrade test, independent of the digit-plane view: one
+    popcount per line of ``cube.line_masks``."""
+    return all((S.mask & lm).bit_count() in (0, 2) for lm in cube.line_masks(S.n, S.k))
+
+
+def color_by_cells(S):
+    """Reference 2-coloring of the induced Hamming graph on S, independent
+    of the digit-plane view: a walk from cell to cell over
+    ``cube.lines_through``, each component from its smallest cell, which
+    gets color 0.  Returns (part0, part1, proper, components)."""
+    lines = cube.lines(S.n, S.k)
+    through = cube.lines_through(S.n, S.k)
+    color = {}
+    proper = True
+    components = 0
+    for start in S.cells():
+        if start in color:
+            continue
+        components += 1
+        color[start] = 0
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for li in through[u]:
+                for v in lines[li].cells:
+                    if v == u or v not in S:
+                        continue
+                    if v not in color:
+                        color[v] = 1 - color[u]
+                        stack.append(v)
+                    elif color[v] == color[u]:
+                        proper = False
+    parts = [0, 0]
+    for c, col in color.items():
+        parts[col] |= 1 << c
+    return parts[0], parts[1], proper, components
+
+
 def canonical_by_recursion(f):
     """Reference canonical form, independent of the class layer: the
     smaller of the retract recursion on f and on -f, the two signs of the

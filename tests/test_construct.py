@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from tritrade import cube
 from tritrade.construct import (
     BITRADE14_WITNESS,
     bitrade14,
@@ -317,6 +318,20 @@ class TestRmEmbed:
             F = rm_embed(U)
             assert F.weight == U.cardinality
             assert degree(F) <= U.n
+
+
+    def test_truth_table_is_the_bit_pair_coding(self):
+        # oracle: psi(b, b') = 2b + b' applied word by word over Q_2^(2n)
+        psi = {(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 3}
+        rng = random.Random(15)
+        for _ in range(300):
+            U = random_q4_unitrade(rng)
+            bits = 0
+            for c2, bword in enumerate(cube.all_words(2 * U.n, 2)):
+                word = tuple(psi[bword[2 * i], bword[2 * i + 1]] for i in range(U.n))
+                if cube.cell_of_word(word, 4) in U:
+                    bits |= 1 << c2
+            assert rm_embed(U) == BoolFn(2 * U.n, bits)
 
 
 class TestAlphabetHelpers:

@@ -184,6 +184,24 @@ class TestRetractClassCount:
     def test_parallel_agrees(self, n):
         assert count_by_retract_classes(n, jobs=2) == count_by_retract_classes(n)
 
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_no_unit_pins_the_zero_hyperplane(self, n, monkeypatch):
+        # the zero class is added as N(n - 1), never counted as a unit
+        from tritrade import enumeration
+
+        units = []
+        fan_out = enumeration._fan_out
+
+        def record(m, batch, jobs):
+            units.extend(batch)
+            return fan_out(m, batch, jobs)
+
+        monkeypatch.setattr(enumeration, "_fan_out", record)
+        assert count_by_retract_classes(n) == count_functions(n)
+        zero = enumeration._pinned((0,) * 3 ** (n - 1))
+        assert len(units) == len(classify_all(n - 1)[1]) - 1
+        assert all(doms != zero for _, doms in units)
+
 
 class TestSpectrum:
     def test_n1(self):

@@ -20,6 +20,7 @@ from tritrade.funcspace import (
     mobius,
     parity_counter,
     tern_from_trade,
+    trade_from_tern,
     u_from_bool,
 )
 from tritrade.trade import TradeSet, bipartition, is_unitrade
@@ -260,6 +261,24 @@ class TestLineSums:
             # sign classes are exactly the two legs
             pos = sum(1 << c for c, v in enumerate(f.values) if v > 0)
             assert pos in (B.part0, B.part1)
+
+
+class TestTradeFromTern:
+    @pytest.mark.parametrize(
+        "text",
+        ["+00", "++0", "+-0+-0000"],
+        ids=["support-not-a-unitrade", "leg-with-two-cells-on-a-line", "square-not-line-sum-zero"],
+    )
+    def test_rejects(self, text):
+        with pytest.raises(NotAUnitrade):
+            trade_from_tern(TernFn.from_text(text))
+
+    def test_legs_are_the_bipartition(self):
+        from tritrade.enumeration import enumerate_functions
+
+        for f in enumerate_functions(2):
+            B, A = trade_from_tern(f), bipartition(f.support())
+            assert (B.part0, B.part1) == (A.part0, A.part1)
 
 
 class TestSupportBounds:

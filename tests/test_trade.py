@@ -1,10 +1,14 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
+from helpers import color_by_cells, unitrade_by_line_counts
 
+from tritrade import cube
+from tritrade.construct import embed_in_alphabet, grid_cycle_bitrade, maximal_bitrade, product
 from tritrade.errors import EmptyCatalog, NotAUnitrade, OutOfRange
-from tritrade.funcspace import BoolFn, u_from_bool
+from tritrade.funcspace import BoolFn, mobius, u_from_bool
 from tritrade.trade import (
     BipartiteTrade,
     TradeSet,
@@ -31,7 +35,7 @@ class TestIsUnitrade:
     def test_single_point_fails(self):
         assert not is_unitrade(TradeSet.from_words(1, 3, [(0,)]))
 
-    def test_incidence_cached(self):
+    def test_line_incidence(self):
         S = TradeSet.from_words(2, 3, [(0, 0), (0, 1), (1, 0), (1, 1)])
         assert S.line_incidence().count(2) == 4
 
@@ -106,6 +110,90 @@ class TestStructure:
             parts = {B.part0, B.part1}
             again = bipartition(B.base)
             assert {again.part0, again.part1} == parts
+
+
+def _ternary_sample(n, rng):
+    """200 unitrades U[f] at n, half with 1..3 ANF terms, each followed by
+    a one-cell flip."""
+    out = []
+    for j in range(200):
+        if j % 2:
+            anf = rng.getrandbits(1 << n)
+        else:
+            anf = sum(1 << rng.randrange(1 << n) for _ in range(rng.randint(1, 3)))
+        U = u_from_bool(mobius(BoolFn(n, anf)))
+        out += [U, TradeSet(n, 3, U.mask ^ (1 << rng.randrange(3 ** n)))]
+    return out
+
+
+def _reread(S, k):
+    """The cells of S read as words over the larger alphabet k."""
+    cells = (cube.cell_of_word(w, k) for w in S.words())
+    return TradeSet.from_cells(S.n, k, cells)
+
+
+def _wide_sample(k, rng):
+    """150 sets in Q_k^n, n <= 3, each under a random isometry and followed
+    by a one-cell flip: re-read ternary unitrades at n = 3, grid cycles, a
+    product with a grid cycle, two disjoint boolean cubes {0,1}^n and
+    {2,3}^n, and sparse sets."""
+    pair = embed_in_alphabet(maximal_bitrade(1), k)
+    builders = [
+        lambda: _reread(u_from_bool(BoolFn(3, rng.getrandbits(8))), k),
+        lambda: grid_cycle_bitrade(k).base,
+        lambda: product(grid_cycle_bitrade(k), pair).base,
+        lambda: TradeSet.from_words(
+            n := rng.randint(2, 3),
+            k,
+            [w for w in cube.all_words(n, 4) if len({d // 2 for d in w}) == 1],
+        ),
+        lambda: TradeSet(
+            n := rng.randint(1, 3), k, rng.getrandbits(k ** n) & rng.getrandbits(k ** n)
+        ),
+    ]
+    out = []
+    for j in range(150):
+        S = builders[j % len(builders)]()
+        S = S.apply_isometry(cube.Isometry.random(rng, S.n, k, allow_sign=False))
+        out += [S, TradeSet(S.n, k, S.mask ^ (1 << rng.randrange(k ** S.n)))]
+    return out
+
+
+_ORACLE_SAMPLES = {
+    "all-n<=2": lambda rng: [TradeSet(n, 3, m) for n in range(3) for m in range(1 << 3 ** n)],
+    **{f"n={n}": lambda rng, n=n: _ternary_sample(n, rng) for n in range(3, 7)},
+    **{f"k={k}": lambda rng, k=k: _wide_sample(k, rng) for k in (4, 5)},
+}
+
+
+@pytest.mark.parametrize("sample", list(_ORACLE_SAMPLES))
+def test_predicates_agree_with_line_oracles(sample):
+    # the oracles walk cube.line_masks and cube.lines_through, which the
+    # digit-plane view never reads
+    seen = Counter()
+    for S in _ORACLE_SAMPLES[sample](random.Random(sample)):
+        part0, part1, proper, components = color_by_cells(S)
+        unitrade = unitrade_by_line_counts(S)
+        assert is_unitrade(S) == unitrade, S.to_text()
+        assert is_connected(S) == (components <= 1), S.to_text()
+        seen["connected" if components <= 1 else "disconnected"] += 1
+        if not unitrade:
+            with pytest.raises(NotAUnitrade):
+                bipartition(S)
+            seen["not a unitrade"] += 1
+            continue
+        B = bipartition(S)
+        if proper:
+            assert (B.part0, B.part1) == (part0, part1), S.to_text()
+        else:
+            assert B is None, S.to_text()
+        seen["bitrade" if proper else "odd cycle"] += 1
+        seen["disconnected unitrade"] += components > 1
+    assert {"connected", "disconnected", "not a unitrade", "bitrade"} <= set(seen), seen
+    # every ternary unitrade at n <= 2 is a bitrade
+    assert bool(seen["odd cycle"]) == (sample != "all-n<=2"), seen
+    # two disjoint boolean cubes in Q_k^n, colored component by component
+    assert bool(seen["disconnected unitrade"]) == sample.startswith("k="), seen
 
 
 class TestMod3:
