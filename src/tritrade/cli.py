@@ -99,8 +99,9 @@ def _cmd_enumerate(args, argv) -> int:
                 total = enumeration.count_by_retract_classes(n, jobs=jobs)
             else:
                 print(
-                    f"count capped at n={enumeration.COUNT_MAX_N + 1}; n=6 counts through"
-                    " the 92 n=5 classes in about 1.5 min and needs --allow-big",
+                    f"count capped at n={enumeration.COUNT_MAX_N + 1}; n=6 adds N(5) to the"
+                    " completions of the 91 nonzero n=5 classes, about half a minute with"
+                    " --jobs 2, and needs --allow-big",
                     file=sys.stderr,
                 )
                 return EXIT_RESOURCE

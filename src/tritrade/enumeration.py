@@ -17,9 +17,14 @@ big-integer operations, never a loop over its cells: restricting the
 digit-1 domains, the empty-cell check, forcing the digit-2 layer, and the
 support weight (L minus the bits of the 0 plane).  At n <= 2 the solutions
 inside a domain vector D are the f with f & D == f among the 3, 7 or 31
-one-hot solutions.  Value tuples are read off a solution's octal digits.
+one-hot solutions.
 
-Counting reuses the recursion with a memo on the n = 2 domain vectors.
+One memo, _MEMO2, maps an n = 2 domain vector to the tuple of its
+solutions; the stream iterates an entry and the count takes its length,
+so both recursions stop at n = 2 on the same table.  A streamed solution
+is decoded once: its octal digits, translated to signed bytes, are
+unpacked into the value tuple by one cached struct call per n, and its
+cardinality is read off the 0 plane, so the TernFn never counts its zeros.
 The direct count stops at n = 5; N(6) is counted through the n = 5 classes.
 One cached class layer, `_class_layer(n)` for n <= 5, serves every
 class-based count: it keeps the first completion of an n-1 representative
@@ -35,11 +40,11 @@ strings because the dimension-7 reference values overflow 64 bits.
 from __future__ import annotations
 
 import itertools
-from array import array
+import struct
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import cube
 from .errors import BrokenInvariant, DimensionTooLarge, DimensionTooSmall
@@ -139,9 +144,19 @@ def _branches(n: int, doms: int) -> Iterator[tuple[int, tuple[int, int, int], in
         yield f0, tw, d1p if (d1p | d1p >> 1 | d1p >> 2) & b0 == b0 else 0
 
 
+_MEMO2: dict[int, tuple[int, ...]] = {}
+
+
 def _enum(n: int, doms: int) -> Iterable[int]:
-    """All packed solutions inside `doms`, lex-ascending under -1 < 0 < +1."""
-    if n <= 2:
+    """All packed solutions inside `doms`, lex-ascending under -1 < 0 < +1.
+    At n = 2 the solutions of a domain vector are kept in _MEMO2, which the
+    stream and the count share."""
+    if n == 2:
+        sols = _MEMO2.get(doms)
+        if sols is None:
+            sols = _MEMO2[doms] = tuple(f for f, _ in _solutions(2) if f & doms == f)
+        return sols
+    if n < 2:
         return [f for f, _ in _solutions(n) if f & doms == f]
     return _enum_split(n, doms)
 
@@ -149,10 +164,11 @@ def _enum(n: int, doms: int) -> Iterable[int]:
 def _enum_split(n: int, doms: int) -> Iterator[int]:
     w = 3 ** n
     b0 = _b0(3 ** (n - 1))
+    b1 = b0 << 1
     for f0, (z, m, p), d1p in _branches(n, doms):
         if d1p:
             for f1 in _enum(n - 1, d1p):
-                r1 = _mirror(f1, b0)
+                r1 = (f1 & b0) << 2 | f1 & b1 | (f1 >> 2) & b0  # _mirror(f1, b0)
                 f2 = r1 & z | (r1 << 1) & m | (r1 >> 1) & p
                 yield f0 | f1 << w | f2 << 2 * w
 
@@ -165,23 +181,24 @@ def _solutions(n: int) -> tuple[tuple[int, tuple[int, int, int]], ...]:
     return tuple((f, _twist(f, b0)) for f in sols)
 
 
-def _values(f: int) -> tuple[int, ...]:
-    """Value tuple of a packed solution: its octal digits, cell 0 first,
-    read as signed bytes."""
-    return tuple(array("b", oct(f)[:1:-1].encode().translate(_DIGIT_VALUE)))
+@lru_cache(maxsize=None)
+def _decoder(n: int) -> Callable[[int], tuple[int, ...]]:
+    """Packed solution at dimension n to its value tuple: the octal digits,
+    cell 0 first, translated once to signed bytes and unpacked in one call."""
+    unpack = struct.Struct(f"{3 ** n}b").unpack
 
+    def decode(f: int) -> tuple[int, ...]:
+        return unpack(oct(f)[:1:-1].encode().translate(_DIGIT_VALUE))
 
-_MEMO2: dict[int, int] = {}
+    return decode
 
 
 def _count(n: int, doms: int) -> int:
+    if n == 2:  # the length of the stream's memo entry, read in place
+        sols = _MEMO2.get(doms)
+        return len(_enum(2, doms) if sols is None else sols)
     if n < 2:
         return len(_enum(n, doms))
-    if n == 2:
-        r = _MEMO2.get(doms)
-        if r is None:
-            r = _MEMO2[doms] = len(_enum(2, doms))
-        return r
     total = 0
     for _, _, d1p in _branches(n, doms):
         if d1p:
@@ -202,8 +219,12 @@ def enumerate_functions(
     """Stream every line-sum-zero function once, in lex cell order."""
     if n > STREAM_MAX_N:
         raise DimensionTooLarge(f"streaming capped at n={STREAM_MAX_N}")
-    for f in _enum(n, _packed_domains(n, cell_domains)):
-        yield TernFn(n, _values(f))
+    doms = _packed_domains(n, cell_domains)  # first: it rejects n < 0
+    cells, b0 = 3 ** n, _b0(3 ** n)
+    decode, new = _decoder(n), TernFn._unchecked
+    for f in _enum(n, doms):
+        # the 0 plane counts the zeros
+        yield new(n, decode(f), cells - ((f >> 1) & b0).bit_count())
 
 
 COUNT_MAX_N = 5
@@ -380,7 +401,8 @@ def _class_layer(n: int) -> tuple[tuple[ClassRecord, ...], dict[bytes, int]]:
     for f in candidates:
         code = oct(f)[:1:-1].encode().translate(_DIGIT_CODE)
         kept.setdefault(_retract_class_key(code, n, below), f)
-    reps = {key: TernFn(n, _values(f)) for key, f in kept.items()}
+    decode = _decoder(n)
+    reps = {key: TernFn(n, decode(f)) for key, f in kept.items()}
     # reps is in lex order, so a stable sort by cardinality orders the
     # records by (cardinality, values)
     keys = sorted(reps, key=lambda k: reps[k].cardinality)

@@ -149,13 +149,22 @@ _TERN_VALS = {"-": -1, "0": 0, "+": 1}
 
 
 class TernFn:
-    __slots__ = ("n", "values")
+    __slots__ = ("n", "values", "_cardinality")
 
     def __init__(self, n: int, values: tuple[int, ...]):
         if len(values) != 3 ** n:
             raise ValueError("value vector length mismatch")
         self.n = n
         self.values = values
+        self._cardinality = None
+
+    @classmethod
+    def _unchecked(cls, n: int, values: tuple[int, ...], cardinality: int) -> "TernFn":
+        """A function whose values and cardinality the caller vouches for,
+        built without checks (the enumeration's stream)."""
+        f = object.__new__(cls)
+        f.n, f.values, f._cardinality = n, values, cardinality
+        return f
 
     @staticmethod
     def zero(n: int) -> "TernFn":
@@ -183,7 +192,10 @@ class TernFn:
 
     @property
     def cardinality(self) -> int:
-        return len(self.values) - self.values.count(0)
+        c = self._cardinality
+        if c is None:
+            c = self._cardinality = len(self.values) - self.values.count(0)
+        return c
 
     def support(self) -> TradeSet:
         m = 0
@@ -266,9 +278,18 @@ def tern_from_trade(B: BipartiteTrade) -> TernFn:
     return TernFn(B.n, tuple(vals))
 
 
+def _check_signs(values: Sequence[int]) -> None:
+    # any other value would be read as its sign, negated or encoded into a
+    # key of another function
+    if not set(values) <= {-1, 0, 1}:
+        raise ValueError("expected a {-1,0,+1}-valued function")
+
+
 def trade_from_tern(f: TernFn) -> BipartiteTrade:
-    """Bitrade whose legs are the sign classes of f; NotAUnitrade unless
-    the support is a unitrade and no leg has two cells on one line."""
+    """Bitrade whose legs are the sign classes of f; ValueError for a
+    value outside {-1,0,+1}, NotAUnitrade unless the support is a unitrade
+    and no leg has two cells on one line."""
+    _check_signs(f.values)
     p0 = sum(1 << c for c, v in enumerate(f.values) if v > 0)
     p1 = sum(1 << c for c, v in enumerate(f.values) if v < 0)
     base = TradeSet(f.n, 3, p0 | p1)
@@ -306,16 +327,22 @@ def u_from_bool(f: BoolFn) -> TradeSet:
     return TradeSet(f.n, 3, mask)
 
 
+@lru_cache(maxsize=None)
+def _binary_cells(n: int) -> tuple[int, ...]:
+    """The cell of Q_3^n of every word of Q_2^n, in Q_2^n cell order."""
+    return tuple(cube.cell_of_word(w, 3) for w in cube.all_words(n, 2))
+
+
 def bool_from_unitrade(U: TradeSet) -> BoolFn:
     """The unique f with u_from_bool(f) = U: restriction of chi_U to Q_2^n."""
     if U.k != 3:
         raise ValueError("the bijection is specific to k=3")
-    n = U.n
+    mask = U.mask
     bits = 0
-    for c2, word in enumerate(cube.all_words(n, 2)):
-        if cube.cell_of_word(word, 3) in U:
+    for c2, c3 in enumerate(_binary_cells(U.n)):
+        if mask >> c3 & 1:
             bits |= 1 << c2
-    f = BoolFn(n, bits)
+    f = BoolFn(U.n, bits)
     if u_from_bool(f).mask != U.mask:
         raise NotAUnitrade("restriction does not reproduce the set")
     return f

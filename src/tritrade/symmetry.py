@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Sequence
 from . import cube
 from .cube import Isometry
 from .errors import OrbitTooLarge
-from .funcspace import LineSumKind, TernFn, line_sums
+from .funcspace import LineSumKind, TernFn, _check_signs, line_sums
 
 _SYM3 = tuple(itertools.permutations((0, 1, 2)))
 _ID3 = (0, 1, 2)
@@ -89,12 +89,6 @@ _FLIP = bytes.maketrans(b"\x00\x02", b"\x02\x00")  # the sign flip on encoded va
 
 def _encode(values: Sequence[int]) -> bytes:
     return bytes(v + 1 for v in values)
-
-
-def _check_signs(values: Sequence[int]) -> None:
-    # any other value would be negated or encoded into a key of another function
-    if not set(values) <= {-1, 0, 1}:
-        raise ValueError("the isometry group acts on {-1,0,+1}-valued functions")
 
 
 # ---------------------------------------------------------------------------

@@ -119,3 +119,23 @@ def random_n5_function(rng, fl4):
         f1 = rng.choice(fl4).values
         if all(-1 <= a + b <= 1 for a, b in zip(f0, f1)):
             return TernFn(5, f0 + f1 + tuple(-a - b for a, b in zip(f0, f1)))
+
+
+_ONE_HOT = {1: -1, 2: 0, 4: 1}  # octal digit of a packed solution to its value
+
+
+def values_from_packed(f, n):
+    """Reference decode of a packed solution, independent of the
+    enumeration's decoder: cell c is the octal digit c of f, read with
+    shifts and a dict."""
+    return tuple(_ONE_HOT[f >> 3 * c & 7] for c in range(3 ** n))
+
+
+def bool_by_word_walk(U):
+    """Reference restriction of a ternary set to Q_2^n: a walk over the
+    words of Q_2^n and their cells in Q_3^n."""
+    bits = 0
+    for c2, word in enumerate(cube.all_words(U.n, 2)):
+        if cube.cell_of_word(word, 3) in U:
+            bits |= 1 << c2
+    return bits

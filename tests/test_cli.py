@@ -98,6 +98,7 @@ class TestEnumerateCommand:
         assert code == EXIT_RESOURCE
         code, _, err = run(capsys, "enumerate", "--n", "6", "--mode", "count")
         assert code == EXIT_RESOURCE  # needs --allow-big
+        assert "91 nonzero n=5 classes" in err and "--allow-big" in err
         code, _, err = run(capsys, "enumerate", "--n", "6", "--mode", "count", "--jobs", "2")
         assert code == EXIT_RESOURCE  # needs --allow-big
         code, _, err = run(capsys, "enumerate", "--n", "7", "--mode", "count", "--allow-big")

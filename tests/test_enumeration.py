@@ -5,7 +5,7 @@ from dataclasses import FrozenInstanceError
 from functools import lru_cache
 
 import pytest
-from helpers import canonical_by_recursion
+from helpers import canonical_by_recursion, values_from_packed
 
 from tritrade.enumeration import (
     classify_all,
@@ -138,6 +138,58 @@ class TestCount:
         # N(6) is counted through the n = 5 classes, never directly
         with pytest.raises(DimensionTooLarge):
             count_functions(6)
+
+
+class TestStreamDecode:
+    """Streamed functions against the packed solutions they decode, read by
+    a reference decode that shares no code with the enumeration's."""
+
+    @staticmethod
+    def _check(n, doms):
+        from tritrade import enumeration
+
+        packed = list(enumeration._enum(n, enumeration._packed_domains(n, doms)))
+        fns = list(enumerate_functions(n, doms))
+        assert len(fns) == len(packed)
+        for f, p in zip(fns, packed):
+            values = values_from_packed(p, n)
+            assert f.values == values
+            assert f.cardinality == len(values) - values.count(0)
+            g = TernFn(n, values)
+            assert f == g and hash(f) == hash(g)
+        return len(fns)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_full_streams(self, n):
+        assert self._check(n, None) == N_FUNCTIONS[n]
+
+    def test_pinned_n5_hyperplanes(self):
+        rng = random.Random(16)
+        fl4 = list(enumerate_functions(4))
+        for _ in range(4):
+            f0 = rng.choice(fl4).values
+            assert self._check(5, [(v,) for v in f0] + [FREE] * 162) > 0
+
+    @pytest.mark.parametrize("count_first", [True, False], ids=["count-first", "stream-first"])
+    def test_count_equals_stream_on_a_fresh_memo(self, count_first, monkeypatch):
+        # the stream and the count share the n = 2 memo: whichever fills an
+        # entry, the other reads the same solutions
+        from tritrade import enumeration
+
+        rng = random.Random(18)
+        fl4 = list(enumerate_functions(4))
+        cases = [(n, _random_domains(rng, n)) for n in (2, 3, 4) for _ in range(4)]
+        cases += [(5, [(v,) for v in rng.choice(fl4).values] + [FREE] * 162) for _ in range(2)]
+        for n, doms in cases:
+            monkeypatch.setattr(enumeration, "_MEMO2", {})
+            if count_first:
+                count = count_functions(n, doms)
+                streamed = sum(1 for _ in enumerate_functions(n, doms))
+            else:
+                streamed = sum(1 for _ in enumerate_functions(n, doms))
+                count = count_functions(n, doms)
+            assert count == streamed
+            assert enumeration._MEMO2
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from helpers import bool_by_word_walk
 
 from tritrade import funcspace
 from tritrade.cube import below
@@ -105,6 +106,23 @@ class TestBoolFromUnitrade:
     def test_rejects_non_unitrade(self):
         with pytest.raises(NotAUnitrade):
             bool_from_unitrade(TradeSet.from_words(1, 3, [(0,)]))
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_restriction_matches_word_walk(self, n):
+        # seeded unitrades and random sets, most of them no unitrade: the
+        # cell table reads the restriction a walk over the words reads, and
+        # the round trip rejects every set that restriction does not rebuild
+        rng = random.Random(40 + n)
+        for _ in range(30):
+            U = u_from_bool(BoolFn(n, rng.getrandbits(1 << n)))
+            assert bool_from_unitrade(U).bits == bool_by_word_walk(U)
+            S = TradeSet(n, 3, rng.getrandbits(3 ** n))
+            bits = bool_by_word_walk(S)
+            if u_from_bool(BoolFn(n, bits)).mask == S.mask:
+                assert bool_from_unitrade(S).bits == bits
+            else:
+                with pytest.raises(NotAUnitrade):
+                    bool_from_unitrade(S)
 
 
 class TestMobius:
@@ -272,6 +290,14 @@ class TestTradeFromTern:
     def test_rejects(self, text):
         with pytest.raises(NotAUnitrade):
             trade_from_tern(TernFn.from_text(text))
+
+    @pytest.mark.parametrize(
+        "n,values", [(1, (2, -1, 0)), (1, (0, -2, 1)), (2, (1, -1, 0, -1, 1, 0, 0, 0, 3))]
+    )
+    def test_rejects_values_outside_signs(self, n, values):
+        # read as signs, (2, -1, 0) gave legs 1/2 on a line that sums to 1
+        with pytest.raises(ValueError):
+            trade_from_tern(TernFn(n, values))
 
     def test_legs_are_the_bipartition(self):
         from tritrade.enumeration import enumerate_functions

@@ -12,3 +12,23 @@ def test_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"assert statements in src: {found}"
+
+
+def test_no_process_global_gc_settings():
+    # a package must not buy speed by changing the collector for its caller
+    banned = {"disable", "freeze", "set_threshold"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "gc"
+                and node.attr in banned
+            ) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "gc"
+                and banned & {a.name for a in node.names}
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"gc settings changed in src: {found}"
