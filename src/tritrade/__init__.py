@@ -52,9 +52,6 @@ from .symmetry import (
     ClassRecord,
     aut_order,
     canonical_form,
-    classify,
-    double_count_check,
-    orbit,
 )
 from .construct import (
     TernaryCode,

@@ -1,30 +1,30 @@
 """Isometry-group action on ternary functions: orbits, canonical forms,
-automorphism orders, and equivalence classification.
+automorphism orders and equivalence.
 
 The group is generated by coordinate permutations and by independent symbol
 permutations inside each coordinate, extended by a global sign flip (the
 flip swaps the two legs of a bitrade; without it the one-point cube would
 already split {-1,0,+1} into three classes instead of the two observed).
-Order: 2 * n! * 6^n for k = 3.
+Order: 2 * n! * 6^n for k = 3.  Five elements generate it (`generators`):
+the symbol transposition and 3-cycle at coordinate 0, the coordinate
+transposition (0 1), the coordinate n-cycle and the sign flip.
+`orbit_values` closes orbits under them.
 
 Equivalence and isometry counts recurse on aligned retract lists instead
 of walking the group: an isometry of dimension m is a choice of source
 coordinate and value order for target coordinate 0 followed by one
 isometry of dimension m-1 applied to every retract.  This matcher is the
-layer's one retract recursion; it reads retracts through
-``cube.retract_splitters``, counts the branches that reproduce g's runs of
-3^m consecutive cells, and memoises its sub-problems for one call.
+layer's one retract recursion.  It counts the branches that reproduce g's
+runs of 3^m consecutive cells, over a face table made for each call: every
+value tuple the search meets is interned to a small id, split once per
+coordinate through ``cube.retract_splitters``, and a node is the tuple of
+its members' ids, which is also its memo key.
 
 Canonical forms are not searched for: the class layer
 (``enumeration._class_layer``, n <= 5) keeps each class's lex-minimal
 member as its representative, and `canonical_form` looks f's class up
-there.
-
-`classify` is the reference classification that the production class
-layer (``enumeration._class_layer``) is tested against: it closes orbits
-under a small generator set with hashed membership, and takes automorphism
-orders from the isometry matcher, an independent computation, so the
-orbit-stabilizer identity is a real cross-check rather than a restatement.
+there.  Orbit closure and the matcher share no code, so orbit size times
+automorphism order equal to the group order is a real cross-check of both.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from operator import itemgetter, methodcaller
+from typing import Callable, Sequence
 
 from . import cube
 from .cube import Isometry
@@ -50,20 +50,21 @@ def group_order(n: int) -> int:
 
 
 def generators(n: int) -> list[Isometry]:
-    """Adjacent coordinate transpositions, one symbol transposition and one
-    3-cycle per coordinate, and the sign flip."""
-    gens = []
+    """Five generators of the group (fewer at n <= 2): the symbol
+    transposition (0 1) and the symbol 3-cycle at coordinate 0, which give
+    S3 there; the coordinate transposition (0 1) and the coordinate n-cycle,
+    which give S_n and carry that S3 to every coordinate; and the sign
+    flip."""
     ident = tuple(range(n))
-    for i in range(n - 1):
-        cp = list(ident)
-        cp[i], cp[i + 1] = cp[i + 1], cp[i]
-        gens.append(Isometry(tuple(cp), (_ID3,) * n))
-    for i in range(n):
-        for sp in ((1, 0, 2), (1, 2, 0)):
-            sps = [_ID3] * n
-            sps[i] = sp
-            gens.append(Isometry(ident, tuple(sps)))
-    gens.append(Isometry(ident, (_ID3,) * n, sign_flip=True))
+    plain = (_ID3,) * n
+    gens = []
+    if n >= 1:
+        gens += [Isometry(ident, (sp,) + plain[1:]) for sp in ((1, 0, 2), (1, 2, 0))]
+    if n >= 2:
+        gens.append(Isometry((1, 0) + ident[2:], plain))
+    if n >= 3:
+        gens.append(Isometry(ident[1:] + (0,), plain))
+    gens.append(Isometry(ident, plain, sign_flip=True))
     return gens
 
 
@@ -147,18 +148,13 @@ def orbit_values(values: tuple[int, ...], n: int, limit: int = DEFAULT_ORBIT_LIM
     return seen
 
 
-def orbit(f: TernFn, limit: int = DEFAULT_ORBIT_LIMIT) -> set[TernFn]:
-    keys = orbit_values(f.values, f.n, limit)
-    return {TernFn(f.n, tuple(b - 1 for b in key)) for key in keys}
-
-
 def aut_order(f: TernFn) -> int:
     """Number of group elements fixing f, counted by the isometry matcher."""
     return count_isometries_onto(f, f)
 
 
 # ---------------------------------------------------------------------------
-# Classification
+# Class records and the isometry matcher
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -180,33 +176,6 @@ class ClassRecord:
         }
 
 
-def classify(stream: Iterable[TernFn], n: int) -> list[ClassRecord]:
-    """Partition a stream (each function exactly once) into orbit classes:
-    the reference for the class layer.
-
-    Orbit sizes come from generator closure and automorphism orders from the
-    isometry matcher, two independent computations, making
-    orbit * aut == group order a nontrivial invariant.  Records are sorted by
-    cardinality, then by value tuple.
-    """
-    seen: set[bytes] = set()
-    orbits: list[tuple[TernFn, int]] = []
-    for f in stream:
-        if _encode(f.values) in seen:
-            continue
-        members = orbit_values(f.values, n)
-        seen |= members
-        orbits.append((f, len(members)))
-    records = [ClassRecord(f, size, aut_order(f)) for f, size in orbits]
-    records.sort(key=lambda r: (r.cardinality, r.representative.values))
-    return records
-
-
-def double_count_check(classes: Sequence[ClassRecord], expected_total: int, n: int) -> bool:
-    """Sum of group_order/aut over classes must reproduce the plain count."""
-    return sum(group_order(n) // rec.aut for rec in classes) == expected_total
-
-
 def equivalent(f: TernFn, g: TernFn) -> bool:
     """Whether some isometry (with optional sign flip) maps f to g."""
     return _match_count(f, g, find_one=True) > 0
@@ -220,60 +189,128 @@ def count_isometries_onto(f: TernFn, g: TernFn) -> int:
 def _match_count(f: TernFn, g: TernFn, find_one: bool) -> int:
     """Backtracking matcher, the retract recursion of the symmetry layer.
 
-    Every node sends its source coordinate to target coordinate 0, so at
-    level m the i-th aligned list member must become the i-th run of 3^m
-    consecutive cells of g.  The value counts of those runs, computed once
-    per call, prune each (coordinate, value order); the count below a node
-    depends only on its aligned list, the memo key for the whole call, so
-    a symmetric function pays for each distinct list once rather than once
-    per automorphism.  With find_one the search stops at the first match
-    and the result is only meaningful as zero or nonzero.  Raises
-    ValueError on a value outside {-1,0,+1} in f or g."""
+    Every node sends a source coordinate to target coordinate 0, so at
+    level m the i-th member of the aligned list must become the i-th run
+    of 3^m consecutive cells of g, and the profiles of that run's three
+    thirds prune each (coordinate, value order).  Every value tuple the
+    search meets is interned in a face table made for this call and
+    dropped when it returns.  A node is a tuple of the ids of its members:
+    its work is table lookups, and it is the memo key.  Ids are equal
+    exactly when the contents are, so a symmetric function pays for each
+    distinct sub-problem once rather than once per automorphism.  With
+    find_one the search stops at the first match and the result is only
+    meaningful as zero or nonzero.  Raises ValueError on a value outside
+    {-1,0,+1} in f or g."""
     _check_signs(f.values)
     _check_signs(g.values)
     if f.n != g.n:
         return 0
-    n = f.n
-    # targets[m]: at m = 0 the leaf list itself; above, per value order, the
-    # counts that the retracts (member i, value d) must have: those of run
-    # 3i + order.index(d) of 3^(m-1) cells
-    targets: list[tuple] = [tuple((v,) for v in g.values)]
-    for size in (3 ** m for m in range(n)):
-        runs = [_profile(g.values[i:i + size]) for i in range(0, 3 ** n, size)]
-        targets.append(tuple(
-            tuple(runs[i + order.index(d)] for i in range(0, len(runs), 3) for d in range(3))
-            for order in _SYM3
-        ))
-    memo: dict[tuple, int] = {}
+    table = _FaceTable(g.values, g.n)
+    memo: dict[tuple[int, ...], int] = {}
     total = 0
     for fv in (f.values, tuple(-v for v in f.values)):
-        total += _match_rec((fv,), n, targets, memo, find_one)
+        total += _match_rec((table.intern(fv),), f.n, table, memo, find_one)
         if find_one and total:
             return total
     return total
 
 
-def _profile(values: tuple[int, ...]) -> tuple[int, int]:
-    return values.count(1), values.count(-1)
+# per value order: the retract-id triple of a member read in that order,
+# and g's profile triple put in the order of the retracts it must match
+_ORDER_GETS = tuple(itemgetter(*order) for order in _SYM3)
+_TARGET_GETS = tuple(itemgetter(*(order.index(d) for d in range(3))) for order in _SYM3)
+_PLUS, _MINUS = methodcaller("count", 1), methodcaller("count", -1)
 
 
-def _match_rec(fs: tuple, m: int, targets: list[tuple], memo: dict, find_one: bool) -> int:
+class _FaceTable:
+    """The value tuples of one matcher call, each interned to a small int
+    id, and what the search reads about them.
+
+    counts[i]: the (#+1, #-1) pair of id i.  cuts[c][i] and
+    profiles[c][i], built the first time a node splits id i at its local
+    coordinate c: the ids of i's three retracts there and their profile
+    triple, the three pairs.  A node prunes each coordinate on the tuple of
+    its members' profile triples and cuts the children of a kept branch
+    from their retract ids.
+
+    wants[m], built the first time the search reaches level m: each tuple
+    of profile triples a level-m node may show, mapped to the value orders
+    that it admits.  It is read off g's runs of 3^(m-1) cells, three to a
+    member.
+    """
+
+    __slots__ = ("ids", "values", "counts", "cuts", "profiles", "target", "wants")
+
+    def __init__(self, target: tuple[int, ...], n: int):
+        self.ids: dict[tuple[int, ...], int] = {}
+        self.values: list[tuple[int, ...]] = []
+        self.counts: list[tuple[int, int]] = []
+        self.cuts: list[dict[int, tuple[int, int, int]]] = [{} for _ in range(n)]
+        self.profiles: list[dict[int, tuple]] = [{} for _ in range(n)]
+        self.target = target
+        self.wants: dict[int, dict[tuple, list]] = {}
+
+    def intern(self, values: tuple[int, ...]) -> int:
+        i = self.ids.get(values)
+        if i is None:
+            i = self.ids[values] = len(self.values)
+            self.values.append(values)
+            self.counts.append((values.count(1), values.count(-1)))
+        return i
+
+    def split(self, fs: tuple[int, ...], c: int, m: int) -> tuple:
+        """The profile triples of the members of fs at coordinate c, each
+        member split there once."""
+        split = cube.retract_splitters(m)[c]
+        known, counts = self.ids.get, self.counts
+        cuts, profiles = self.cuts[c], self.profiles[c]
+        for i in fs:
+            if i not in cuts:
+                thirds = split(self.values[i])
+                ids = tuple(map(known, thirds))
+                if None in ids:
+                    ids = tuple(map(self.intern, thirds))
+                cuts[i] = ids
+                profiles[i] = (counts[ids[0]], counts[ids[1]], counts[ids[2]])
+        return tuple(map(profiles.__getitem__, fs))
+
+    def want(self, m: int) -> dict[tuple, list]:
+        size = 3 ** (m - 1)
+        g = self.target
+        runs = [g[k:k + size] for k in range(0, len(g), size)]
+        pairs = list(zip(map(_PLUS, runs), map(_MINUS, runs)))
+        triples = list(zip(pairs[0::3], pairs[1::3], pairs[2::3]))
+        want = self.wants[m] = {}
+        for order_get, target_get in zip(_ORDER_GETS, _TARGET_GETS):
+            want.setdefault(tuple(map(target_get, triples)), []).append(order_get)
+        return want
+
+
+def _match_rec(fs: tuple[int, ...], m: int, table: _FaceTable, memo: dict, find_one: bool) -> int:
     if m == 0:
-        # the counts checked one level up fix every leaf; only n = 0 needs this
-        return 1 if fs == targets[0] else 0
+        # the profiles matched one level up fix every leaf; only n = 0 needs this
+        return 1 if table.values[fs[0]] == table.target else 0
     hit = memo.get(fs)
     if hit is not None:
         return hit
+    wants = table.wants.get(m) or table.want(m)
+    profiles, cuts = table.profiles, table.cuts
     total = 0
-    for split in cube.retract_splitters(m):
-        blocks = [split(f) for f in fs]
-        counts = tuple(_profile(b) for triple in blocks for b in triple)
-        for order, want in zip(_SYM3, targets[m]):
-            if counts == want:
+    for c in range(m):
+        try:
+            counts = tuple(map(profiles[c].__getitem__, fs))
+        except KeyError:
+            counts = table.split(fs, c, m)
+        for get in wants.get(counts, ()):
+            if m == 1:
+                # the matched profiles fix every leaf
+                total += 1
+            else:
                 # the aligned list one level down: each member's retracts in value order
-                children = tuple(b[d] for b in blocks for d in order)
-                total += _match_rec(children, m - 1, targets, memo, find_one)
-                if find_one and total:
-                    return total
+                retracts = map(cuts[c].__getitem__, fs)
+                children = tuple(itertools.chain.from_iterable(map(get, retracts)))
+                total += _match_rec(children, m - 1, table, memo, find_one)
+            if find_one and total:
+                return total
     memo[fs] = total
     return total

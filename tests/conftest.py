@@ -1,8 +1,9 @@
 import os
 
 import pytest
+from helpers import classify
 
-from tritrade import enumeration, monomial, symmetry
+from tritrade import enumeration, monomial
 
 
 def pytest_collection_modifyitems(config, items):
@@ -28,7 +29,7 @@ def classes4():
 def closure4():
     """The n = 4 reference classes by orbit closure, independent of the
     class layer."""
-    return symmetry.classify(enumeration.enumerate_functions(4), 4)
+    return classify(enumeration.enumerate_functions(4), 4)
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,13 @@ from tritrade import cube
 from tritrade.construct import embed_in_alphabet, grid_cycle_bitrade
 from tritrade.cube import Isometry
 from tritrade.funcspace import BoolFn, TernFn, u_from_bool
+from tritrade.symmetry import (
+    DEFAULT_ORBIT_LIMIT,
+    ClassRecord,
+    aut_order,
+    group_order,
+    orbit_values,
+)
 from tritrade.trade import bipartition
 
 _SYM3 = tuple(itertools.permutations((0, 1, 2)))
@@ -139,3 +146,87 @@ def bool_by_word_walk(U):
         if cube.cell_of_word(word, 3) in U:
             bits |= 1 << c2
     return bits
+
+
+def orbit(f, limit=DEFAULT_ORBIT_LIMIT):
+    """The orbit of f as a set of functions, from the closure over encoded
+    values."""
+    keys = orbit_values(f.values, f.n, limit)
+    return {TernFn(f.n, tuple(b - 1 for b in key)) for key in keys}
+
+
+def classify(stream, n):
+    """Reference classification, independent of the class layer: partition
+    a stream (each function exactly once) into orbits by generator
+    closure, with automorphism orders from the isometry matcher, so
+    orbit * aut == group order checks two computations that share no
+    code.  Records are sorted by cardinality, then by value tuple."""
+    seen = set()
+    orbits = []
+    for f in stream:
+        if bytes(v + 1 for v in f.values) in seen:
+            continue
+        members = orbit_values(f.values, n)
+        seen |= members
+        orbits.append((f, len(members)))
+    records = [ClassRecord(f, size, aut_order(f)) for f, size in orbits]
+    records.sort(key=lambda r: (r.cardinality, r.representative.values))
+    return records
+
+
+def double_count_check(classes, expected_total, n):
+    """Sum of group_order/aut over classes must reproduce the plain count."""
+    return sum(group_order(n) // rec.aut for rec in classes) == expected_total
+
+
+def match_count_by_runs(f, g, find_one=False):
+    """Reference isometry count, independent of the face table: the retract
+    recursion on aligned lists of value tuples, each member split and
+    counted at every node, pruned against the (#+1, #-1) counts of g's
+    runs of 3^(m-1) consecutive cells, all built before the search.  With
+    find_one it stops at the first match (then only zero or nonzero is
+    meaningful)."""
+    if f.n != g.n:
+        return 0
+    n = f.n
+    # targets[m]: at m = 0 the leaf list itself; above, per value order, the
+    # counts that the retracts (member i, value d) must have: those of run
+    # 3i + order.index(d) of 3^(m-1) cells
+    targets = [tuple((v,) for v in g.values)]
+    for size in (3 ** m for m in range(n)):
+        runs = [_run_profile(g.values[i:i + size]) for i in range(0, 3 ** n, size)]
+        targets.append(tuple(
+            tuple(runs[i + order.index(d)] for i in range(0, len(runs), 3) for d in range(3))
+            for order in _SYM3
+        ))
+    memo = {}
+    total = 0
+    for fv in (f.values, tuple(-v for v in f.values)):
+        total += _match_runs_rec((fv,), n, targets, memo, find_one)
+        if find_one and total:
+            return total
+    return total
+
+
+def _run_profile(values):
+    return values.count(1), values.count(-1)
+
+
+def _match_runs_rec(fs, m, targets, memo, find_one):
+    if m == 0:
+        return 1 if fs == targets[0] else 0
+    hit = memo.get(fs)
+    if hit is not None:
+        return hit
+    total = 0
+    for split in cube.retract_splitters(m):
+        blocks = [split(f) for f in fs]
+        counts = tuple(_run_profile(b) for triple in blocks for b in triple)
+        for order, want in zip(_SYM3, targets[m]):
+            if counts == want:
+                children = tuple(b[d] for b in blocks for d in order)
+                total += _match_runs_rec(children, m - 1, targets, memo, find_one)
+                if find_one and total:
+                    return total
+    memo[fs] = total
+    return total

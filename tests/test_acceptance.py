@@ -7,6 +7,7 @@ import random
 import time
 
 import pytest
+from helpers import double_count_check
 
 from tritrade import construct, monomial
 from tritrade.enumeration import classify_all, count_functions, unitrade_supports
@@ -23,7 +24,6 @@ from tritrade.refdata import (
     SPECTRUM_LISTS,
     consistency_report,
 )
-from tritrade.symmetry import double_count_check
 from tritrade.trade import (
     bipartition,
     half_cardinality_stats,

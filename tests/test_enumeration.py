@@ -5,7 +5,7 @@ from dataclasses import FrozenInstanceError
 from functools import lru_cache
 
 import pytest
-from helpers import canonical_by_recursion, values_from_packed
+from helpers import canonical_by_recursion, classify, values_from_packed
 
 from tritrade.enumeration import (
     classify_all,
@@ -306,8 +306,6 @@ class TestClassifyAll:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     def test_candidate_engine_agrees_with_closure(self, n, closure4):
-        from tritrade.symmetry import classify
-
         ref = closure4 if n == 4 else classify(enumerate_functions(n), n)
         count, records = classify_all(n)
         assert count == len(ref)

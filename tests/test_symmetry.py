@@ -2,21 +2,25 @@ import itertools
 import random
 
 import pytest
-from helpers import canonical_by_recursion, random_n5_function
+from helpers import (
+    canonical_by_recursion,
+    classify,
+    double_count_check,
+    match_count_by_runs,
+    orbit,
+    random_n5_function,
+)
 
 from tritrade.cube import Isometry
 from tritrade.enumeration import enumerate_functions
 from tritrade.errors import DimensionTooLarge, OrbitTooLarge
-from tritrade.funcspace import TernFn, tern_from_trade
+from tritrade.funcspace import LineSumKind, TernFn, line_sums, tern_from_trade
 from tritrade.symmetry import (
     aut_order,
     canonical_form,
-    classify,
     count_isometries_onto,
-    double_count_check,
     equivalent,
     group_order,
-    orbit,
     orbit_values,
 )
 
@@ -208,6 +212,68 @@ class TestAutOrder:
                 h = rng.choice(by_n[f.n])
             assert count_isometries_onto(f, h) == 0
             assert not equivalent(f, h)
+
+
+def _matcher_pairs(rng, n, fns):
+    """Seeded (f, g) pairs at dimension n: each f against a random image
+    and against a random partner, which is almost always inequivalent."""
+    pairs = []
+    for f in fns:
+        pairs.append((f, f.apply_isometry(Isometry.random(rng, n, 3))))
+        pairs.append((f, rng.choice(fns)))
+    return pairs
+
+
+def _random_signs(rng, n):
+    """A {-1,0,+1} vector with a nonzero line sum."""
+    while True:
+        f = TernFn(n, tuple(rng.choice((-1, 0, 1)) for _ in range(3 ** n)))
+        if LineSumKind.INVALID in line_sums(f):
+            return f
+
+
+class TestMatcherAgainstRunsOracle:
+    """count_isometries_onto and equivalent against the test-side run-profile
+    recursion, which keeps no face table."""
+
+    def _check(self, pairs):
+        for f, g in pairs:
+            want = match_count_by_runs(f, g)
+            assert count_isometries_onto(f, g) == want
+            assert equivalent(f, g) == (want > 0) == (match_count_by_runs(f, g, find_one=True) > 0)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_images_and_partners(self, n):
+        rng = random.Random(100 + n)
+        if n == 5:
+            fl4 = list(enumerate_functions(4))
+            fns = [random_n5_function(rng, fl4) for _ in range(8)]
+        else:
+            fns = rng.sample(list(enumerate_functions(n)), 12)
+        pairs = _matcher_pairs(rng, n, fns)
+        assert any(match_count_by_runs(f, g) == 0 for f, g in pairs)
+        self._check(pairs)
+
+    def test_maximal_bitrade_n4(self):
+        rng = random.Random(31)
+        f = _maximal_fn(4)
+        assert aut_order(f) == match_count_by_runs(f, f) == 1296
+        self._check(_matcher_pairs(rng, 4, [f, f.negate(), _minimal_fn(4)]))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_vectors_off_the_line_sum_zero_space(self, n):
+        rng = random.Random(200 + n)
+        fns = [_random_signs(rng, n) for _ in range(8 if n < 5 else 4)]
+        self._check([(f, f) for f in fns] + _matcher_pairs(rng, n, fns))
+
+    def test_no_state_between_calls(self):
+        rng = random.Random(41)
+        fns = rng.sample(list(enumerate_functions(4)), 6) + [_maximal_fn(4)]
+        calls = [(kind, f, g) for f, g in _matcher_pairs(rng, 4, fns)
+                 for kind in (count_isometries_onto, equivalent)]
+        forward = [kind(f, g) for kind, f, g in calls]
+        backward = [kind(f, g) for kind, f, g in reversed(calls)]
+        assert forward == backward[::-1]
 
 
 class TestClassify:
