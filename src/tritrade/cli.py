@@ -100,8 +100,8 @@ def _cmd_enumerate(args, argv) -> int:
             else:
                 print(
                     f"count capped at n={enumeration.COUNT_MAX_N + 1}; n=6 adds N(5) to the"
-                    " completions of the 91 nonzero n=5 classes, about half a minute with"
-                    " --jobs 2, and needs --allow-big",
+                    " completions of the 91 nonzero n=5 classes, about 20 s with --jobs 2,"
+                    " and needs --allow-big",
                     file=sys.stderr,
                 )
                 return EXIT_RESOURCE

@@ -19,13 +19,21 @@ support weight (L minus the bits of the 0 plane).  At n <= 2 the solutions
 inside a domain vector D are the f with f & D == f among the 3, 7 or 31
 one-hot solutions.
 
-One memo, _MEMO2, maps an n = 2 domain vector to the tuple of its
-solutions; the stream iterates an entry and the count takes its length,
-so both recursions stop at n = 2 on the same table.  A streamed solution
-is decoded once: its octal digits, translated to signed bytes, are
-unpacked into the value tuple by one cached struct call per n, and its
-cardinality is read off the 0 plane, so the TernFn never counts its zeros.
-The direct count stops at n = 5; N(6) is counted through the n = 5 classes.
+The restriction runs once per node: _restriction computes the node's
+masks, and the stream and the count each apply the per-head step inline,
+in their own loop over the heads of the digit-0 layer.  One memo,
+_MEMO2, maps an n = 2 domain vector to its heads, the (solution, twist)
+pairs of _solutions(2) inside it: an n = 3 node reads the heads of its
+digit-0 layer there, the stream takes each pair's solution and the count
+the length of an entry, so both recursions stop at n = 2 on the same
+table.
+
+A streamed solution is decoded once: its octal digits, translated to
+signed bytes, are unpacked into the value tuple by one cached struct call
+per n, and its cardinality is read off the 0 plane, so the TernFn never
+counts its zeros.  The direct count stops at n = 5; N(6) is counted
+through the n = 5 classes.
+
 One cached class layer, `_class_layer(n)` for n <= 5, serves every
 class-based count: it keeps the first completion of an n-1 representative
 per retract-class key, so each representative is its class's canonical
@@ -44,6 +52,7 @@ import struct
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import cube
@@ -109,27 +118,22 @@ def _mirror(x: int, b0: int) -> int:
 
 def _twist(f: int, b0: int) -> tuple[int, int, int]:
     """The masks of the cells where solution f is 0, -1 and +1, the last two
-    without bit 0 and bit 2 respectively (see _branches)."""
+    without bit 0 and bit 2 respectively (see _restriction)."""
     return ((f >> 1) & b0) * 7, (f & b0) * 6, ((f >> 2) & b0) * 3
 
 
-def _heads(n: int, doms: int) -> Iterable[tuple[int, tuple[int, int, int]]]:
-    """(f, twist) for every solution f inside `doms`, lex order."""
-    if n <= 2:
-        return [h for h in _solutions(n) if h[0] & doms == h[0]]
-    b0 = _b0(3 ** n)
-    return ((f, _twist(f, b0)) for f in _enum_split(n, doms))
-
-
-def _branches(n: int, doms: int) -> Iterator[tuple[int, tuple[int, int, int], int]]:
-    """(f0, twist, d1p) for every digit-0 layer f0 inside `doms`, lex order.
+def _restriction(n: int, doms: int) -> tuple[int, int, int, int, int]:
+    """(b0, d0, up, mid, down) of a node at dimension n: the -1 plane of a
+    layer, the digit-0 layer's domains, and the parts of the digit-1
+    domains that fit a digit-0 value of -1, 0 and +1.
 
     A digit-1 value v fits next to f0's value s when the forced digit-2
     value -s-v lies in the digit-2 domain: per cell, the mirrored digit-2
     domain shifted up one bit (s = -1), left alone (s = 0) or shifted down
-    (s = +1).  The twist of f0 holds the three cell masks that pick those
-    shifts, and turns a mirrored digit-1 layer into the forced digit-2
-    layer the same way.  d1p is 0 when some digit-1 cell has no value left.
+    (s = +1).  The twist (z, m, p) of a head f0 picks those shifts per
+    cell, so its digit-1 domains are d1p = mid & z | up & m | down & p,
+    and a cell of d1p with no bit left ends the branch; the same twist
+    turns a mirrored digit-1 layer into the forced digit-2 layer.
     """
     w = 3 ** n  # bits per layer
     b0 = _b0(3 ** (n - 1))
@@ -137,36 +141,42 @@ def _branches(n: int, doms: int) -> Iterator[tuple[int, tuple[int, int, int], in
     d1, r2 = (doms >> w) & full, _mirror(doms >> 2 * w, b0)
     # the shifts carry bits in from the neighbouring cells; the s = -1 mask
     # has no bit 0 and the s = +1 mask no bit 2, which drops them
-    up, mid, down = d1 & (r2 << 1), d1 & r2, d1 & (r2 >> 1)
-    for f0, tw in _heads(n - 1, doms & full):
-        z, m, p = tw
-        d1p = mid & z | up & m | down & p
-        yield f0, tw, d1p if (d1p | d1p >> 1 | d1p >> 2) & b0 == b0 else 0
+    return b0, doms & full, d1 & (r2 << 1), d1 & r2, d1 & (r2 >> 1)
 
 
-_MEMO2: dict[int, tuple[int, ...]] = {}
+_MEMO2: dict[int, tuple[tuple[int, tuple[int, int, int]], ...]] = {}
+
+
+def _heads(n: int, doms: int) -> Iterable[tuple[int, tuple[int, int, int]]]:
+    """(f, twist) for every solution f inside `doms`, lex order.  At n = 2
+    the heads of a domain vector are kept in _MEMO2: shared pairs of
+    _solutions(2), read by the stream and the count alike."""
+    if n == 2:
+        heads = _MEMO2.get(doms)
+        if heads is None:
+            heads = _MEMO2[doms] = tuple(h for h in _solutions(2) if h[0] & doms == h[0])
+        return heads
+    if n < 2:
+        return [h for h in _solutions(n) if h[0] & doms == h[0]]
+    b0 = _b0(3 ** n)
+    return ((f, _twist(f, b0)) for f in _enum_split(n, doms))
+
+
+_first = itemgetter(0)
 
 
 def _enum(n: int, doms: int) -> Iterable[int]:
-    """All packed solutions inside `doms`, lex-ascending under -1 < 0 < +1.
-    At n = 2 the solutions of a domain vector are kept in _MEMO2, which the
-    stream and the count share."""
-    if n == 2:
-        sols = _MEMO2.get(doms)
-        if sols is None:
-            sols = _MEMO2[doms] = tuple(f for f, _ in _solutions(2) if f & doms == f)
-        return sols
-    if n < 2:
-        return [f for f, _ in _solutions(n) if f & doms == f]
-    return _enum_split(n, doms)
+    """All packed solutions inside `doms`, lex-ascending under -1 < 0 < +1."""
+    return map(_first, _heads(n, doms)) if n <= 2 else _enum_split(n, doms)
 
 
 def _enum_split(n: int, doms: int) -> Iterator[int]:
     w = 3 ** n
-    b0 = _b0(3 ** (n - 1))
+    b0, d0, up, mid, down = _restriction(n, doms)
     b1 = b0 << 1
-    for f0, (z, m, p), d1p in _branches(n, doms):
-        if d1p:
+    for f0, (z, m, p) in _heads(n - 1, d0):
+        d1p = mid & z | up & m | down & p
+        if (d1p | d1p >> 1 | d1p >> 2) & b0 == b0:
             for f1 in _enum(n - 1, d1p):
                 r1 = (f1 & b0) << 2 | f1 & b1 | (f1 >> 2) & b0  # _mirror(f1, b0)
                 f2 = r1 & z | (r1 << 1) & m | (r1 >> 1) & p
@@ -194,14 +204,25 @@ def _decoder(n: int) -> Callable[[int], tuple[int, ...]]:
 
 
 def _count(n: int, doms: int) -> int:
-    if n == 2:  # the length of the stream's memo entry, read in place
-        sols = _MEMO2.get(doms)
-        return len(_enum(2, doms) if sols is None else sols)
-    if n < 2:
-        return len(_enum(n, doms))
+    """The number of solutions inside `doms`: at n <= 2 the length of the
+    heads, else the per-head restriction of _enum_split with a count in
+    place of the stream; at n = 3 each branch's count is the length of
+    its _MEMO2 entry, read in place."""
+    if n <= 2:
+        return len(_heads(n, doms))
+    b0, d0, up, mid, down = _restriction(n, doms)
     total = 0
-    for _, _, d1p in _branches(n, doms):
-        if d1p:
+    if n == 3:
+        get = _MEMO2.get
+        for _, (z, m, p) in _heads(2, d0):
+            d1p = mid & z | up & m | down & p
+            if (d1p | d1p >> 1 | d1p >> 2) & b0 == b0:
+                heads = get(d1p)
+                total += len(_heads(2, d1p) if heads is None else heads)
+        return total
+    for _, (z, m, p) in _heads(n - 1, d0):
+        d1p = mid & z | up & m | down & p
+        if (d1p | d1p >> 1 | d1p >> 2) & b0 == b0:
             total += _count(n - 1, d1p)
     return total
 
@@ -246,7 +267,12 @@ def count_functions(
     doms = _packed_domains(n, cell_domains)
     if n == 0 or jobs <= 1:
         return _count(n, doms)
-    units = [(1, d1p) for _, _, d1p in _branches(n, doms) if d1p]
+    b0, d0, up, mid, down = _restriction(n, doms)
+    units = []
+    for _, (z, m, p) in _heads(n - 1, d0):
+        d1p = mid & z | up & m | down & p
+        if (d1p | d1p >> 1 | d1p >> 2) & b0 == b0:
+            units.append((1, d1p))
     return _fan_out(n - 1, units, jobs)
 
 
@@ -258,9 +284,12 @@ def _fan_out(n: int, units: Sequence[tuple[int, int]], jobs: int) -> int:
     """Sum of weight * _count(n, doms) over the (weight, doms) units.
 
     Worker w of `jobs` forked workers takes units[w::jobs]; the merge is an
-    integer sum, so the result does not depend on `jobs`.  The package
-    starts no threads, and forked workers keep the parent's n = 2 memo.
+    integer sum, so the result does not depend on `jobs`.  No more workers
+    start than there are units, and none at all for one unit or none.  The
+    package starts no threads, and forked workers keep the parent's n = 2
+    memo.
     """
+    jobs = min(jobs, len(units))
     if jobs <= 1:
         return _count_units(n, units)
     import multiprocessing as mp

@@ -16,15 +16,23 @@ def run(capsys, *argv):
 
 
 class TestEnumerateCommand:
-    def test_count_n3(self, capsys):
-        code, out, _ = run(capsys, "enumerate", "--n", "3", "--mode", "count")
-        assert code == EXIT_OK
-        assert out.strip() == "403"
-
-    def test_count_n0(self, capsys):
-        code, out, _ = run(capsys, "enumerate", "--n", "0", "--mode", "count")
-        assert code == EXIT_OK
-        assert out.strip() == "3"
+    @pytest.mark.parametrize(
+        "argv,code,out",
+        [
+            (["--n", "-1"], EXIT_BAD_PARAMS, ""),
+            (["--n", "0"], EXIT_OK, "3"),
+            (["--n", "1"], EXIT_OK, "7"),
+            (["--n", "3"], EXIT_OK, "403"),
+            (["--n", "4", "--jobs", "2"], EXIT_OK, "29875"),  # the split into units
+            (["--n", "3", "--jobs", "0"], EXIT_BAD_PARAMS, ""),
+        ],
+        ids=["n-1", "n0", "n1", "n3", "n4-jobs2", "jobs0"],
+    )
+    def test_count_exit_codes(self, capsys, argv, code, out):
+        got_code, got_out, err = run(capsys, "enumerate", "--mode", "count", *argv)
+        assert got_code == code
+        assert got_out.strip() == out
+        assert ("parameter error" in err) == (code == EXIT_BAD_PARAMS)
 
     def test_classes_n2(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--n", "2", "--mode", "classes")

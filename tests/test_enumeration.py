@@ -3,6 +3,7 @@ import random
 from collections import Counter
 from dataclasses import FrozenInstanceError
 from functools import lru_cache
+from types import SimpleNamespace
 
 import pytest
 from helpers import canonical_by_recursion, classify, values_from_packed
@@ -31,8 +32,25 @@ def _random_domains(rng, n):
     return doms
 
 
-def _inside(values, doms):
-    return all(v in dom for v, dom in zip(values, doms))
+def _inside(values, restricted):
+    return all(values[c] in dom for c, dom in restricted)
+
+
+@lru_cache(maxsize=None)
+def _full_list(n):
+    """The unrestricted stream as value tuples."""
+    return [f.values for f in enumerate_functions(n)]
+
+
+def _signed_masks(values):
+    """The cells holding +1 and the cells holding -1, as two bitmasks."""
+    plus = minus = 0
+    for c, v in enumerate(values):
+        if v == 1:
+            plus |= 1 << c
+        elif v == -1:
+            minus |= 1 << c
+    return plus, minus
 
 
 class TestEnumerate:
@@ -74,20 +92,23 @@ class TestRandomDomains:
             if LineSumKind.INVALID not in line_sums(TernFn(2, values))
         ]
 
-    @pytest.mark.parametrize("n,seed", [(2, 11), (3, 12)])
+    @pytest.mark.parametrize("n,seed", [(2, 11), (3, 12), (4, 15)])
     def test_against_filtered_stream(self, n, seed, brute2):
         rng = random.Random(seed)
-        full = [f.values for f in enumerate_functions(n)]
+        full = _full_list(n)
         if n == 2:
             assert full == brute2
-        nonzero = 0
+        nonzero = empty_cell = 0
         for _ in range(40):
             doms = _random_domains(rng, n)
-            expect = [values for values in full if _inside(values, doms)]
+            restricted = [(c, dom) for c, dom in enumerate(doms) if dom != FREE]
+            expect = [values for values in full if _inside(values, restricted)]
             assert [f.values for f in enumerate_functions(n, doms)] == expect
             assert count_functions(n, doms) == len(expect)
             nonzero += bool(expect)
-        assert nonzero >= 10  # the draw must not be empty domains only
+            empty_cell += () in doms
+        # the draw must not be empty domains only, nor miss them
+        assert nonzero >= 10 and empty_cell >= 1
 
     def test_domain_spec_forms(self):
         rng = random.Random(13)
@@ -134,6 +155,42 @@ class TestCount:
             doms = _random_domains(rng, 3)
             assert count_functions(3, doms, jobs=2) == count_functions(3, doms)
 
+    def test_no_pool_for_one_unit_or_none(self, monkeypatch):
+        import multiprocessing
+
+        def no_pool(method):
+            raise AssertionError("a worker pool was opened")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        pinned = [(1,), (0,), (-1,)] + [FREE] * 6  # one digit-0 layer: one unit
+        assert count_functions(2, pinned, jobs=2) == count_functions(2, pinned) > 0
+        assert count_functions(2, [()] + [FREE] * 8, jobs=4) == 0  # no unit
+        assert count_by_retract_classes(1, jobs=2) == 7  # one nonzero class
+
+    def test_no_more_workers_than_units(self, monkeypatch):
+        import multiprocessing
+
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def starmap(self, func, args):
+                return list(itertools.starmap(func, args))
+
+        monkeypatch.setattr(
+            multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=InProcessPool)
+        )
+        assert count_functions(1, jobs=8) == 7  # three digit-0 values, three units
+        assert sizes == [3]
+
     def test_direct_count_capped(self):
         # N(6) is counted through the n = 5 classes, never directly
         with pytest.raises(DimensionTooLarge):
@@ -165,30 +222,43 @@ class TestStreamDecode:
 
     def test_pinned_n5_hyperplanes(self):
         rng = random.Random(16)
-        fl4 = list(enumerate_functions(4))
+        fl4 = _full_list(4)
         for _ in range(4):
-            f0 = rng.choice(fl4).values
+            f0 = rng.choice(fl4)
             assert self._check(5, [(v,) for v in f0] + [FREE] * 162) > 0
 
     @pytest.mark.parametrize("count_first", [True, False], ids=["count-first", "stream-first"])
     def test_count_equals_stream_on_a_fresh_memo(self, count_first, monkeypatch):
         # the stream and the count share the n = 2 memo: whichever fills an
-        # entry, the other reads the same solutions
+        # entry, the other reads the same heads.  On nonzero pinned n = 5
+        # hyperplanes both also match a bitmask scan of the N(4) list: f1
+        # completes f0 iff no cell holds the same nonzero value in both,
+        # and the completion is (f0, f1, -(f0 + f1)), in the list's order
         from tritrade import enumeration
 
         rng = random.Random(18)
-        fl4 = list(enumerate_functions(4))
-        cases = [(n, _random_domains(rng, n)) for n in (2, 3, 4) for _ in range(4)]
-        cases += [(5, [(v,) for v in rng.choice(fl4).values] + [FREE] * 162) for _ in range(2)]
-        for n, doms in cases:
+        fl4 = _full_list(4)
+        cases = [(n, _random_domains(rng, n), None) for n in (2, 3, 4) for _ in range(4)]
+        masks = [_signed_masks(f1) for f1 in fl4]
+        for f0 in rng.sample([f for f in fl4 if any(f)], 20):
+            p0, m0 = _signed_masks(f0)
+            expect = [
+                f0 + f1 + tuple(-a - b for a, b in zip(f0, f1))
+                for f1, (p, m) in zip(fl4, masks)
+                if not (p & p0 or m & m0)
+            ]
+            cases.append((5, [(v,) for v in f0] + [FREE] * 162, expect))
+        for n, doms, expect in cases:
             monkeypatch.setattr(enumeration, "_MEMO2", {})
             if count_first:
                 count = count_functions(n, doms)
-                streamed = sum(1 for _ in enumerate_functions(n, doms))
+                streamed = [f.values for f in enumerate_functions(n, doms)]
             else:
-                streamed = sum(1 for _ in enumerate_functions(n, doms))
+                streamed = [f.values for f in enumerate_functions(n, doms)]
                 count = count_functions(n, doms)
-            assert count == streamed
+            assert count == len(streamed)
+            if expect is not None:
+                assert streamed == expect
             assert enumeration._MEMO2
 
 
