@@ -58,8 +58,9 @@ def product(B: BipartiteTrade, C: BipartiteTrade) -> BipartiteTrade:
 
 def k_extension(B: BipartiteTrade, m: int) -> BipartiteTrade:
     """Replace the last coordinate by a sum of two: the signed function
-    b(x_1..x_{n-1}, (x_n + x_{n+1}) mod k) defines a bitrade of dimension
-    n+1 and cardinality k*|B|; iterate m times."""
+    b(x_1..x_{n-1}, (x_n + x_{n+1}) mod 3) defines a bitrade of dimension
+    n+1 and cardinality 3*|B|; iterate m times.  ValueError unless B is
+    ternary."""
     if m < 0:
         raise ValueError("extension count must be >= 0")
     f = tern_from_trade(B)

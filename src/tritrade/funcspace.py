@@ -268,7 +268,10 @@ def in_gf3_space(f: TernFn) -> bool:
 
 
 def tern_from_trade(B: BipartiteTrade) -> TernFn:
-    """Signed function of a bitrade: +1 on part0, -1 on part1."""
+    """Signed function of a ternary bitrade: +1 on part0, -1 on part1;
+    ValueError for a bitrade over another alphabet."""
+    if B.k != 3:
+        raise ValueError(f"a signed function needs a ternary bitrade, not k = {B.k}")
     vals = [0] * (3 ** B.n)
     for c in range(len(vals)):
         if (B.part0 >> c) & 1:

@@ -9,7 +9,11 @@ is specific to the ternary cube.
 The predicates read lines as digit planes (`_line_meets`): the cells of a
 line differ only in its direction's digit, so a set's digit planes, added
 bitwise, mark the lines it meets once, twice or three times, and every
-predicate is a few whole-mask steps on those marks.
+predicate is a few whole-mask steps on those marks.  A breadth-first layer
+reaches its neighbours by one multiply per direction (the marks times the
+direction's spread), and an odd cycle shows inside the layer that closes
+it, as a line meeting that layer twice, so `bipartition` stops there and
+never rescans the finished legs.
 
 Cardinality predicates are pure integer arithmetic: the admissible-size
 families are expanded to exact integer sets per dimension, never touching
@@ -21,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import cube
@@ -146,19 +151,35 @@ class TradeSet:
         return TradeSet(self.n, self.k, self.mask ^ other.mask)
 
 
-def _line_meets(mask: int, n: int, k: int) -> Iterator[tuple[int, int, int, int]]:
-    """Per coordinate i, its digit stride s and the masks at1, at2, at3 of
-    the digit-0 cells whose line in direction i meets `mask` in at least 1,
-    2, 3 cells: the k digit planes shifted onto digit 0 and added bitwise."""
+@lru_cache(maxsize=None)
+def _line_planes(n: int, k: int) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:
+    """Per coordinate i with digit stride s = k^(n-1-i): the pairs (plane,
+    shift) of its k digit planes, where the shift a * s moves plane a onto
+    digit 0, and the spread sum_a 1 << a * s, whose product with a set of
+    digit-0 cells is the union of their lines in direction i."""
+    out = []
     for i, planes in enumerate(cube.digit_masks(n, k)):
         s = k ** (n - 1 - i)
+        out.append((
+            tuple((plane, a * s) for a, plane in enumerate(planes)),
+            sum(1 << a * s for a in range(k)),
+        ))
+    return tuple(out)
+
+
+def _line_meets(mask: int, n: int, k: int) -> Iterator[tuple[int, int, int, int]]:
+    """Per coordinate i, its spread (`_line_planes`) and the masks at1, at2,
+    at3 of the digit-0 cells whose line in direction i meets `mask` in at
+    least 1, 2, 3 cells: the k digit planes shifted onto digit 0 and added
+    bitwise."""
+    for planes, spread in _line_planes(n, k):
         at1 = at2 = at3 = 0
-        for a, plane in enumerate(planes):
-            p = (mask & plane) >> a * s
+        for plane, shift in planes:
+            p = (mask & plane) >> shift
             at3 |= at2 & p
             at2 |= at1 & p
             at1 |= p
-        yield s, at1, at2, at3
+        yield spread, at1, at2, at3
 
 
 def is_unitrade(S: TradeSet) -> bool:
@@ -172,16 +193,20 @@ def _independent(n: int, k: int, *legs: int) -> bool:
     return not any(at2 for leg in legs for _, _, at2, _ in _line_meets(leg, n, k))
 
 
-def _layers(mask: int, n: int, k: int) -> Iterator[int]:
+def _layers(mask: int, n: int, k: int) -> Iterator[tuple[int, int]]:
     """Breadth-first layers of the induced Hamming graph on `mask` from its
-    smallest cell: each is the unreached part of `mask` on the lines
-    through the last."""
+    smallest cell, each with its clash: the digit-0 cells of the lines that
+    meet the layer twice, nonzero iff an edge joins two cells of the layer.
+    The next layer is the unreached part of `mask` on the lines through the
+    last: at1 times the spread, which cannot carry, since at1 sits on digit 0
+    of its direction."""
     layer = reached = mask & -mask
     while layer:
-        yield layer
-        near = 0
-        for s, at1, _, _ in _line_meets(layer, n, k):
-            near |= sum(at1 << a * s for a in range(k))
+        near = clash = 0
+        for spread, at1, at2, _ in _line_meets(layer, n, k):
+            near |= at1 * spread
+            clash |= at2
+        yield layer, clash
         layer = mask & near & ~reached
         reached |= layer
 
@@ -244,8 +269,10 @@ def bipartition(S: TradeSet) -> Optional[BipartiteTrade]:
 
     Raises NotAUnitrade when S fails the line predicate.  Each component is
     colored by the parity of its breadth-first layers from its smallest
-    cell, which lands in part0; the coloring is proper when no leg has two
-    cells on one line.
+    cell, which lands in part0.  Edges join only one layer or two adjacent
+    ones, so the coloring is proper iff no layer has two cells on one line:
+    the first layer with a clash, in any component, answers None, and no
+    pass over the finished legs is needed.
     """
     if not is_unitrade(S):
         raise NotAUnitrade(f"line incidence outside {{0,2}}: {S!r}")
@@ -253,17 +280,17 @@ def bipartition(S: TradeSet) -> Optional[BipartiteTrade]:
     part = [0, 0]
     rest = S.mask
     while rest:
-        for depth, layer in enumerate(_layers(rest, n, k)):
+        for depth, (layer, clash) in enumerate(_layers(rest, n, k)):
+            if clash:
+                return None
             part[depth & 1] |= layer
             rest ^= layer
-    if not _independent(n, k, *part):
-        return None
     return BipartiteTrade(S, part[0], part[1])
 
 
 def is_connected(S: TradeSet) -> bool:
     """The layers grown from the smallest cell of S (disjoint) cover S."""
-    return sum(_layers(S.mask, S.n, S.k)) == S.mask
+    return sum(layer for layer, _ in _layers(S.mask, S.n, S.k)) == S.mask
 
 
 class StructureReport(NamedTuple):

@@ -222,17 +222,33 @@ def test_boundary_inputs_exit_bad_params(capsys, argv):
     assert err.startswith("parameter error")
 
 
+_NO_SUPPORT = {"n": 2, "k": 3}
+_Q4_PAIR = {"n": 1, "k": 4, "support": "1100"}
+
+
 @pytest.mark.parametrize(
-    "argv",
-    ["construct --what kext --base @{}", "construct --what product --left @{} --right minimal:1",
-     "construct --what product --left minimal:1 --right @{}"],
+    "doc,argv,needle",
+    [
+        pytest.param(_NO_SUPPORT, argv, "support", id=argv)
+        for argv in (
+            "construct --what kext --base @{}",
+            "construct --what product --left @{} --right minimal:1",
+            "construct --what product --left minimal:1 --right @{}",
+        )
+    ]
+    # the extension folds ternary coordinates: a Q_4 bitrade is refused, not
+    # truncated to its first 3^n cells
+    + [
+        pytest.param(_Q4_PAIR, argv, "k = 4", id=argv + " (k=4)")
+        for argv in ("construct --what kext --base @{} --m 0", "construct --what kext --base @{} --m 1")
+    ],
 )
-def test_trade_file_missing_a_field_exits_bad_params(capsys, tmp_path, argv):
+def test_trade_file_missing_a_field_exits_bad_params(capsys, tmp_path, doc, argv, needle):
     spec = tmp_path / "f.json"
-    spec.write_text(json.dumps({"n": 2, "k": 3}))
+    spec.write_text(json.dumps(doc))
     code, _, err = run(capsys, *argv.format(spec).split())
     assert code == EXIT_BAD_PARAMS
-    assert err.startswith("parameter error") and "support" in err
+    assert err.startswith("parameter error") and needle in err
 
 
 class TestConstructCommand:
@@ -276,6 +292,7 @@ class TestConstructCommand:
             capsys, "construct", "--what", "kext", "--base", "bitrade14:3",
             "--m", "1", "--out", str(out_file)
         )
+        assert code == EXIT_OK
         assert json.loads(out_file.read_text())["payload"]["cardinality"] == 42
 
     def test_pot12(self, capsys, tmp_path):

@@ -34,7 +34,7 @@ from tritrade.errors import (
     PreconditionUnverifiable,
 )
 from helpers import random_q4_unitrade
-from tritrade.funcspace import BoolFn, degree
+from tritrade.funcspace import BoolFn, degree, tern_from_trade
 from tritrade.monomial import MonomialSet, monomial_cube, rank, trade_from_monomials
 from tritrade.trade import BipartiteTrade, TradeSet, bipartition, is_unitrade
 
@@ -76,6 +76,15 @@ class TestKExtension:
         B = bitrade14(3)
         assert k_extension(B, 1).cardinality == 42
         assert k_extension(B, 2).cardinality == 126
+
+    def test_non_ternary_base_raises(self):
+        # the signed function has 3^n values: a Q_4 bitrade was truncated
+        B = grid_cycle_bitrade(4)
+        with pytest.raises(ValueError, match="k = 4"):
+            tern_from_trade(B)
+        for m in (0, 1):
+            with pytest.raises(ValueError, match="k = 4"):
+                k_extension(B, m)
 
 
 class TestMaximalBitrade:

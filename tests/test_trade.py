@@ -196,6 +196,28 @@ def test_predicates_agree_with_line_oracles(sample):
     assert bool(seen["disconnected unitrade"]) == sample.startswith("k="), seen
 
 
+@pytest.mark.parametrize("digits", [(0, 3), (2, 3)], ids=["bitrade-first", "odd-cycle-first"])
+def test_odd_cycle_in_either_component(digits):
+    # A x {0,1} u B x {2,3} in Q_4^4: A is the ternary parity unitrade, which
+    # holds an odd cycle, B the boolean cube digits^3, disjoint from A, so no
+    # line meets both; (0,0,0) in B puts its component first
+    from tritrade.funcspace import parity_counter
+
+    A = _reread(u_from_bool(parity_counter(3)), 4)
+    B = TradeSet.from_words(3, 4, itertools.product(digits, repeat=3))
+    assert not A.mask & B.mask
+    odd = TradeSet.from_words(4, 4, [w + (x,) for w in A.words() for x in (0, 1)])
+    even = TradeSet.from_words(4, 4, [w + (x,) for w in B.words() for x in (2, 3)])
+    S = odd.xor(even)
+    assert is_unitrade(S)
+    assert color_by_cells(S)[2:] == (False, 2)
+    assert bool(S.mask & -S.mask & even.mask) == (digits == (0, 3))
+    legs = bipartition(even)
+    assert (legs.part0, legs.part1, True, 1) == color_by_cells(even)
+    assert bipartition(odd) is None
+    assert bipartition(S) is None
+
+
 class TestMod3:
     def test_size_pair_14_16(self):
         assert mod3_admissible(3, 14)
