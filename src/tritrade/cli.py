@@ -4,10 +4,10 @@ construction dumps.
 Every output embeds a run manifest (command line, seed, versions, wall
 time, worker count, payload checksum); identical inputs must reproduce
 identical payload checksums.  Exit codes: 0 success, 1 failed check,
-2 bad parameters, 3 resource limit.  Counts up to n = 5 run directly;
-N(6) is counted through the 92 n = 5 classes behind --allow-big.  Class
-reports key each class by its representative, which the class layer
-yields in canonical form.
+2 bad parameters, 3 resource limit.  The caps are the library's: a
+DimensionTooLarge from it is exit 3.  Counts up to n = 5 run directly and
+N(6) through the 92 n = 5 classes.  Class reports key each class by its
+representative, which the class layer yields in canonical form.
 """
 
 from __future__ import annotations
@@ -95,23 +95,12 @@ def _cmd_enumerate(args, argv) -> int:
         if args.mode == "count":
             if n <= enumeration.COUNT_MAX_N:
                 total = count_functions(n, jobs=jobs)
-            elif n == enumeration.COUNT_MAX_N + 1 and args.allow_big:
-                total = enumeration.count_by_retract_classes(n, jobs=jobs)
             else:
-                print(
-                    f"count capped at n={enumeration.COUNT_MAX_N + 1}; n=6 adds N(5) to the"
-                    " completions of the 91 nonzero n=5 classes, about 20 s with --jobs 2,"
-                    " and needs --allow-big",
-                    file=sys.stderr,
-                )
-                return EXIT_RESOURCE
+                total = enumeration.count_by_retract_classes(n, jobs=jobs)
             payload = {"n": n, "count": str(total)}
             csv_rows = [["n", "count"], [n, total]]
             print(total)
         elif args.mode == "spectrum":
-            if n > enumeration.SPECTRUM_MAX_N:
-                print(f"spectrum capped at n={enumeration.SPECTRUM_MAX_N}; see reference data", file=sys.stderr)
-                return EXIT_RESOURCE
             table = spectrum(n)
             payload = table.to_json()
             csv_rows = [["size", "sets"]] + [
@@ -219,22 +208,11 @@ def _check_max_unique(n: int, rng) -> tuple[bool, dict]:
     got = entries.get(hi, 0)
     ok = got == 3 * 2 ** (n - 1)
     detail = {"max_size": hi, "count": got, "expected": 3 * 2 ** (n - 1)}
-    if n <= 3:
-        # every maximal-size function sits in the orbit of the canonical one
-        from .funcspace import tern_from_trade
-        from .symmetry import orbit_values
-
-        ref = construct.maximal_bitrade(n)
-        members = orbit_values(tern_from_trade(ref).values, n)
-        found = 0
-        for f in enumeration.enumerate_functions(n):
-            if f.cardinality == hi:
-                found += 1
-                if bytes(v + 1 for v in f.values) not in members:
-                    ok = False
-                    detail["outside_orbit"] = f.to_text()
-        detail["functions_at_max"] = found
-        ok = ok and found == 2 * got
+    if n <= enumeration.CLASSIFY_MAX_N:
+        # one class holds every maximal-size function: both signs of each set
+        orbits = [r.orbit_size for r in classify_all(n)[1] if r.cardinality == hi]
+        detail["class_orbits"] = orbits
+        ok = ok and orbits == [2 * got]
     return ok, detail
 
 
@@ -502,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--out", default=None)
     pe.add_argument("--format", choices=["json", "csv"], default="json")
     pe.add_argument("--seed", type=int, default=0)
-    pe.add_argument("--allow-big", action="store_true")
 
     pv = sub.add_parser("verify", help="named theorem checks")
     pv.add_argument("--check", required=True)

@@ -14,7 +14,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import cube
 from .errors import (
@@ -59,21 +60,27 @@ def product(B: BipartiteTrade, C: BipartiteTrade) -> BipartiteTrade:
 def k_extension(B: BipartiteTrade, m: int) -> BipartiteTrade:
     """Replace the last coordinate by a sum of two: the signed function
     b(x_1..x_{n-1}, (x_n + x_{n+1}) mod 3) defines a bitrade of dimension
-    n+1 and cardinality 3*|B|; iterate m times.  ValueError unless B is
-    ternary."""
+    n+1 and cardinality 3*|B|; iterate m times.  Each step is one read
+    through the cached fold table of its dimension, and `trade_from_tern`
+    checks the result.  ValueError unless B is ternary."""
     if m < 0:
         raise ValueError("extension count must be >= 0")
     f = tern_from_trade(B)
-    for _ in range(m):
-        n, k = f.n, B.k
-        if n < 1:
-            raise DimensionTooSmall("extension needs at least one coordinate")
-        vals = []
-        for word in cube.all_words(n + 1, k):
-            folded = word[: n - 1] + ((word[n - 1] + word[n]) % k,)
-            vals.append(f.values[cube.cell_of_word(folded, k)])
-        f = TernFn(n + 1, tuple(vals))
-    return trade_from_tern(f)
+    if m and f.n < 1:
+        raise DimensionTooSmall("extension needs at least one coordinate")
+    values = f.values
+    for n in range(f.n, f.n + m):
+        values = _fold(n)(values)
+    return trade_from_tern(TernFn(f.n + m, values))
+
+
+@lru_cache(maxsize=None)
+def _fold(n: int) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """The values at dimension n to those of the fold at n + 1: cell c
+    reads the cell of (x_1..x_{n-1}, (x_n + x_{n+1}) mod 3), that is
+    (c // 9) * 3 + (c // 3 + c) % 3.  At n >= 1 it reads 9 or more cells,
+    so it returns a tuple."""
+    return itemgetter(*((c // 9) * 3 + (c // 3 + c) % 3 for c in range(3 ** (n + 1))))
 
 
 # ---------------------------------------------------------------------------

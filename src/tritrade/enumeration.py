@@ -307,9 +307,12 @@ def count_by_retract_classes(n: int, jobs: int = 1) -> int:
     representative as the first hyperplane, weighted by orbit size, which
     certifies the layer at n; `jobs` > 1 fans the classes over forked
     workers (`_fan_out`).  The zero representative's completions are the
-    (0, g, -g), so it adds N(n-1), the layer's certified orbit sum."""
+    (0, g, -g), so it adds N(n-1), the layer's certified orbit sum.
+    Capped at n = CLASSIFY_MAX_N + 1 = 6, one above the class layer."""
     if n < 1:
         raise DimensionTooSmall("class count needs n >= 1")
+    if n > CLASSIFY_MAX_N + 1:
+        raise DimensionTooLarge(f"class count capped at n={CLASSIFY_MAX_N + 1}")
     layer = _class_layer(n - 1)[0]
     units = [
         (rec.orbit_size, _pinned(rec.representative.values))

@@ -149,11 +149,20 @@ _TERN_VALS = {"-": -1, "0": 0, "+": 1}
 
 
 class TernFn:
+    """A {-1,0,+1}-valued function on Q_3^n: its value tuple in cell order.
+
+    The constructor is the package's one value check: any other value would
+    be read as its sign, negated or encoded into the key of another
+    function.  It raises ValueError for such a value or for a tuple of the
+    wrong length; `_unchecked` skips both for the enumeration's stream."""
+
     __slots__ = ("n", "values", "_cardinality")
 
     def __init__(self, n: int, values: tuple[int, ...]):
         if len(values) != 3 ** n:
             raise ValueError("value vector length mismatch")
+        if not set(values) <= {-1, 0, 1}:
+            raise ValueError("expected a {-1,0,+1}-valued function")
         self.n = n
         self.values = values
         self._cardinality = None
@@ -281,18 +290,12 @@ def tern_from_trade(B: BipartiteTrade) -> TernFn:
     return TernFn(B.n, tuple(vals))
 
 
-def _check_signs(values: Sequence[int]) -> None:
-    # any other value would be read as its sign, negated or encoded into a
-    # key of another function
-    if not set(values) <= {-1, 0, 1}:
-        raise ValueError("expected a {-1,0,+1}-valued function")
-
-
 def trade_from_tern(f: TernFn) -> BipartiteTrade:
-    """Bitrade whose legs are the sign classes of f; ValueError for a
-    value outside {-1,0,+1}, NotAUnitrade unless the support is a unitrade
-    and no leg has two cells on one line."""
-    _check_signs(f.values)
+    """Bitrade whose legs are the sign classes of f; NotAUnitrade unless
+    the support is a unitrade and no leg has two cells on one line.  The
+    two conditions together say that f is line-sum-zero: each line meets
+    the support in no cell or in a +1 and a -1.  This is the package's
+    test of that space; `line_sums` is the cell-by-cell reading of it."""
     p0 = sum(1 << c for c, v in enumerate(f.values) if v > 0)
     p1 = sum(1 << c for c, v in enumerate(f.values) if v < 0)
     base = TradeSet(f.n, 3, p0 | p1)

@@ -38,8 +38,8 @@ from typing import Callable, Sequence
 
 from . import cube
 from .cube import Isometry
-from .errors import OrbitTooLarge
-from .funcspace import LineSumKind, TernFn, _check_signs, line_sums
+from .errors import NotAUnitrade, OrbitTooLarge
+from .funcspace import TernFn, trade_from_tern
 
 _SYM3 = tuple(itertools.permutations((0, 1, 2)))
 _ID3 = (0, 1, 2)
@@ -103,14 +103,16 @@ def canonical_form(f: TernFn) -> str:
     f's class in the class layer (``enumeration._class_layer``), which is
     the class's lex-minimal member, found through f's certified retract
     key.  The first call at a dimension builds that layer, about 5 s at
-    n = 5.  Raises ValueError when f is not line-sum-zero (the key of such
-    an f can collide with a real class) and DimensionTooLarge at n >= 6.
+    n = 5.  Raises ValueError when f is not line-sum-zero, as
+    `trade_from_tern` finds it (the key of such an f can collide with a
+    real class), and DimensionTooLarge at n >= 6.
     """
     from .enumeration import _class_layer  # enumeration imports this module
 
-    _check_signs(f.values)
-    if LineSumKind.INVALID in line_sums(f):
-        raise ValueError("canonical forms are defined on line-sum-zero functions")
+    try:
+        trade_from_tern(f)
+    except NotAUnitrade as exc:
+        raise ValueError(f"canonical forms need a line-sum-zero function: {exc}") from None
     records, index = _class_layer(f.n)
     return records[index[_encode(f.values)]].representative.to_text()
 
@@ -126,9 +128,10 @@ def orbit_values(values: tuple[int, ...], n: int, limit: int = DEFAULT_ORBIT_LIM
     """Closure of a value tuple under the generators, as encoded byte keys
     (value v as byte v + 1).  Images are taken on the keys themselves: the
     sign flip fixes every cell and swaps the bytes 0 and 2, and each other
-    generator is one itemgetter over the cells.  Raises ValueError on a
-    value outside {-1,0,+1}."""
-    _check_signs(values)
+    generator is one itemgetter over the cells.  The values are read
+    through `TernFn(n, values)`, so a value outside {-1,0,+1} or a tuple
+    of the wrong length raises ValueError."""
+    values = TernFn(n, values).values
     gets = _gen_getters(n)
     start = _encode(values)
     seen = {start}
@@ -199,10 +202,8 @@ def _match_count(f: TernFn, g: TernFn, find_one: bool) -> int:
     exactly when the contents are, so a symmetric function pays for each
     distinct sub-problem once rather than once per automorphism.  With
     find_one the search stops at the first match and the result is only
-    meaningful as zero or nonzero.  Raises ValueError on a value outside
-    {-1,0,+1} in f or g."""
-    _check_signs(f.values)
-    _check_signs(g.values)
+    meaningful as zero or nonzero.  f and g are TernFn, so their values
+    were checked when they were built."""
     if f.n != g.n:
         return 0
     table = _FaceTable(g.values, g.n)

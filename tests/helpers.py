@@ -5,7 +5,7 @@ import itertools
 from tritrade import cube
 from tritrade.construct import embed_in_alphabet, grid_cycle_bitrade
 from tritrade.cube import Isometry
-from tritrade.funcspace import BoolFn, TernFn, u_from_bool
+from tritrade.funcspace import BoolFn, TernFn, tern_from_trade, trade_from_tern, u_from_bool
 from tritrade.symmetry import (
     DEFAULT_ORBIT_LIMIT,
     ClassRecord,
@@ -116,6 +116,21 @@ def _canon_rec(fs, m, memo):
                     best = img
     memo[fs] = best
     return best
+
+
+def k_extension_by_words(B, m):
+    """Reference alphabet extension, independent of the fold table: every
+    cell of each step rebuilt from its word, with the last two digits
+    folded into their sum mod 3."""
+    f = tern_from_trade(B)
+    for _ in range(m):
+        n = f.n
+        vals = []
+        for word in cube.all_words(n + 1, 3):
+            folded = word[: n - 1] + ((word[n - 1] + word[n]) % 3,)
+            vals.append(f.values[cube.cell_of_word(folded, 3)])
+        f = TernFn(n + 1, tuple(vals))
+    return trade_from_tern(f)
 
 
 def random_n5_function(rng, fl4):

@@ -1,11 +1,20 @@
+import dataclasses
 import json
 import re
 from pathlib import Path
 
 import pytest
 
-from tritrade import enumeration
-from tritrade.cli import CHECKS, EXIT_BAD_PARAMS, EXIT_OK, EXIT_RESOURCE, main
+from tritrade import cli, enumeration
+from tritrade.cli import (
+    CHECKS,
+    EXIT_BAD_PARAMS,
+    EXIT_CHECK_FAILED,
+    EXIT_OK,
+    EXIT_RESOURCE,
+    build_parser,
+    main,
+)
 from tritrade.refdata import N_FUNCTIONS
 
 
@@ -100,22 +109,13 @@ class TestEnumerateCommand:
         assert digests[0] == digests[1]
 
     def test_resource_limits(self, capsys):
+        # the caps are the library's; the CLI maps DimensionTooLarge to exit 3
         code, _, err = run(capsys, "enumerate", "--n", "7", "--mode", "count")
         assert code == EXIT_RESOURCE
+        assert "capped at n=6" in err
         code, _, err = run(capsys, "enumerate", "--n", "6", "--mode", "spectrum")
         assert code == EXIT_RESOURCE
-        code, _, err = run(capsys, "enumerate", "--n", "6", "--mode", "count")
-        assert code == EXIT_RESOURCE  # needs --allow-big
-        assert "91 nonzero n=5 classes" in err and "--allow-big" in err
-        code, _, err = run(capsys, "enumerate", "--n", "6", "--mode", "count", "--jobs", "2")
-        assert code == EXIT_RESOURCE  # needs --allow-big
-        code, _, err = run(capsys, "enumerate", "--n", "7", "--mode", "count", "--allow-big")
-        assert code == EXIT_RESOURCE
         code, _, err = run(capsys, "enumerate", "--n", "6", "--mode", "classes")
-        assert code == EXIT_RESOURCE
-        code, _, err = run(
-            capsys, "enumerate", "--n", "6", "--mode", "classes", "--allow-big"
-        )
         assert code == EXIT_RESOURCE
 
     def test_count_n6_routes_through_classes(self, capsys, monkeypatch):
@@ -126,18 +126,14 @@ class TestEnumerateCommand:
             return 12345
 
         monkeypatch.setattr(enumeration, "count_by_retract_classes", stub)
-        code, out, _ = run(
-            capsys, "enumerate", "--n", "6", "--mode", "count", "--allow-big", "--jobs", "2"
-        )
+        code, out, _ = run(capsys, "enumerate", "--n", "6", "--mode", "count", "--jobs", "2")
         assert code == EXIT_OK
         assert calls == [(6, 2)]
         assert out.strip() == "12345"
 
     @pytest.mark.nightly
     def test_count_n6(self, capsys):
-        code, out, _ = run(
-            capsys, "enumerate", "--n", "6", "--mode", "count", "--allow-big", "--jobs", "2"
-        )
+        code, out, _ = run(capsys, "enumerate", "--n", "6", "--mode", "count", "--jobs", "2")
         assert code == EXIT_OK
         assert out.strip() == str(N_FUNCTIONS[6])
 
@@ -152,7 +148,13 @@ class TestVerifyCommand:
             ("rank2", 3),
             ("rank2", 4),
             ("minimal-count", 5),
+            ("max-unique", 1),
+            ("max-unique", 2),
             ("max-unique", 3),
+            ("max-unique", 4),
+            ("max-unique", 5),
+            ("max-unique", 6),
+            ("max-unique", 7),
             ("gap-14", 4),
             ("pot12", 3),
             ("hprime", 2),
@@ -163,6 +165,26 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--check", check, "--n", str(n))
         assert code == EXIT_OK
         assert out.strip().endswith("pass")
+
+    def test_max_unique_reads_the_class_layer(self, capsys, tmp_path):
+        out_file = tmp_path / "max.json"
+        code, _, _ = run(
+            capsys, "verify", "--check", "max-unique", "--n", "4", "--out", str(out_file)
+        )
+        assert code == EXIT_OK
+        detail = json.loads(out_file.read_text())["payload"]["detail"]
+        assert detail["class_orbits"] == [48] and detail["count"] == 24
+
+    def test_max_unique_fails_on_a_second_maximal_class(self, capsys, monkeypatch):
+        # the n = 3 maximal class split in two, each with half the orbit
+        count, records = enumeration.classify_all(3)
+        top = records[-1]
+        assert top.cardinality == 18
+        halves = [dataclasses.replace(top, orbit_size=top.orbit_size // 2)] * 2
+        monkeypatch.setattr(cli, "classify_all", lambda n: (count + 1, records[:-1] + halves))
+        code, out, _ = run(capsys, "verify", "--check", "max-unique", "--n", "3")
+        assert code == EXIT_CHECK_FAILED
+        assert out.strip().endswith("FAIL")
 
     def test_recover_check(self, capsys):
         code, out, _ = run(capsys, "verify", "--check", "recover", "--n", "8")
@@ -220,6 +242,22 @@ def test_boundary_inputs_exit_bad_params(capsys, argv):
     code, _, err = run(capsys, *argv.split())
     assert code == EXIT_BAD_PARAMS
     assert err.startswith("parameter error")
+
+
+def test_readme_cli_examples_parse():
+    # like test_registry_matches_docs: a deleted flag must not stay documented
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = re.search(r"## CLI\n\n```\n(.*?)```", readme.read_text(), re.S)
+    assert block, "README must have a CLI block"
+    lines = [ln.split("#")[0].split() for ln in block.group(1).splitlines()]
+    examples = [words[1:] for words in lines if words[:1] == ["tritrade"]]
+    assert examples
+    parser = build_parser()
+    for argv in examples:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: tritrade {' '.join(argv)}")
 
 
 _NO_SUPPORT = {"n": 2, "k": 3}

@@ -33,7 +33,7 @@ from tritrade.errors import (
     NotBalanced,
     PreconditionUnverifiable,
 )
-from helpers import random_q4_unitrade
+from helpers import k_extension_by_words, random_q4_unitrade
 from tritrade.funcspace import BoolFn, degree, tern_from_trade
 from tritrade.monomial import MonomialSet, monomial_cube, rank, trade_from_monomials
 from tritrade.trade import BipartiteTrade, TradeSet, bipartition, is_unitrade
@@ -76,6 +76,21 @@ class TestKExtension:
         B = bitrade14(3)
         assert k_extension(B, 1).cardinality == 42
         assert k_extension(B, 2).cardinality == 126
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "name,n",
+        [("maximal", 1), ("maximal", 2), ("maximal", 3),
+         ("minimal", 1), ("minimal", 2), ("minimal", 3), ("bitrade14", 3)],
+    )
+    def test_fold_table_matches_word_fold(self, name, n, m):
+        if name == "minimal":
+            B = bipartition(monomial_cube((0,) * n))
+        else:
+            B = {"maximal": maximal_bitrade, "bitrade14": bitrade14}[name](n)
+        ext = k_extension(B, m)
+        ref = k_extension_by_words(B, m)
+        assert (ext.base, ext.part0, ext.part1) == (ref.base, ref.part0, ref.part1)
 
     def test_non_ternary_base_raises(self):
         # the signed function has 3^n values: a Q_4 bitrade was truncated

@@ -281,6 +281,18 @@ class TestLineSums:
             assert pos in (B.part0, B.part1)
 
 
+@pytest.mark.parametrize(
+    "n,values",
+    [(1, (2, -2, 0)), (2, (0,) * 8 + (5,))],
+    ids=["two-and-minus-two", "last-cell-5"],
+)
+def test_tern_rejects_values_outside_signs(n, values):
+    # TernFn(1, (2, -2, 0)) was accepted: its line read as a signed triple,
+    # its cardinality as 2, and repr and to_text raised KeyError
+    with pytest.raises(ValueError):
+        TernFn(n, values)
+
+
 class TestTradeFromTern:
     @pytest.mark.parametrize(
         "text",

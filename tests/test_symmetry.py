@@ -130,15 +130,15 @@ class TestCanonicalForm:
             assert canonical_form(g) == key
 
     @pytest.mark.parametrize(
-        "f",
-        [TernFn(1, (1, 1, 0)), TernFn(2, (1, -1, 0) * 3),
-         TernFn(0, (2,)), TernFn(1, (2, -1, -1))],
+        "n,values",
+        [(1, (1, 1, 0)), (2, (1, -1, 0) * 3), (0, (2,)), (1, (2, -1, -1))],
         ids=["line-sum-nonzero", "columns-nonzero", "value-2-n0", "value-2-n1"],
     )
-    def test_rejects_functions_outside_the_space(self, f):
-        # without the check (1, 1, 0) and (2,) would get the answers -0+ and -
+    def test_rejects_functions_outside_the_space(self, n, values):
+        # without the checks (1, 1, 0) and (2,) would get the answers -0+ and -;
+        # a value 2 is refused by TernFn itself
         with pytest.raises(ValueError):
-            canonical_form(f)
+            canonical_form(TernFn(n, values))
 
     def test_capped_at_n5(self):
         with pytest.raises(DimensionTooLarge):
@@ -316,20 +316,28 @@ class TestDoubleCount:
 @pytest.mark.parametrize(
     "call",
     [
-        aut_order,
-        lambda f: equivalent(f, f),
-        lambda f: count_isometries_onto(TernFn.zero(f.n), f),
-        lambda f: orbit_values(f.values, f.n),
+        lambda n, v: aut_order(TernFn(n, v)),
+        lambda n, v: equivalent(TernFn(n, v), TernFn(n, v)),
+        lambda n, v: count_isometries_onto(TernFn.zero(n), TernFn(n, v)),
+        lambda n, v: orbit_values(v, n),
     ],
     ids=["aut_order", "equivalent", "count-onto-target", "orbit_values"],
 )
 @pytest.mark.parametrize(
-    "f", [TernFn(0, (2,)), TernFn(1, (2, -1, -1))], ids=["value-2-n0", "value-2-n1"]
+    "n,values", [(0, (2,)), (1, (2, -1, -1))], ids=["value-2-n0", "value-2-n1"]
 )
-def test_group_calls_reject_values_outside_signs(call, f):
-    # without the check aut_order(f) read 2 at n = 1 and orbit_values gave 6 keys
+def test_group_calls_reject_values_outside_signs(call, n, values):
+    # without the check aut_order read 2 at n = 1 and orbit_values gave 6 keys
     with pytest.raises(ValueError):
-        call(f)
+        call(n, values)
+
+
+@pytest.mark.parametrize("values", [(1, -1, 0, 0), (1, -1)], ids=["long", "short"])
+def test_orbit_values_rejects_wrong_length(values):
+    # without the check the long tuple gave 8 keys of mixed lengths and the
+    # short one an IndexError
+    with pytest.raises(ValueError):
+        orbit_values(values, 1)
 
 
 class TestEquivalent:
