@@ -3,11 +3,14 @@ construction dumps.
 
 Every output embeds a run manifest (command line, seed, versions, wall
 time, worker count, payload checksum); identical inputs must reproduce
-identical payload checksums.  Exit codes: 0 success, 1 failed check,
-2 bad parameters, 3 resource limit.  The caps are the library's: a
-DimensionTooLarge from it is exit 3.  Counts up to n = 5 run directly and
-N(6) through the 92 n = 5 classes.  Class reports key each class by its
-representative, which the class layer yields in canonical form.
+identical payload checksums.  Exit codes: 0 success, 1 failed check or
+broken invariant, 2 bad parameters, 3 resource limit.  The commands raise
+and `main` alone maps exceptions to exit codes: DimensionTooLarge (the
+caps are the library's) and MemoryError are 3, BrokenInvariant is 1, any
+other TritradeError, ValueError, TypeError or OSError is 2.  Counts up to
+n = 5 run directly and N(6) through the 92 n = 5 classes.  Class reports
+key each class by its representative, which the class layer yields in
+canonical form.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Optional
 
 from . import __version__, construct, enumeration, monomial, refdata, testsets
 from .enumeration import bitrade_catalog, classify_all, count_functions, spectrum
-from .errors import DimensionTooLarge, DimensionTooSmall, TritradeError
+from .errors import BrokenInvariant, DimensionTooLarge, DimensionTooSmall, TritradeError
 from .funcspace import BoolFn, u_from_bool
 from .monomial import MonomialSet, rank
 from .trade import (
@@ -91,41 +94,32 @@ def _cmd_enumerate(args, argv) -> int:
     t0 = time.time()
     jobs = args.jobs
     n = args.n
-    try:
-        if args.mode == "count":
-            if n <= enumeration.COUNT_MAX_N:
-                total = count_functions(n, jobs=jobs)
-            else:
-                total = enumeration.count_by_retract_classes(n, jobs=jobs)
-            payload = {"n": n, "count": str(total)}
-            csv_rows = [["n", "count"], [n, total]]
-            print(total)
-        elif args.mode == "spectrum":
-            table = spectrum(n)
-            payload = table.to_json()
-            csv_rows = [["size", "sets"]] + [
-                [s, c] for s, c in sorted(table.entries.items())
-            ]
-        elif args.mode == "classes":
-            count, records = classify_all(n)
-            records.sort(key=lambda r: (r.cardinality, r.representative.to_text()))
-            payload = {
-                "n": n,
-                "classes": count,
-                "records": [r.to_json() for r in records],
-            }
-            csv_rows = [["key", "orbit", "aut", "cardinality"]] + [
-                [r.representative.to_text(), r.orbit_size, r.aut, r.cardinality] for r in records
-            ]
-            print(count)
+    if args.mode == "count":
+        if n <= enumeration.COUNT_MAX_N:
+            total = count_functions(n, jobs=jobs)
         else:
-            return EXIT_BAD_PARAMS
-    except DimensionTooLarge as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_RESOURCE
-    except (DimensionTooSmall, ValueError) as exc:
-        print(f"parameter error: {exc}", file=sys.stderr)
-        return EXIT_BAD_PARAMS
+            total = enumeration.count_by_retract_classes(n, jobs=jobs)
+        payload = {"n": n, "count": str(total)}
+        csv_rows = [["n", "count"], [n, total]]
+        print(total)
+    elif args.mode == "spectrum":
+        table = spectrum(n)
+        payload = table.to_json()
+        csv_rows = [["size", "sets"]] + [
+            [s, c] for s, c in sorted(table.entries.items())
+        ]
+    else:  # classes; argparse admits no other mode
+        count, records = classify_all(n)
+        records.sort(key=lambda r: (r.cardinality, r.representative.to_text()))
+        payload = {
+            "n": n,
+            "classes": count,
+            "records": [r.to_json() for r in records],
+        }
+        csv_rows = [["key", "orbit", "aut", "cardinality"]] + [
+            [r.representative.to_text(), r.orbit_size, r.aut, r.cardinality] for r in records
+        ]
+        print(count)
     if args.out or args.mode == "spectrum" or args.format == "csv":
         _emit(payload, csv_rows, f"enumerate/{args.mode}", argv, args.seed, jobs, t0, args.out, args.format)
     return EXIT_OK
@@ -348,15 +342,7 @@ def _cmd_verify(args, argv) -> int:
         print(f"unknown check {args.check!r}; have: {', '.join(sorted(CHECKS))}", file=sys.stderr)
         return EXIT_BAD_PARAMS
     fn, desc = CHECKS[args.check]
-    rng = random.Random(args.seed)
-    try:
-        ok, detail = fn(args.n, rng)
-    except DimensionTooLarge as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_RESOURCE
-    except (DimensionTooSmall, ValueError) as exc:
-        print(f"parameter error: {exc}", file=sys.stderr)
-        return EXIT_BAD_PARAMS
+    ok, detail = fn(args.n, random.Random(args.seed))
     payload = {
         "check": args.check,
         "n": args.n,
@@ -411,45 +397,37 @@ def _parse_trade_spec(spec: str):
 
 def _cmd_construct(args, argv) -> int:
     t0 = time.time()
-    try:
-        if args.what == "maximal":
-            payload = _trade_payload(construct.maximal_bitrade(args.n))
-            payload["self_check"]["expected_size"] = 2 * 3 ** (args.n - 1)
-        elif args.what == "rank2":
-            B = construct.rank2_family(args.n, args.s)
-            payload = _trade_payload(B)
-            payload["self_check"]["expected_size"] = 2 ** (args.n + 1) - 2 ** (args.s + 1)
-        elif args.what == "bitrade14":
-            B = construct.bitrade14(args.n)
-            payload = _trade_payload(B)
-            payload["self_check"]["expected_size"] = 14 * 3 ** (args.n - 3)
-        elif args.what == "product":
-            B = construct.product(_parse_trade_spec(args.left), _parse_trade_spec(args.right))
-            payload = _trade_payload(B)
-        elif args.what == "kext":
-            B = construct.k_extension(_parse_trade_spec(args.base), args.m)
-            payload = _trade_payload(B)
-        elif args.what == "hprime":
-            code = construct.hprime(args.t)
-            report = construct.verify_odd_distance_bound(code.codewords(), q=3)
-            payload = {
-                **code.to_json(),
-                "self_check": {
-                    "length_ok": code.length == 2 ** args.t - 2 + (3 ** args.t - 1) // 2,
-                    "pairwise_odd": report.pairwise_odd,
-                    "distinct_row_compositions": construct.distinct_row_compositions(code),
-                    "code_unique_rows": construct.code_unique_compositions(code),
-                },
-            }
-        elif args.what == "pot12":
-            f = BoolFn.from_text(args.f)
-            B = construct.pot12(f)
-            payload = _trade_payload(B)
-        else:
-            return EXIT_BAD_PARAMS
-    except (TritradeError, ValueError, TypeError) as exc:
-        print(f"parameter error: {exc}", file=sys.stderr)
-        return EXIT_BAD_PARAMS
+    if args.what == "maximal":
+        payload = _trade_payload(construct.maximal_bitrade(args.n))
+        payload["self_check"]["expected_size"] = 2 * 3 ** (args.n - 1)
+    elif args.what == "rank2":
+        B = construct.rank2_family(args.n, args.s)
+        payload = _trade_payload(B)
+        payload["self_check"]["expected_size"] = 2 ** (args.n + 1) - 2 ** (args.s + 1)
+    elif args.what == "bitrade14":
+        B = construct.bitrade14(args.n)
+        payload = _trade_payload(B)
+        payload["self_check"]["expected_size"] = 14 * 3 ** (args.n - 3)
+    elif args.what == "product":
+        B = construct.product(_parse_trade_spec(args.left), _parse_trade_spec(args.right))
+        payload = _trade_payload(B)
+    elif args.what == "kext":
+        B = construct.k_extension(_parse_trade_spec(args.base), args.m)
+        payload = _trade_payload(B)
+    elif args.what == "hprime":
+        code = construct.hprime(args.t)
+        report = construct.verify_odd_distance_bound(code.codewords(), q=3)
+        payload = {
+            **code.to_json(),
+            "self_check": {
+                "length_ok": code.length == 2 ** args.t - 2 + (3 ** args.t - 1) // 2,
+                "pairwise_odd": report.pairwise_odd,
+                "distinct_row_compositions": construct.distinct_row_compositions(code),
+                "code_unique_rows": construct.code_unique_compositions(code),
+            },
+        }
+    else:  # pot12; argparse admits no other construction
+        payload = _trade_payload(construct.pot12(BoolFn.from_text(args.f)))
     csv_rows = [["field", "value"]] + [
         [k, json.dumps(v, sort_keys=True)] for k, v in sorted(payload.items())
     ]
@@ -513,9 +491,20 @@ def main(argv: Optional[list[str]] = None) -> int:
         print("parameter error: need --n >= 0 and --jobs >= 1", file=sys.stderr)
         return EXIT_BAD_PARAMS
     commands = {"enumerate": _cmd_enumerate, "verify": _cmd_verify, "construct": _cmd_construct}
+    # the one exit-code boundary: the commands raise, only this maps
     try:
         return commands[args.cmd](args, argv)
-    except OSError as exc:  # unreadable input or unwritable --out
+    except DimensionTooLarge as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:
+        print("resource limit: out of memory", file=sys.stderr)
+        return EXIT_RESOURCE
+    except BrokenInvariant as exc:  # a bug, not bad input
+        print(f"broken invariant: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    except (TritradeError, ValueError, TypeError, OSError) as exc:
+        # OSError: unreadable input or unwritable --out
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
 

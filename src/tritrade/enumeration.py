@@ -59,7 +59,7 @@ from . import cube
 from .errors import BrokenInvariant, DimensionTooLarge, DimensionTooSmall
 from .funcspace import BoolFn, TernFn, trade_from_tern, u_from_bool
 from .symmetry import ClassRecord, aut_order, group_order
-from .trade import BipartiteTrade, TradeSet, mod3_admissible
+from .trade import BipartiteTrade, TradeSet
 
 # ---------------------------------------------------------------------------
 # Packed domains: 3 bits per cell, bit 3c + (v+1) allows value v at cell c
@@ -333,9 +333,6 @@ class SpectrumTable:
     def count_at(self, size: int) -> int:
         return self.entries.get(size, 0)
 
-    def sizes(self) -> list[int]:
-        return sorted(self.entries)
-
     def as_list(self) -> list[int]:
         """Counts at 2^n, 2^n+2, ..., 2*3^(n-1)."""
         lo, hi = 2 ** self.n, 2 * 3 ** (self.n - 1)
@@ -349,12 +346,6 @@ class SpectrumTable:
                 {"size": s, "sets": str(c)} for s, c in sorted(self.entries.items())
             ],
         }
-
-    def consistent(self) -> bool:
-        ok = self.total_functions == 2 * sum(self.entries.values()) + 1
-        return ok and all(
-            mod3_admissible(self.n, s) for s, c in self.entries.items() if c
-        )
 
 
 SPECTRUM_MAX_N = 5

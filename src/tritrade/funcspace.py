@@ -358,24 +358,22 @@ def bool_from_unitrade(U: TradeSet) -> BoolFn:
 # Bases of the line-sum-zero spaces
 # ---------------------------------------------------------------------------
 
-def gf2_basis_fn(x: tuple[int, ...], k: int = 3) -> TernFn:
+def gf2_basis_fn(x: tuple[int, ...]) -> TernFn:
     """Signed characteristic function of the boolean subcube B_x.
 
     B_x = {y : x <= y}: coordinate i of y is either x_i or the maximal digit
-    k-1.  The sign at y is (-1)^(number of coordinates where y keeps x_i),
-    i.e. (-1)^wt(y - (k-1)*1).  Worked n=1, k=3 table for x=(0):
+    2.  The sign at y is (-1)^(number of coordinates where y keeps x_i),
+    i.e. (-1)^wt(y - 2*1).  Worked n=1 table for x=(0):
 
         y:      0   1   2
         b_x:   -1   0  +1
 
-    Support meets Q_{k-1}^n exactly in {x}, so the family over all x in
-    Q_{k-1}^n is a basis of the line-sum-zero space.
+    The digits of x must be < 2.  The support meets Q_2^n exactly in {x},
+    so the family over all x in Q_2^n is a basis of the line-sum-zero space.
     """
-    if k != 3:
-        raise ValueError("TernFn output requires k=3")
     n = len(x)
-    if any(d >= k - 1 for d in x):
-        raise BadBaseWord(f"base word digits must be < {k - 1}: {x}")
+    if any(d >= 2 for d in x):
+        raise BadBaseWord(f"base word digits must be < 2: {x}")
     vals = [0] * 3 ** n
     for choice in itertools.product((0, 1), repeat=n):
         y = tuple(x[i] if choice[i] == 0 else 2 for i in range(n))

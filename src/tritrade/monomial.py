@@ -10,9 +10,9 @@ monomials and symmetric differences of subcubes are the same thing and the
 function.
 
 Rank engines: a bit-sliced BFS over GF(2)^(2^n) gives the full rank table
-for n <= 4 in one pass; an independent iterative-deepening branch-and-bound,
-bounded by ranks one dimension down, cross-checks it and handles n = 5 on
-request.
+for n <= 4 in one pass, and `rank` reads it; an independent
+iterative-deepening branch-and-bound, bounded by ranks one dimension down,
+cross-checks it and, called directly, runs n = 5.
 """
 
 from __future__ import annotations
@@ -206,21 +206,16 @@ def rank_table(n: int) -> bytes:
     return table.to_bytes(size, "little")
 
 
-def rank_of_boolfn(f: BoolFn, allow_slow: bool = False) -> int:
-    if f.n <= _RANK_TABLE_MAX_N:
-        return rank_table(f.n)[f.bits]
-    if f.n == 5 and allow_slow:
-        return rank_branch_and_bound(f)
-    raise DimensionTooLarge(
-        f"exact rank requires n <= 4 (n=5 behind allow_slow), got n={f.n}"
-    )
+def rank_of_boolfn(f: BoolFn) -> int:
+    """Exact rank read from the table; DimensionTooLarge for n > 4."""
+    return rank_table(f.n)[f.bits]
 
 
-def rank(U: TradeSet, allow_slow: bool = False) -> int:
+def rank(U: TradeSet) -> int:
     """Minimal number of monomial cubes whose XOR is U."""
     if not is_unitrade(U):
         raise NotAUnitrade("rank is defined for unitrades")
-    return rank_of_boolfn(bool_from_unitrade(U), allow_slow=allow_slow)
+    return rank_of_boolfn(bool_from_unitrade(U))
 
 
 def _rank_lower_bound(bits: int, n: int) -> int:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from tritrade import cli, enumeration
+from tritrade import cli, construct, enumeration
 from tritrade.cli import (
     CHECKS,
     EXIT_BAD_PARAMS,
@@ -15,6 +15,7 @@ from tritrade.cli import (
     build_parser,
     main,
 )
+from tritrade.errors import BrokenInvariant, DimensionTooLarge, DimensionTooSmall, NotAUnitrade
 from tritrade.refdata import N_FUNCTIONS
 
 
@@ -141,21 +142,19 @@ class TestEnumerateCommand:
 class TestVerifyCommand:
     @pytest.mark.parametrize(
         "check,n",
+        # the spectrum checks are the package's only code that holds a
+        # spectrum to the theorems: the live one at n <= 5, the shipped
+        # tables at n = 6, 7
         [
-            ("mod3", 4),
-            ("small-spectrum", 4),
+            (check, n)
+            for check in ("mod3", "small-spectrum", "minimal-count", "max-unique")
+            for n in range(1, 8)
+        ]
+        + [("gap-14", n) for n in range(3, 8)]
+        + [
             ("alpha", 3),
             ("rank2", 3),
             ("rank2", 4),
-            ("minimal-count", 5),
-            ("max-unique", 1),
-            ("max-unique", 2),
-            ("max-unique", 3),
-            ("max-unique", 4),
-            ("max-unique", 5),
-            ("max-unique", 6),
-            ("max-unique", 7),
-            ("gap-14", 4),
             ("pot12", 3),
             ("hprime", 2),
             ("testset", 3),
@@ -258,6 +257,44 @@ def test_readme_cli_examples_parse():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README example does not parse: tritrade {' '.join(argv)}")
+
+
+# one library call per command, each made to raise; main alone maps the
+# exception to the exit code, and no input ends in a traceback
+_RAISING_CALLS = [
+    (cli, "count_functions", "enumerate --n 3"),
+    (cli, "spectrum", "verify --check mod3 --n 3"),
+    (construct, "maximal_bitrade", "construct --what maximal --n 3"),
+]
+_EXIT_FOR = [
+    (DimensionTooLarge("capped"), EXIT_RESOURCE, "capped"),
+    (MemoryError(), EXIT_RESOURCE, "resource limit: out of memory"),
+    (BrokenInvariant("odd count"), EXIT_CHECK_FAILED, "broken invariant: odd count"),
+    (DimensionTooSmall("too small"), EXIT_BAD_PARAMS, "parameter error: too small"),
+    (NotAUnitrade("not a unitrade"), EXIT_BAD_PARAMS, "parameter error: not a unitrade"),
+    (ValueError("bad value"), EXIT_BAD_PARAMS, "parameter error: bad value"),
+    (TypeError("bad type"), EXIT_BAD_PARAMS, "parameter error: bad type"),
+    (OSError("unreadable"), EXIT_BAD_PARAMS, "parameter error: unreadable"),
+]
+
+
+@pytest.mark.parametrize(
+    "owner,target,argv",
+    [pytest.param(o, t, a, id=t) for o, t, a in _RAISING_CALLS],
+)
+@pytest.mark.parametrize(
+    "exc,code,message",
+    [pytest.param(e, c, m, id=type(e).__name__) for e, c, m in _EXIT_FOR],
+)
+def test_one_exit_code_boundary(capsys, monkeypatch, owner, target, argv, exc, code, message):
+    def boom(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(owner, target, boom)
+    got, out, err = run(capsys, *argv.split())
+    assert got == code
+    assert err.strip() == message
+    assert "Traceback" not in out + err
 
 
 _NO_SUPPORT = {"n": 2, "k": 3}

@@ -181,7 +181,7 @@ class TestRank:
         rng = random.Random(2)
         for _ in range(12):
             f = BoolFn(5, rng.getrandbits(32))
-            assert rank_of_boolfn(f, allow_slow=True) <= 9
+            assert rank_branch_and_bound(f) <= 9
 
 
 class TestRankStructure:

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tritrade"
@@ -32,3 +33,14 @@ def test_no_process_global_gc_settings():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"gc settings changed in src: {found}"
+
+
+def test_library_map_names_every_module():
+    # like test_registry_matches_docs: a module must not go undocumented,
+    # nor a deleted one stay documented
+    readme = SRC.parents[1] / "README.md"
+    section = re.search(r"## Library map\n(.*?)(?:\n## |\Z)", readme.read_text(), re.S)
+    assert section, "README must have a library map"
+    documented = set(re.findall(r"^\| `([a-z0-9_]+)` ", section.group(1), re.M))
+    modules = {path.stem for path in SRC.glob("*.py")} - {"__init__", "errors"}
+    assert documented == modules
