@@ -2,7 +2,8 @@
 construction dumps.
 
 Every output embeds a run manifest (command line, seed, versions, wall
-time, worker count, payload checksum); identical inputs must reproduce
+time, worker count, payload checksum; only `verify` draws random numbers,
+so the seed is null elsewhere); identical inputs must reproduce
 identical payload checksums.  Exit codes: 0 success, 1 failed check or
 broken invariant, 2 bad parameters, 3 resource limit.  The commands raise
 and `main` alone maps exceptions to exit codes: DimensionTooLarge (the
@@ -28,7 +29,7 @@ from . import __version__, construct, enumeration, monomial, refdata, testsets
 from .enumeration import bitrade_catalog, classify_all, count_functions, spectrum
 from .errors import BrokenInvariant, DimensionTooLarge, DimensionTooSmall, TritradeError
 from .funcspace import BoolFn, u_from_bool
-from .monomial import MonomialSet, rank
+from .monomial import MonomialSet
 from .trade import (
     TradeSet,
     bipartition,
@@ -121,7 +122,7 @@ def _cmd_enumerate(args, argv) -> int:
         ]
         print(count)
     if args.out or args.mode == "spectrum" or args.format == "csv":
-        _emit(payload, csv_rows, f"enumerate/{args.mode}", argv, args.seed, jobs, t0, args.out, args.format)
+        _emit(payload, csv_rows, f"enumerate/{args.mode}", argv, None, jobs, t0, args.out, args.format)
     return EXIT_OK
 
 
@@ -383,6 +384,8 @@ def _parse_trade_spec(spec: str):
     parts = spec.split(":")
     name = parts[0]
     ints = [int(p) for p in parts[1:]]
+    if any(i < 0 for i in ints):
+        raise ValueError(f"trade spec {spec!r} has a negative parameter")
     if name == "maximal":
         return construct.maximal_bitrade(*ints)
     if name == "rank2":
@@ -434,7 +437,7 @@ def _cmd_construct(args, argv) -> int:
     failures = [
         k for k, v in payload.get("self_check", {}).items() if v is False
     ]
-    _emit(payload, csv_rows, f"construct/{args.what}", argv, args.seed, 1, t0, args.out, args.format)
+    _emit(payload, csv_rows, f"construct/{args.what}", argv, None, 1, t0, args.out, args.format)
     if failures:
         print(f"self-check failed: {failures}", file=sys.stderr)
         return EXIT_CHECK_FAILED
@@ -457,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--jobs", type=int, default=default_jobs)
     pe.add_argument("--out", default=None)
     pe.add_argument("--format", choices=["json", "csv"], default="json")
-    pe.add_argument("--seed", type=int, default=0)
 
     pv = sub.add_parser("verify", help="named theorem checks")
     pv.add_argument("--check", required=True)
@@ -479,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--f", default="01")
     pc.add_argument("--out", default=None)
     pc.add_argument("--format", choices=["json", "csv"], default="json")
-    pc.add_argument("--seed", type=int, default=0)
     return p
 
 

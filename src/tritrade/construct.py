@@ -35,7 +35,7 @@ from .funcspace import (
     trade_from_tern,
     u_from_bool,
 )
-from .monomial import MonomialSet, trade_from_monomials
+from .monomial import MonomialSet, _monomial_tables, trade_from_monomials
 from .trade import BipartiteTrade, TradeSet, _normalized, bipartition, is_unitrade
 
 
@@ -90,12 +90,13 @@ def _fold(n: int) -> Callable[[Sequence[int]], tuple[int, ...]]:
 def maximal_bitrade(n: int) -> BipartiteTrade:
     """{x : x_1 + ... + x_n != 0 mod 3}: the unique (up to equivalence)
     bitrade of maximal cardinality 2*3^(n-1); its complement meets every
-    line exactly once (an MDS code)."""
+    line exactly once (an MDS code).  The residue classes of the digit sum
+    are built one coordinate at a time from its digit planes."""
     if n < 1:
         raise DimensionTooSmall("need n >= 1")
-    part = [0, 0, 0]
-    for cell, word in enumerate(cube.all_words(n, 3)):
-        part[sum(word) % 3] |= 1 << cell
+    part = [(1 << 3 ** n) - 1, 0, 0]
+    for p0, p1, p2 in cube.digit_masks(n, 3):
+        part = [p0 & part[r] | p1 & part[r - 1] | p2 & part[r - 2] for r in range(3)]
     base = TradeSet(n, 3, part[1] | part[2])
     return _normalized(base, part[1], part[2])
 
@@ -342,17 +343,15 @@ def recover_monomials(U: TradeSet, D: int) -> MonomialSet:
 # ---------------------------------------------------------------------------
 
 def face_one_counts(f: BoolFn) -> Iterable[tuple[int, int]]:
-    """(dimension, ones) for every face of every dimension of Q_2^n."""
-    n = f.n
-    for spec in itertools.product((0, 1, None), repeat=n):
-        free = [i for i, s in enumerate(spec) if s is None]
-        ones = 0
-        for fill in itertools.product((0, 1), repeat=len(free)):
-            word = list(spec)
-            for i, b in zip(free, fill):
-                word[i] = b
-            ones += f.value(cube.cell_of_word(tuple(word), 2))
-        yield len(free), ones
+    """(dimension, ones) for every face of every dimension of Q_2^n.  The
+    faces are the truth tables of the monomials x^v: the face of v fixes
+    x_i = 1 where v_i = 1 and x_i = 0 where v_i = 2, and leaves free the
+    coordinates where v_i = 0, so a face of dimension d has 2^d cells."""
+    bits = f.bits
+    return (
+        (face.bit_count().bit_length() - 1, (bits & face).bit_count())
+        for face in _monomial_tables(f.n)
+    )
 
 
 def almost_balanced_in_faces(f: BoolFn) -> bool:

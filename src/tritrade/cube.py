@@ -223,16 +223,36 @@ def _factor_masks(n: int, k: int) -> tuple[tuple[int, int, int], ...]:
     )
 
 
+def check_exponent_word(v: tuple[int, ...]) -> None:
+    """ValueError unless every digit of v is 0, 1 or 2 (-1 would index the
+    factor of digit 2)."""
+    if not {0, 1, 2}.issuperset(v):
+        raise ValueError(f"exponent word digits must lie in {{0, 1, 2}}: {v}")
+
+
 def subcube_mask(v: tuple[int, ...], k: int = 3) -> int:
     """Mask over Q_k^n of the cells x with x_i in CUBE_FACTOR[v_i] for all i.
 
     k = 3 gives the monomial cube of v; k = 2 gives the truth table of x^v,
     since CUBE_FACTOR[d] meets {0, 1} in exactly the literal set of x^d.
     """
+    check_exponent_word(v)
     m = (1 << k ** len(v)) - 1
     for masks, d in zip(_factor_masks(len(v), k), v):
         m &= masks[d]
     return m
+
+
+def subcube_legs(v: tuple[int, ...]) -> tuple[int, int]:
+    """(even, odd): the monomial cube of v split by the parity of the
+    coordinates at the high member CUBE_FACTOR[v_i][1] of their factor,
+    which is the xor of those members' digit planes."""
+    cube_mask = subcube_mask(v)
+    parity = 0
+    for digit, d in zip(digit_masks(len(v), 3), v):
+        parity ^= digit[CUBE_FACTOR[d][1]]
+    odd = cube_mask & parity
+    return cube_mask ^ odd, odd
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ minimal words is kept as the test-side oracle.
 from __future__ import annotations
 
 import enum
-import itertools
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -45,21 +44,13 @@ class BoolFn:
         self.bits = bits
 
     @staticmethod
-    def from_values(values: Sequence[int]) -> "BoolFn":
-        n = (len(values) - 1).bit_length()
-        if len(values) != 1 << n:
-            raise ValueError("truth table length must be a power of two")
-        bits = 0
-        for i, v in enumerate(values):
-            if v:
-                bits |= 1 << i
-        return BoolFn(n, bits)
-
-    @staticmethod
     def from_text(text: str) -> "BoolFn":
-        if set(text) - {"0", "1"}:
-            raise ValueError(f"truth table text must hold only 0 and 1, got {text!r}")
-        return BoolFn.from_values([ch == "1" for ch in text])
+        """Character c is the value at cell c, so the text is the bits
+        read from the least significant end."""
+        n = (len(text) - 1).bit_length()
+        if set(text) - {"0", "1"} or len(text) != 1 << n:
+            raise ValueError(f"truth table text must be 2^n characters 0 and 1, got {text!r}")
+        return BoolFn(n, int(text[::-1], 2))
 
     @staticmethod
     def from_callable(n: int, fn) -> "BoolFn":
@@ -119,24 +110,14 @@ def degree(f: BoolFn):
     a = mobius(f).bits
     if a == 0:
         return NEG_INF
-    best = 0
-    cell = 0
-    while a:
-        if a & 1:
-            w = cell.bit_count()
-            if w > best:
-                best = w
-        a >>= 1
-        cell += 1
-    return best
+    return max(cell.bit_count() for cell in range(1 << f.n) if a >> cell & 1)
 
 
 def parity_counter(n: int) -> BoolFn:
-    """p(x) = x_1 xor ... xor x_n."""
+    """p(x) = x_1 xor ... xor x_n: the xor of the digit-1 planes."""
     bits = 0
-    for c in range(1 << n):
-        if c.bit_count() & 1:
-            bits |= 1 << c
+    for plane in cube.digit_masks(n, 2):
+        bits ^= plane[1]
     return BoolFn(n, bits)
 
 
@@ -154,7 +135,8 @@ class TernFn:
     The constructor is the package's one value check: any other value would
     be read as its sign, negated or encoded into the key of another
     function.  It raises ValueError for such a value or for a tuple of the
-    wrong length; `_unchecked` skips both for the enumeration's stream."""
+    wrong length; `_unchecked` skips both for the enumeration's stream and
+    for values built from two leg masks."""
 
     __slots__ = ("n", "values", "_cardinality")
 
@@ -170,7 +152,7 @@ class TernFn:
     @classmethod
     def _unchecked(cls, n: int, values: tuple[int, ...], cardinality: int) -> "TernFn":
         """A function whose values and cardinality the caller vouches for,
-        built without checks (the enumeration's stream)."""
+        built without checks (the enumeration's stream, `_tern_from_legs`)."""
         f = object.__new__(cls)
         f.n, f.values, f._cardinality = n, values, cardinality
         return f
@@ -207,11 +189,7 @@ class TernFn:
         return c
 
     def support(self) -> TradeSet:
-        m = 0
-        for c, v in enumerate(self.values):
-            if v:
-                m |= 1 << c
-        return TradeSet(self.n, 3, m)
+        return TradeSet(self.n, 3, sum(1 << c for c, v in enumerate(self.values) if v))
 
     def negate(self) -> "TernFn":
         return TernFn(self.n, tuple(-v for v in self.values))
@@ -281,13 +259,23 @@ def tern_from_trade(B: BipartiteTrade) -> TernFn:
     ValueError for a bitrade over another alphabet."""
     if B.k != 3:
         raise ValueError(f"a signed function needs a ternary bitrade, not k = {B.k}")
-    vals = [0] * (3 ** B.n)
-    for c in range(len(vals)):
-        if (B.part0 >> c) & 1:
-            vals[c] = 1
-        elif (B.part1 >> c) & 1:
-            vals[c] = -1
-    return TernFn(B.n, tuple(vals))
+    return _tern_from_legs(B.n, B.part0, B.part1)
+
+
+_LEG_BYTES = (bytes.maketrans(b"01", b"\x00\x01"), bytes.maketrans(b"01", b"\x00\xff"))
+
+
+def _tern_from_legs(n: int, plus: int, minus: int) -> TernFn:
+    """+1 on the cells of `plus`, -1 on those of the disjoint `minus`.
+    format() writes bit c as character size-1-c, so each leg's digits
+    mapped to signed bytes, read big-endian and written little-endian,
+    put cell c at byte c."""
+    size = 3 ** n
+    union = 0
+    for leg, table in zip((plus, minus), _LEG_BYTES):
+        union |= int.from_bytes(format(leg, f"0{size}b").encode().translate(table), "big")
+    values = tuple(memoryview(union.to_bytes(size, "little")).cast("b"))
+    return TernFn._unchecked(n, values, (plus | minus).bit_count())
 
 
 def trade_from_tern(f: TernFn) -> BipartiteTrade:
@@ -368,18 +356,16 @@ def gf2_basis_fn(x: tuple[int, ...]) -> TernFn:
         y:      0   1   2
         b_x:   -1   0  +1
 
-    The digits of x must be < 2.  The support meets Q_2^n exactly in {x},
-    so the family over all x in Q_2^n is a basis of the line-sum-zero space.
+    B_x is the cube of the word 2 - x, so b_x is its signed cube, negated
+    when n is odd.  The digits of x must be 0 or 1.  The support meets
+    Q_2^n exactly in {x}, so the family over all x in Q_2^n is a basis of
+    the line-sum-zero space.
     """
     n = len(x)
-    if any(d >= 2 for d in x):
-        raise BadBaseWord(f"base word digits must be < 2: {x}")
-    vals = [0] * 3 ** n
-    for choice in itertools.product((0, 1), repeat=n):
-        y = tuple(x[i] if choice[i] == 0 else 2 for i in range(n))
-        low = sum(1 for b in choice if b == 0)
-        vals[cube.cell_of_word(y, 3)] = -1 if low % 2 else 1
-    return TernFn(n, tuple(vals))
+    if not {0, 1}.issuperset(x):
+        raise BadBaseWord(f"base word digits must be 0 or 1: {x}")
+    even, odd = cube.subcube_legs(tuple(2 - d for d in x))
+    return _tern_from_legs(n, odd, even) if n % 2 else _tern_from_legs(n, even, odd)
 
 
 _CENTERED = (0, 1, -1)  # digit -> GF(3) representative

@@ -9,6 +9,10 @@ monomials and symmetric differences of subcubes are the same thing and the
 *rank* of a unitrade equals the minimal ESOP term count of its boolean
 function.
 
+The signed cube b_v is +1 / -1 on the even / odd leg of
+``cube.subcube_legs(v)``; ``sign_consistency`` reads the same parity at
+one cell.  Every builder rejects a digit outside {0, 1, 2}.
+
 Rank engines: a bit-sliced BFS over GF(2)^(2^n) gives the full rank table
 for n <= 4 in one pass, and `rank` reads it; an independent
 iterative-deepening branch-and-bound, bounded by ranks one dimension down,
@@ -23,7 +27,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import cube
-from .cube import CUBE_FACTOR, subcube_mask
+from .cube import CUBE_FACTOR, subcube_legs, subcube_mask
 from .errors import (
     BrokenInvariant,
     DegenerateTriple,
@@ -32,7 +36,7 @@ from .errors import (
     ProfileHasEqualColumns,
     TooManyMonomials,
 )
-from .funcspace import BoolFn, TernFn, bool_from_unitrade
+from .funcspace import BoolFn, TernFn, _tern_from_legs, bool_from_unitrade
 from .trade import TradeSet, is_unitrade
 
 NEG_INF = float("-inf")
@@ -47,8 +51,9 @@ class MonomialSet:
     def __init__(self, n: int, words: Iterable[tuple[int, ...]]):
         ws = frozenset(tuple(w) for w in words)
         for w in ws:
-            if len(w) != n or any(d not in (0, 1, 2) for d in w):
+            if len(w) != n:
                 raise ValueError(f"bad exponent word {w} for n={n}")
+            cube.check_exponent_word(w)
         self.n = n
         self.words = ws
 
@@ -246,16 +251,6 @@ def rank_upper_bound(f: BoolFn) -> int:
     return best
 
 
-def _covering_monomials(n: int, cell: int) -> tuple[int, ...]:
-    """Truth tables of the 2^n monomials whose value at `cell` is 1."""
-    tabs = _monomial_tables(n)
-    word = cube.word_of_cell(cell, n, 2)
-    choices = [(0, 1) if d else (0, 2) for d in word]
-    return tuple(
-        tabs[cube.cell_of_word(v, 3)] for v in itertools.product(*choices)
-    )
-
-
 def rank_branch_and_bound(f: BoolFn) -> int:
     """Exact rank by iterative deepening on the first uncovered cell.
 
@@ -265,6 +260,7 @@ def rank_branch_and_bound(f: BoolFn) -> int:
     n = f.n
     if f.bits == 0:
         return 0
+    tables = _monomial_tables(n)
     cover_cache: dict[int, tuple[int, ...]] = {}
 
     def dfs(bits: int, budget: int) -> bool:
@@ -275,8 +271,8 @@ def rank_branch_and_bound(f: BoolFn) -> int:
         cell = (bits & -bits).bit_length() - 1
         covers = cover_cache.get(cell)
         if covers is None:
-            covers = _covering_monomials(n, cell)
-            cover_cache[cell] = covers
+            # the 2^n monomials whose value at `cell` is 1
+            covers = cover_cache[cell] = tuple(t for t in tables if t >> cell & 1)
         return any(dfs(bits ^ m, budget - 1) for m in covers)
 
     budget = _rank_lower_bound(f.bits, n)
@@ -432,15 +428,9 @@ def triple_is_bitrade(V: MonomialSet) -> tuple[bool, str]:
 
 def signed_cube_fn(v: tuple[int, ...]) -> TernFn:
     """Canonical signed function b_v on the cube of v: alternating signs,
-    +1 at the cell whose digits take the low member of every factor."""
-    n = len(v)
-    vals = [0] * 3 ** n
-    for combo in itertools.product(*(CUBE_FACTOR[d] for d in v)):
-        parity = sum(
-            1 for d, x in zip(v, combo) if x == CUBE_FACTOR[d][1]
-        )
-        vals[cube.cell_of_word(combo, 3)] = -1 if parity % 2 else 1
-    return TernFn(n, tuple(vals))
+    +1 at the cell whose digits take the low member of every factor, so +1
+    on the even leg of `cube.subcube_legs` and -1 on the odd one."""
+    return _tern_from_legs(len(v), *subcube_legs(v))
 
 
 def sign_consistency(u: tuple[int, ...], v: tuple[int, ...]) -> int:
@@ -450,6 +440,9 @@ def sign_consistency(u: tuple[int, ...], v: tuple[int, ...]) -> int:
     one sign; for triples in general position the three relations multiply
     to -1 exactly when the pairwise distance sum is odd.
     """
+    if len(u) != len(v):
+        raise ValueError(f"words of different lengths: {u}, {v}")
+    cube.check_exponent_word(u + v)
     # read both signs at the intersection cell of lowest digits: each is the
     # parity of the digits that take the high member of their factor
     flips = 0

@@ -4,7 +4,7 @@ import itertools
 
 from tritrade import cube
 from tritrade.construct import embed_in_alphabet, grid_cycle_bitrade
-from tritrade.cube import Isometry
+from tritrade.cube import CUBE_FACTOR, Isometry
 from tritrade.funcspace import BoolFn, TernFn, tern_from_trade, trade_from_tern, u_from_bool
 from tritrade.symmetry import (
     DEFAULT_ORBIT_LIMIT,
@@ -131,6 +131,66 @@ def k_extension_by_words(B, m):
             vals.append(f.values[cube.cell_of_word(folded, 3)])
         f = TernFn(n + 1, tuple(vals))
     return trade_from_tern(f)
+
+
+def signed_cube_by_words(v):
+    """Reference signed cube b_v, independent of the digit planes: a walk
+    over the words of the cube of v, each signed by the parity of its
+    digits at the high member of their factor."""
+    n = len(v)
+    vals = [0] * 3 ** n
+    for combo in itertools.product(*(CUBE_FACTOR[d] for d in v)):
+        parity = sum(1 for d, x in zip(v, combo) if x == CUBE_FACTOR[d][1])
+        vals[cube.cell_of_word(combo, 3)] = -1 if parity % 2 else 1
+    return TernFn(n, tuple(vals))
+
+
+def gf2_basis_by_words(x):
+    """Reference GF(2) basis function b_x: a walk over B_x = {y : x <= y},
+    each y signed by the parity of the coordinates where it keeps x_i."""
+    n = len(x)
+    vals = [0] * 3 ** n
+    for choice in itertools.product((0, 1), repeat=n):
+        y = tuple(x[i] if choice[i] == 0 else 2 for i in range(n))
+        low = sum(1 for b in choice if b == 0)
+        vals[cube.cell_of_word(y, 3)] = -1 if low % 2 else 1
+    return TernFn(n, tuple(vals))
+
+
+def face_counts_by_words(f):
+    """Reference (dimension, ones) of every face of Q_2^n, independent of
+    the monomial truth tables: per face spec in {0, 1, free}^n, a walk over
+    the words of the face."""
+    n = f.n
+    out = []
+    for spec in itertools.product((0, 1, None), repeat=n):
+        free = [i for i, s in enumerate(spec) if s is None]
+        ones = 0
+        for fill in itertools.product((0, 1), repeat=len(free)):
+            word = list(spec)
+            for i, b in zip(free, fill):
+                word[i] = b
+            ones += f.value(cube.cell_of_word(tuple(word), 2))
+        out.append((len(free), ones))
+    return out
+
+
+def covering_by_words(n, cell):
+    """Reference truth tables of the 2^n monomials whose value at the cell
+    of Q_2^n is 1: x_i = 1 is covered by the digits 0 and 1, x_i = 0 by 0
+    and 2."""
+    word = cube.word_of_cell(cell, n, 2)
+    choices = [(0, 1) if d else (0, 2) for d in word]
+    return {cube.subcube_mask(v, 2) for v in itertools.product(*choices)}
+
+
+def maximal_legs_by_word_sums(n):
+    """Reference legs of the maximal bitrade: the cells whose digit sum is
+    1 / 2 mod 3, from a walk over all words."""
+    part = [0, 0, 0]
+    for cell, word in enumerate(cube.all_words(n, 3)):
+        part[sum(word) % 3] |= 1 << cell
+    return part[1], part[2]
 
 
 def random_n5_function(rng, fl4):

@@ -235,12 +235,37 @@ class TestVerifyCommand:
         "construct --what product --left @/nonexistent",
         "construct --what pot12 --f 2",
         "construct --what pot12 --f 0121",
+        # (0,) * -1 is (), which built a dimension-0 cube
+        "construct --what product --left minimal:-1 --right minimal:1",
     ],
 )
 def test_boundary_inputs_exit_bad_params(capsys, argv):
     code, _, err = run(capsys, *argv.split())
     assert code == EXIT_BAD_PARAMS
     assert err.startswith("parameter error")
+
+
+@pytest.mark.parametrize(
+    "argv,seed",
+    [
+        ("enumerate --n 2 --mode spectrum", None),
+        ("construct --what maximal --n 2", None),
+        ("verify --check mod3 --n 2 --seed 5", 5),
+    ],
+)
+def test_manifest_seed(capsys, tmp_path, argv, seed):
+    # enumerate and construct draw no random numbers, so only verify has a seed
+    out_file = tmp_path / "out.json"
+    code, _, _ = run(capsys, *argv.split(), "--out", str(out_file))
+    assert code == EXIT_OK
+    assert json.loads(out_file.read_text())["manifest"]["seed"] == seed
+
+
+@pytest.mark.parametrize("argv", ["enumerate --n 2", "construct --what maximal"])
+def test_seed_is_a_verify_option(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv.split(), "--seed", "1"])
+    assert exc.value.code == EXIT_BAD_PARAMS
 
 
 def test_readme_cli_examples_parse():
@@ -336,6 +361,26 @@ class TestConstructCommand:
         doc = json.loads(out_file.read_text())
         assert doc["payload"]["cardinality"] == 18
         assert doc["payload"]["self_check"]["is_unitrade"] is True
+
+    @pytest.mark.parametrize(
+        "n,digest",
+        [
+            (1, "d747f46c4ae00d6fb98d40f15122b66ab074cc3b76f502881b5c1bffabc52f17"),
+            (2, "56a3a0f6eb4f50680f692eb966fe560c94549376ee28283aab242e97cbcb05fe"),
+            (3, "3a78ab572a5b4437c17625881deedbc4c28d4fce46e3525c36321cd81276af94"),
+            (4, "bc2c70defa1f476d3bd34c903930af4f1c814ac18cda150fd30c99828b738458"),
+            (5, "cfd057ad844b91a0604cdc7790d563bb139099c6641bd84572c2200a5c42e989"),
+            (6, "8a542541a8acacce890bbf1b2cbc87bebef4fd061e2d2c67aad14984a7d24778"),
+        ],
+    )
+    def test_maximal_payload_pinned(self, capsys, tmp_path, n, digest):
+        # locks the legs and their order, whatever builds the residues
+        out_file = tmp_path / "max.json"
+        code, _, _ = run(
+            capsys, "construct", "--what", "maximal", "--n", str(n), "--out", str(out_file)
+        )
+        assert code == EXIT_OK
+        assert json.loads(out_file.read_text())["manifest"]["payload_sha256"] == digest
 
     def test_hprime(self, capsys, tmp_path):
         out_file = tmp_path / "h.json"

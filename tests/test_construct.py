@@ -33,7 +33,12 @@ from tritrade.errors import (
     NotBalanced,
     PreconditionUnverifiable,
 )
-from helpers import k_extension_by_words, random_q4_unitrade
+from helpers import (
+    face_counts_by_words,
+    k_extension_by_words,
+    maximal_legs_by_word_sums,
+    random_q4_unitrade,
+)
 from tritrade.funcspace import BoolFn, degree, tern_from_trade
 from tritrade.monomial import MonomialSet, monomial_cube, rank, trade_from_monomials
 from tritrade.trade import BipartiteTrade, TradeSet, bipartition, is_unitrade
@@ -110,6 +115,13 @@ class TestMaximalBitrade:
 
     def test_n3_size(self):
         assert maximal_bitrade(3).cardinality == 18
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_legs_match_word_sums(self, n):
+        B = maximal_bitrade(n)
+        legs = maximal_legs_by_word_sums(n)
+        assert {B.part0, B.part1} == set(legs)
+        assert B.base.mask == legs[0] | legs[1]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_complement_is_mds(self, n):
@@ -272,6 +284,20 @@ class TestRecoverMonomials:
         U = trade_from_monomials(V)
         with pytest.raises((PreconditionUnverifiable, AmbiguousRecovery)):
             recover_monomials(U, 2)
+
+
+class TestFaceOneCounts:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+    def test_matches_face_walk(self, n):
+        rng = random.Random(100 + n)
+        for _ in range(30):
+            f = BoolFn(n, rng.getrandbits(1 << n))
+            assert sorted(face_one_counts(f)) == sorted(face_counts_by_words(f))
+
+    def test_one_face_per_monomial(self):
+        # 3^n faces, C(n, d) * 2^(n-d) of dimension d
+        dims = [dim for dim, _ in face_one_counts(BoolFn(3, 0))]
+        assert [dims.count(d) for d in range(4)] == [8, 12, 6, 1]
 
 
 class TestPot12:

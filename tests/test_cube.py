@@ -63,6 +63,27 @@ class TestBelow:
             assert len(below(y, 3)) == 2 ** s
 
 
+class TestSubcubeLegs:
+    def test_n1(self):
+        # the factor of digit d is CUBE_FACTOR[d]; its high member is odd
+        legs = [cube.subcube_legs((d,)) for d in range(3)]
+        assert legs == [(0b001, 0b010), (0b010, 0b100), (0b001, 0b100)]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_legs_split_the_cube_into_bitrade_halves(self, n):
+        for v in cube.all_words(n, 3):
+            even, odd = cube.subcube_legs(v)
+            assert even & odd == 0 and even | odd == cube.subcube_mask(v)
+            if n:
+                assert even.bit_count() == odd.bit_count() == 2 ** (n - 1)
+                B = bipartition(TradeSet(n, 3, even | odd))
+                assert {B.part0, B.part1} == {even, odd}
+
+    def test_rejects_digit_outside_0_1_2(self):
+        with pytest.raises(ValueError):
+            cube.subcube_legs((0, 3))
+
+
 class TestRetract:
     def test_empty(self):
         assert TradeSet(2, 3, 0).retract(0, 1).mask == 0

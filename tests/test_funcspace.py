@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from helpers import bool_by_word_walk
+from helpers import bool_by_word_walk, gf2_basis_by_words
 
 from tritrade import funcspace
 from tritrade.cube import below
@@ -197,6 +197,17 @@ class TestGf2Basis:
         with pytest.raises(BadBaseWord):
             gf2_basis_fn((0, 2))
 
+    @pytest.mark.parametrize("x", [(-1,), (1, 3)])
+    def test_rejects_digit_outside_0_1(self, x):
+        # -1 once read as the digit 2 of the word 2 - x: `00+` at (-1,)
+        with pytest.raises(BadBaseWord):
+            gf2_basis_fn(x)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_matches_word_walk(self, n):
+        for x in itertools.product((0, 1), repeat=n):
+            assert gf2_basis_fn(x) == gf2_basis_by_words(x)
+
     def test_line_sums_vanish(self):
         for x in itertools.product((0, 1), repeat=2):
             assert LineSumKind.INVALID not in line_sums(gf2_basis_fn(x))
@@ -317,6 +328,16 @@ class TestTradeFromTern:
         for f in enumerate_functions(2):
             B, A = trade_from_tern(f), bipartition(f.support())
             assert (B.part0, B.part1) == (A.part0, A.part1)
+
+    def test_tern_from_trade_inverts_it(self):
+        # the legs back to values through one signed-byte view, up to the
+        # leg order that trade_from_tern normalizes
+        from tritrade.enumeration import enumerate_functions
+
+        for f in enumerate_functions(3):
+            g = tern_from_trade(trade_from_tern(f))
+            assert g.values in (f.values, f.negate().values)
+            assert g.cardinality == f.cardinality
 
 
 class TestSupportBounds:

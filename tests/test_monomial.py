@@ -3,6 +3,7 @@ import itertools
 import random
 
 import pytest
+from helpers import covering_by_words, signed_cube_by_words
 
 from tritrade import monomial
 from tritrade.cube import cell_of_word
@@ -66,6 +67,32 @@ class TestMonomialCube:
                 for x in itertools.product(*factors):
                     expect |= 1 << cell_of_word(x, k)
                 assert subcube_mask(v, k) == expect
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: monomial_cube((-1, 0)),
+            lambda: monomial_cube((3,)),
+            lambda: subcube_mask((0, -1), 2),
+            lambda: signed_cube_fn((-1,)),
+            lambda: sign_consistency((-1,), (0,)),
+            lambda: sign_consistency((0,), (3,)),
+            lambda: MonomialSet(1, [(-1,)]),
+        ],
+        ids=[
+            "cube-minus-1",
+            "cube-3",
+            "truth-table-minus-1",
+            "signed-cube-minus-1",
+            "sign-consistency-minus-1",
+            "sign-consistency-3",
+            "monomial-set-minus-1",
+        ],
+    )
+    def test_rejects_digit_outside_0_1_2(self, call):
+        # a digit -1 read the factor of digit 2, and 3 raised IndexError
+        with pytest.raises(ValueError, match="digits must lie in"):
+            call()
 
     def test_restriction_is_truth_table(self):
         # the cube's characteristic function on Q_2^n equals the monomial
@@ -172,6 +199,15 @@ class TestRank:
                 rank_table(2)
         finally:
             rank_table.cache_clear()
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+    def test_covers_are_the_monomials_true_at_the_cell(self, n):
+        # the branch-and-bound's covers: the truth tables with the cell's bit
+        tables = monomial._monomial_tables(n)
+        for cell in range(1 << n):
+            covers = [t for t in tables if t >> cell & 1]
+            assert len(covers) == 1 << n
+            assert set(covers) == covering_by_words(n, cell)
 
     def test_n4_max_rank(self, rank4):
         assert max(rank4) == 6
@@ -438,6 +474,11 @@ class TestSignConsistency:
     def test_same_word(self):
         assert sign_consistency((0, 1), (0, 1)) == 1
 
+    def test_rejects_words_of_different_lengths(self):
+        # zip cut (0, 1) to (0,) and answered +1
+        with pytest.raises(ValueError, match="different lengths"):
+            sign_consistency((0, 1), (0,))
+
     def test_relation_constant_on_overlap(self):
         rng = random.Random(8)
         from tritrade.cube import cell_of_word
@@ -452,6 +493,11 @@ class TestSignConsistency:
                 if a and b
             }
             assert prods == {sign_consistency(u, v)}
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_signed_cube_matches_word_walk(self, n):
+        for v in itertools.product(range(3), repeat=n):
+            assert signed_cube_fn(v) == signed_cube_by_words(v)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_matches_signed_functions_on_every_pair(self, n):

@@ -44,3 +44,24 @@ def test_library_map_names_every_module():
     documented = set(re.findall(r"^\| `([a-z0-9_]+)` ", section.group(1), re.M))
     modules = {path.stem for path in SRC.glob("*.py")} - {"__init__", "errors"}
     assert documented == modules
+
+
+def test_no_unused_module_imports():
+    # a module-level import that its module never reads is a leftover of
+    # deleted code; __init__ imports only to re-export
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        bound = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in read]
+    assert not found, f"unused imports in src: {found}"
