@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import random
 import sys
 import time
@@ -452,12 +451,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="tritrade")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    default_jobs = int(os.environ.get("TRITRADE_JOBS", "1"))
-
     pe = sub.add_parser("enumerate", help="counts, spectra, class reports")
     pe.add_argument("--n", type=int, required=True)
     pe.add_argument("--mode", choices=["count", "spectrum", "classes"], default="count")
-    pe.add_argument("--jobs", type=int, default=default_jobs)
+    pe.add_argument("--jobs", type=int, default=1)
     pe.add_argument("--out", default=None)
     pe.add_argument("--format", choices=["json", "csv"], default="json")
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
@@ -34,6 +35,21 @@ def cell_of_word(word: tuple[int, ...], k: int) -> int:
     for d in word:
         c = c * k + d
     return c
+
+
+def check_digits(word: tuple[int, ...], k: int) -> None:
+    """ValueError unless every digit of word lies in 0..k-1 (a digit -1
+    would index the last cell, a digit k the next block)."""
+    if not set(range(k)).issuperset(word):
+        raise ValueError(f"word digits must lie in 0..{k - 1}: {word}")
+
+
+def checked_cell(word: tuple[int, ...], n: int, k: int) -> int:
+    """The cell of a word that must have n digits in 0..k-1."""
+    if len(word) != n:
+        raise ValueError(f"expected a word of {n} digits: {word}")
+    check_digits(word, k)
+    return cell_of_word(word, k)
 
 
 def word_of_cell(cell: int, n: int, k: int) -> tuple[int, ...]:
@@ -52,6 +68,64 @@ def all_words(n: int, k: int) -> Iterator[tuple[int, ...]]:
 def digit_table(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """digit_table(n,k)[cell] = word digits of that cell."""
     return tuple(word_of_cell(c, n, k) for c in range(k ** n))
+
+
+# ---------------------------------------------------------------------------
+# Cell-order codec: bit c of a mask, character c of its text and byte c of
+# its bytes all belong to cell c
+# ---------------------------------------------------------------------------
+
+_ZERO, _ONE = b"01"  # the bytes of the digits 0 and 1
+
+
+@lru_cache(maxsize=None)
+def _table(byte: int, hit: int, miss: int) -> bytes:
+    """A bytes.translate table sending `byte` to `hit` and the rest to `miss`."""
+    return bytes(hit if b == byte else miss for b in range(256))
+
+
+def mask_text(mask: int, size: int) -> str:
+    """The 0/1 text of a mask over `size` cells, character c for cell c."""
+    return format(mask, f"0{size}b")[::-1]
+
+
+def text_mask(text: str) -> int:
+    """The mask of a 0/1 text, cell c for character c; ValueError on any
+    other character (int() alone would read signs, underscores and
+    non-ASCII digits)."""
+    if not {"0", "1"}.issuperset(text):
+        raise ValueError(f"cell text holds {sorted(set(text) - {'0', '1'})}, not only 0 and 1")
+    return int(text[::-1] or "0", 2)
+
+
+def mask_cells(mask: int) -> list[int]:
+    """The cells of a mask in increasing order."""
+    flags = format(mask, "b")[::-1].encode().translate(_table(_ONE, 1, 0))
+    return list(itertools.compress(itertools.count(), flags))
+
+
+def mask_bytes(mask: int, size: int, byte: int) -> int:
+    """The int whose byte c, from the least significant end, is `byte` at
+    each cell c of the mask and 0 at the other cells below `size`.  Such
+    ints of disjoint masks add, and ``to_bytes(size, "little")`` of the sum
+    lists the bytes in cell order."""
+    digits = format(mask, f"0{size}b").encode()
+    return int.from_bytes(digits.translate(_table(_ONE, byte, 0)), "big")
+
+
+def bytes_mask(data: bytes, byte: int) -> int:
+    """The mask of the cells c with data[c] == byte."""
+    return int(data.translate(_table(byte, _ONE, _ZERO))[::-1] or b"0", 2)
+
+
+@lru_cache(maxsize=None)
+def _signed_packer(size: int) -> Callable[..., bytes]:
+    return struct.Struct(f"{size}b").pack
+
+
+def signed_bytes(values: Sequence[int]) -> bytes:
+    """Byte c is values[c] as a signed byte (-1 is 0xff)."""
+    return _signed_packer(len(values))(*values)
 
 
 def hamming_distance(u: tuple[int, ...], v: tuple[int, ...]) -> int:
@@ -135,7 +209,9 @@ def below(y: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
 
     The result has (k-1)^s elements where s counts the maximal digits of y;
     it is the trace of the face G_y on the bottom subcube Q_{k-1}^n.
+    ValueError for a digit of y outside 0..k-1.
     """
+    check_digits(y, k)
     choices = [range(k - 1) if d == k - 1 else (d,) for d in y]
     return [tuple(w) for w in itertools.product(*choices)]
 
@@ -223,20 +299,13 @@ def _factor_masks(n: int, k: int) -> tuple[tuple[int, int, int], ...]:
     )
 
 
-def check_exponent_word(v: tuple[int, ...]) -> None:
-    """ValueError unless every digit of v is 0, 1 or 2 (-1 would index the
-    factor of digit 2)."""
-    if not {0, 1, 2}.issuperset(v):
-        raise ValueError(f"exponent word digits must lie in {{0, 1, 2}}: {v}")
-
-
 def subcube_mask(v: tuple[int, ...], k: int = 3) -> int:
     """Mask over Q_k^n of the cells x with x_i in CUBE_FACTOR[v_i] for all i.
 
     k = 3 gives the monomial cube of v; k = 2 gives the truth table of x^v,
     since CUBE_FACTOR[d] meets {0, 1} in exactly the literal set of x^d.
     """
-    check_exponent_word(v)
+    check_digits(v, 3)
     m = (1 << k ** len(v)) - 1
     for masks, d in zip(_factor_masks(len(v), k), v):
         m &= masks[d]
@@ -312,20 +381,11 @@ class Isometry:
         return Isometry(cp, tuple(sps), self.sign_flip ^ other.sign_flip)
 
     def inverse(self) -> "Isometry":
-        n = self.n
-        inv_cp = [0] * n
-        for i, j in enumerate(self.coord_perm):
-            inv_cp[j] = i
-        sps = [()] * n
-        for i in range(n):
-            sp = self.symbol_perms[i]
-            inv_sp = [0] * len(sp)
-            for d, e in enumerate(sp):
-                inv_sp[e] = d
-            sps[self.coord_perm[i]] = tuple(inv_sp)
-        # note: inverse symbol perm for image coordinate j acts in source
-        # coordinate position j of the inverse map
-        return Isometry(tuple(inv_cp), tuple(sps), self.sign_flip)
+        """Image coordinate j goes back to source coordinate i =
+        coord_perm.index(j), through the inverse of symbol_perms[i]."""
+        inv_cp = tuple(map(self.coord_perm.index, range(self.n)))
+        sps = tuple(tuple(map(self.symbol_perms[i].index, range(self.k))) for i in inv_cp)
+        return Isometry(inv_cp, sps, self.sign_flip)
 
     def cell_map(self, k: int) -> tuple[int, ...]:
         """cell_map[source cell] = image cell."""

@@ -48,26 +48,18 @@ class BoolFn:
         """Character c is the value at cell c, so the text is the bits
         read from the least significant end."""
         n = (len(text) - 1).bit_length()
-        if set(text) - {"0", "1"} or len(text) != 1 << n:
-            raise ValueError(f"truth table text must be 2^n characters 0 and 1, got {text!r}")
-        return BoolFn(n, int(text[::-1], 2))
-
-    @staticmethod
-    def from_callable(n: int, fn) -> "BoolFn":
-        bits = 0
-        for cell, word in enumerate(cube.all_words(n, 2)):
-            if fn(word) & 1:
-                bits |= 1 << cell
-        return BoolFn(n, bits)
+        if len(text) != 1 << n:
+            raise ValueError(f"truth table text must have 2^n characters, got {len(text)}")
+        return BoolFn(n, cube.text_mask(text))
 
     def to_text(self) -> str:
-        return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(1 << self.n))
+        return cube.mask_text(self.bits, 1 << self.n)
 
     def value(self, cell: int) -> int:
         return (self.bits >> cell) & 1
 
     def __call__(self, word: tuple[int, ...]) -> int:
-        return self.value(cube.cell_of_word(word, 2))
+        return self.value(cube.checked_cell(word, self.n, 2))
 
     @property
     def weight(self) -> int:
@@ -125,8 +117,8 @@ def parity_counter(n: int) -> BoolFn:
 # Ternary functions
 # ---------------------------------------------------------------------------
 
-_TERN_CHARS = {-1: "-", 0: "0", 1: "+"}
-_TERN_VALS = {"-": -1, "0": 0, "+": 1}
+_TERN_TEXT = bytes.maketrans(b"\xff\x00\x01", b"-0+")  # signed byte -> character
+_TERN_BYTES = bytes.maketrans(b"-0+", b"\xff\x00\x01")
 
 
 class TernFn:
@@ -163,23 +155,23 @@ class TernFn:
 
     @staticmethod
     def from_text(text: str) -> "TernFn":
-        if set(text) - set(_TERN_VALS):
+        if not {"-", "0", "+"}.issuperset(text):
             raise ValueError(f"value string must hold only -, 0 and +, got {text!r}")
         n = 0
         while 3 ** n < len(text):
             n += 1
         if 3 ** n != len(text):
             raise ValueError("value string length must be a power of three")
-        return TernFn(n, tuple(_TERN_VALS[ch] for ch in text))
+        return TernFn(n, tuple(memoryview(text.encode().translate(_TERN_BYTES)).cast("b")))
 
     def to_text(self) -> str:
-        return "".join(_TERN_CHARS[v] for v in self.values)
+        return cube.signed_bytes(self.values).translate(_TERN_TEXT).decode()
 
     def value(self, cell: int) -> int:
         return self.values[cell]
 
     def __call__(self, word: tuple[int, ...]) -> int:
-        return self.values[cube.cell_of_word(word, 3)]
+        return self.values[cube.checked_cell(word, self.n, 3)]
 
     @property
     def cardinality(self) -> int:
@@ -189,7 +181,8 @@ class TernFn:
         return c
 
     def support(self) -> TradeSet:
-        return TradeSet(self.n, 3, sum(1 << c for c, v in enumerate(self.values) if v))
+        zeros = cube.bytes_mask(cube.signed_bytes(self.values), 0)
+        return TradeSet(self.n, 3, zeros ^ ((1 << len(self.values)) - 1))
 
     def negate(self) -> "TernFn":
         return TernFn(self.n, tuple(-v for v in self.values))
@@ -199,15 +192,9 @@ class TernFn:
         return TernFn(self.n - 1, tuple(self.values[c] for c in cells))
 
     def apply_isometry(self, g: "cube.Isometry") -> "TernFn":
-        cmap = g.cell_map(3)
-        out = [0] * len(self.values)
-        if g.sign_flip:
-            for c, v in enumerate(self.values):
-                out[cmap[c]] = -v
-        else:
-            for c, v in enumerate(self.values):
-                out[cmap[c]] = v
-        return TernFn(self.n, tuple(out))
+        """The image at cell g(c) is the value at c (negated by a sign flip)."""
+        values = tuple(map(self.values.__getitem__, g.inverse().cell_map(3)))
+        return TernFn(self.n, tuple(-v for v in values) if g.sign_flip else values)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TernFn) and (self.n, self.values) == (other.n, other.values)
@@ -262,19 +249,12 @@ def tern_from_trade(B: BipartiteTrade) -> TernFn:
     return _tern_from_legs(B.n, B.part0, B.part1)
 
 
-_LEG_BYTES = (bytes.maketrans(b"01", b"\x00\x01"), bytes.maketrans(b"01", b"\x00\xff"))
-
-
 def _tern_from_legs(n: int, plus: int, minus: int) -> TernFn:
-    """+1 on the cells of `plus`, -1 on those of the disjoint `minus`.
-    format() writes bit c as character size-1-c, so each leg's digits
-    mapped to signed bytes, read big-endian and written little-endian,
-    put cell c at byte c."""
+    """+1 on the cells of `plus`, -1 on those of the disjoint `minus`: the
+    legs' signed bytes (0x01 and 0xff) in cell order, read as signed."""
     size = 3 ** n
-    union = 0
-    for leg, table in zip((plus, minus), _LEG_BYTES):
-        union |= int.from_bytes(format(leg, f"0{size}b").encode().translate(table), "big")
-    values = tuple(memoryview(union.to_bytes(size, "little")).cast("b"))
+    signed = cube.mask_bytes(plus, size, 0x01) | cube.mask_bytes(minus, size, 0xFF)
+    values = tuple(memoryview(signed.to_bytes(size, "little")).cast("b"))
     return TernFn._unchecked(n, values, (plus | minus).bit_count())
 
 
@@ -284,8 +264,8 @@ def trade_from_tern(f: TernFn) -> BipartiteTrade:
     two conditions together say that f is line-sum-zero: each line meets
     the support in no cell or in a +1 and a -1.  This is the package's
     test of that space; `line_sums` is the cell-by-cell reading of it."""
-    p0 = sum(1 << c for c, v in enumerate(f.values) if v > 0)
-    p1 = sum(1 << c for c, v in enumerate(f.values) if v < 0)
+    signed = cube.signed_bytes(f.values)
+    p0, p1 = cube.bytes_mask(signed, 0x01), cube.bytes_mask(signed, 0xFF)
     base = TradeSet(f.n, 3, p0 | p1)
     if not is_unitrade(base):
         raise NotAUnitrade("support of f is not a unitrade")

@@ -53,7 +53,7 @@ class MonomialSet:
         for w in ws:
             if len(w) != n:
                 raise ValueError(f"bad exponent word {w} for n={n}")
-            cube.check_exponent_word(w)
+            cube.check_digits(w, 3)
         self.n = n
         self.words = ws
 
@@ -180,7 +180,7 @@ def rank_table(n: int) -> bytes:
             width *= 2
         clear.append(mask)
     swaps = [
-        [(1 << j, clear[j]) for j in range(1 << n) if m >> j & 1]
+        [(1 << j, clear[j]) for j in cube.mask_cells(m)]
         for m in _monomial_tables(n)
     ]
     layers = [1]
@@ -199,15 +199,8 @@ def rank_table(n: int) -> bytes:
             )
         layers.append(frontier)
         seen |= frontier
-    # format() writes bit t as character size-1-t, so a big-endian read of
-    # the layer's digits mapped to bytes (0, d) and a little-endian write
-    # put d at byte t; the layers are disjoint, so their sum is their union
-    table = 0
-    for d, layer in enumerate(layers):
-        digits = format(layer, f"0{size}b").encode()
-        table += int.from_bytes(
-            digits.translate(bytes.maketrans(b"01", bytes((0, d)))), "big"
-        )
+    # byte t is the distance of function t: the layers are disjoint
+    table = sum(cube.mask_bytes(layer, size, d) for d, layer in enumerate(layers))
     return table.to_bytes(size, "little")
 
 
@@ -442,7 +435,7 @@ def sign_consistency(u: tuple[int, ...], v: tuple[int, ...]) -> int:
     """
     if len(u) != len(v):
         raise ValueError(f"words of different lengths: {u}, {v}")
-    cube.check_exponent_word(u + v)
+    cube.check_digits(u + v, 3)
     # read both signs at the intersection cell of lowest digits: each is the
     # parity of the digits that take the high member of their factor
     flips = 0

@@ -71,25 +71,18 @@ def generators(n: int) -> list[Isometry]:
 @lru_cache(maxsize=None)
 def _gen_getters(n: int) -> tuple[Callable[[bytes], tuple[int, ...]], ...]:
     """The unsigned generators, one itemgetter each: getter(old)[j] is
-    old[p[j]].  They exist only at n >= 1, so each reads at least three
-    cells and returns a tuple."""
-    out = []
-    for g in generators(n):
-        if g.sign_flip:
-            continue
-        fwd = g.cell_map(3)
-        inv = [0] * len(fwd)
-        for c, y in enumerate(fwd):
-            inv[y] = c
-        out.append(itemgetter(*inv))
-    return tuple(out)
+    old[p[j]] for p the cell map of the generator's inverse.  They exist
+    only at n >= 1, so each reads at least three cells and returns a
+    tuple."""
+    return tuple(itemgetter(*g.inverse().cell_map(3)) for g in generators(n) if not g.sign_flip)
 
 
 _FLIP = bytes.maketrans(b"\x00\x02", b"\x02\x00")  # the sign flip on encoded values
+_SHIFT = bytes.maketrans(b"\xff\x00\x01", b"\x00\x01\x02")  # signed byte v -> v + 1
 
 
 def _encode(values: Sequence[int]) -> bytes:
-    return bytes(v + 1 for v in values)
+    return cube.signed_bytes(values).translate(_SHIFT)
 
 
 # ---------------------------------------------------------------------------

@@ -158,9 +158,7 @@ def extract_testset(
     if elim.rank != 3 ** m - 2 ** m:
         raise RankDefect("line system rank is off")
     points = []
-    for cell in range(3 ** m):
-        if cell in U:
-            continue
+    for cell in cube.mask_cells(U.mask ^ ((1 << 3 ** m) - 1)):
         if elim.add(1 << cell):
             points.append(cube.word_of_cell(cell, m, 3))
     if elim.rank != 3 ** m - 1 or len(points) != 2 ** m - 1:

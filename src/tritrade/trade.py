@@ -58,19 +58,13 @@ class TradeSet:
 
     @staticmethod
     def from_words(n: int, k: int, words: Iterable[tuple[int, ...]]) -> "TradeSet":
-        return TradeSet.from_cells(n, k, (cube.cell_of_word(w, k) for w in words))
+        return TradeSet.from_cells(n, k, (cube.checked_cell(w, n, k) for w in words))
 
     @staticmethod
     def from_text(n: int, k: int, text: str) -> "TradeSet":
         if len(text) != k ** n:
             raise ValueError("support string length mismatch")
-        m = 0
-        for i, ch in enumerate(text):
-            if ch == "1":
-                m |= 1 << i
-            elif ch != "0":
-                raise ValueError(f"bad support character {ch!r}")
-        return TradeSet(n, k, m)
+        return TradeSet(n, k, cube.text_mask(text))
 
     @staticmethod
     def from_json(obj) -> "TradeSet":
@@ -84,8 +78,7 @@ class TradeSet:
     # ---- views ------------------------------------------------------------
 
     def to_text(self) -> str:
-        m = self.mask
-        return "".join("1" if (m >> i) & 1 else "0" for i in range(self.k ** self.n))
+        return cube.mask_text(self.mask, self.k ** self.n)
 
     def to_json(self) -> dict:
         return {"n": self.n, "k": self.k, "support": self.to_text()}
@@ -101,15 +94,7 @@ class TradeSet:
         return bool((self.mask >> cell) & 1)
 
     def cells(self) -> list[int]:
-        m = self.mask
-        out = []
-        c = 0
-        while m:
-            if m & 1:
-                out.append(c)
-            m >>= 1
-            c += 1
-        return out
+        return cube.mask_cells(self.mask)
 
     def words(self) -> list[tuple[int, ...]]:
         return [cube.word_of_cell(c, self.n, self.k) for c in self.cells()]
@@ -139,11 +124,7 @@ class TradeSet:
 
     def apply_isometry(self, g: "cube.Isometry") -> "TradeSet":
         cmap = g.cell_map(self.k)
-        m = self.mask
-        out = 0
-        for c in self.cells():
-            out |= 1 << cmap[c]
-        return TradeSet(self.n, self.k, out)
+        return TradeSet.from_cells(self.n, self.k, (cmap[c] for c in self.cells()))
 
     def xor(self, other: "TradeSet") -> "TradeSet":
         if (self.n, self.k) != (other.n, other.k):
@@ -246,12 +227,7 @@ class BipartiteTrade:
         return self.part1.bit_count()
 
     def to_json(self) -> dict:
-        d = self.base.to_json()
-        n_cells = self.k ** self.n
-        d["part0"] = "".join(
-            "1" if (self.part0 >> i) & 1 else "0" for i in range(n_cells)
-        )
-        return d
+        return {**self.base.to_json(), "part0": cube.mask_text(self.part0, self.k ** self.n)}
 
 
 def _normalized(base: TradeSet, part0: int, part1: int) -> BipartiteTrade:

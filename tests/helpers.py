@@ -305,3 +305,52 @@ def _match_runs_rec(fs, m, targets, memo, find_one):
                     return total
     memo[fs] = total
     return total
+
+
+def text_by_bits(mask, size):
+    """Reference cell-order text, independent of the codec: one shift per
+    cell."""
+    return "".join("1" if mask >> c & 1 else "0" for c in range(size))
+
+
+def mask_by_chars(text):
+    """Reference mask of a 0/1 text, independent of the codec: one
+    character at a time, ValueError on any other character."""
+    mask = 0
+    for c, ch in enumerate(text):
+        if ch == "1":
+            mask |= 1 << c
+        elif ch != "0":
+            raise ValueError(f"bad character {ch!r}")
+    return mask
+
+
+def cells_by_shifts(mask):
+    """Reference cell list, independent of the codec: the mask shifted
+    down one cell at a time."""
+    out = []
+    c = 0
+    while mask:
+        if mask & 1:
+            out.append(c)
+        mask >>= 1
+        c += 1
+    return out
+
+
+def bytes_by_bits(mask, size, byte):
+    """Reference per-cell bytes: `byte` at each cell of the mask, 0 at the
+    others, one cell at a time."""
+    return bytes(byte if mask >> c & 1 else 0 for c in range(size))
+
+
+def signed_masks_by_values(values):
+    """Reference masks of the cells holding +1 and of those holding -1,
+    one cell at a time."""
+    plus = minus = 0
+    for c, v in enumerate(values):
+        if v == 1:
+            plus |= 1 << c
+        elif v == -1:
+            minus |= 1 << c
+    return plus, minus

@@ -44,6 +44,16 @@ class TestEnumerateCommand:
         assert got_out.strip() == out
         assert ("parameter error" in err) == (code == EXIT_BAD_PARAMS)
 
+    def test_jobs_ignores_the_environment(self, capsys, tmp_path, monkeypatch):
+        # a jobs default read from TRITRADE_JOBS ended every command in a
+        # traceback when the variable was not an integer
+        monkeypatch.setenv("TRITRADE_JOBS", "abc")
+        assert run(capsys, "verify", "--check", "mod3", "--n", "2")[0] == EXIT_OK
+        out_file = tmp_path / "count.json"
+        code, _, _ = run(capsys, "enumerate", "--n", "2", "--out", str(out_file))
+        assert code == EXIT_OK
+        assert json.loads(out_file.read_text())["manifest"]["jobs"] == 1
+
     def test_classes_n2(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--n", "2", "--mode", "classes")
         assert code == EXIT_OK

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from helpers import bytes_by_bits, cells_by_shifts, mask_by_chars, text_by_bits
 
 from tritrade import cube
 from tritrade.cube import Isometry, below, lines
@@ -18,6 +19,59 @@ def test_cell_order_most_significant_first():
     # coordinate 0 is the most significant digit
     assert cube.cell_of_word((1, 0), 3) == 3
     assert cube.cell_of_word((0, 1), 3) == 1
+
+
+def _codec_masks(size, rng):
+    """The empty mask, the full mask and five seeded random masks."""
+    return [0, (1 << size) - 1] + [rng.getrandbits(size) for _ in range(5)]
+
+
+class TestCellCodec:
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_text_round_trip(self, k):
+        rng = random.Random(k)
+        for n in range(5):
+            size = k ** n
+            for mask in _codec_masks(size, rng):
+                text = cube.mask_text(mask, size)
+                assert text == text_by_bits(mask, size)
+                assert cube.text_mask(text) == mask_by_chars(text) == mask
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_cells_and_bytes(self, k):
+        rng = random.Random(10 + k)
+        for n in range(5):
+            size = k ** n
+            for mask in _codec_masks(size, rng):
+                assert cube.mask_cells(mask) == cells_by_shifts(mask)
+                for byte in (0x01, 0x07, 0xFF):
+                    data = cube.mask_bytes(mask, size, byte).to_bytes(size, "little")
+                    assert data == bytes_by_bits(mask, size, byte)
+                    assert cube.bytes_mask(data, byte) == mask
+
+    def test_bytes_mask_picks_one_byte(self):
+        data = cube.signed_bytes((1, -1, 0, 1, 0, -1))
+        assert data == b"\x01\xff\x00\x01\x00\xff"
+        assert [cube.bytes_mask(data, b) for b in (0x01, 0xFF, 0x00)] == [0b001001, 0b100010, 0b010100]
+
+    def test_empty_text(self):
+        assert cube.text_mask("") == 0
+        assert cube.mask_cells(0) == []
+
+    @pytest.mark.parametrize("text", ["2", "a", "01 ", "+1", "-1", "1_0", "0b1", "\u0661"])
+    def test_text_mask_rejects_other_characters(self, text):
+        # int() alone would read signs, underscores, prefixes and other digits
+        with pytest.raises(ValueError):
+            cube.text_mask(text)
+
+
+@pytest.mark.parametrize(
+    "word, n, k",
+    [((3,), 1, 3), ((-1,), 1, 3), ((0, 1), 1, 3), ((0,), 2, 3), ((2,), 1, 2), ((), 1, 2)],
+)
+def test_checked_cell_rejects(word, n, k):
+    with pytest.raises(ValueError):
+        cube.checked_cell(word, n, k)
 
 
 class TestLines:
@@ -56,6 +110,11 @@ class TestBelow:
 
     def test_two_maximal_digits(self):
         assert sorted(below((2, 2), 3)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+    @pytest.mark.parametrize("y", [(3,), (-1,), (0, 3)])
+    def test_rejects_digit_outside_alphabet(self, y):
+        with pytest.raises(ValueError, match="digits must lie in"):
+            below(y, 3)
 
     def test_size_counts_maximal_digits(self):
         for y in cube.all_words(3, 3):

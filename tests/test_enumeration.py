@@ -6,7 +6,7 @@ from functools import lru_cache
 from types import SimpleNamespace
 
 import pytest
-from helpers import canonical_by_recursion, classify, values_from_packed
+from helpers import canonical_by_recursion, classify, signed_masks_by_values, values_from_packed
 
 from tritrade.enumeration import (
     classify_all,
@@ -40,17 +40,6 @@ def _inside(values, restricted):
 def _full_list(n):
     """The unrestricted stream as value tuples."""
     return [f.values for f in enumerate_functions(n)]
-
-
-def _signed_masks(values):
-    """The cells holding +1 and the cells holding -1, as two bitmasks."""
-    plus = minus = 0
-    for c, v in enumerate(values):
-        if v == 1:
-            plus |= 1 << c
-        elif v == -1:
-            minus |= 1 << c
-    return plus, minus
 
 
 class TestEnumerate:
@@ -239,9 +228,9 @@ class TestStreamDecode:
         rng = random.Random(18)
         fl4 = _full_list(4)
         cases = [(n, _random_domains(rng, n), None) for n in (2, 3, 4) for _ in range(4)]
-        masks = [_signed_masks(f1) for f1 in fl4]
+        masks = [signed_masks_by_values(f1) for f1 in fl4]
         for f0 in rng.sample([f for f in fl4 if any(f)], 20):
-            p0, m0 = _signed_masks(f0)
+            p0, m0 = signed_masks_by_values(f0)
             expect = [
                 f0 + f1 + tuple(-a - b for a, b in zip(f0, f1))
                 for f1, (p, m) in zip(fl4, masks)

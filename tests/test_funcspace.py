@@ -2,7 +2,12 @@ import itertools
 import random
 
 import pytest
-from helpers import bool_by_word_walk, gf2_basis_by_words
+from helpers import (
+    bool_by_word_walk,
+    gf2_basis_by_words,
+    random_n5_function,
+    signed_masks_by_values,
+)
 
 from tritrade import funcspace
 from tritrade.cube import below
@@ -156,7 +161,7 @@ class TestDegree:
         assert degree(BoolFn(2, 0b1111)) == 0
 
     def test_product(self):
-        f = BoolFn.from_callable(2, lambda w: w[0] & w[1])
+        f = BoolFn.from_text("0001")  # x_1 x_2
         assert degree(f) == 2
 
     def test_parity_linear(self):
@@ -338,6 +343,56 @@ class TestTradeFromTern:
             g = tern_from_trade(trade_from_tern(f))
             assert g.values in (f.values, f.negate().values)
             assert g.cardinality == f.cardinality
+
+
+class TestLegsMatchValueWalk:
+    """The legs of `trade_from_tern` and the mask of `TernFn.support`, read
+    from the signed bytes, against the cell-by-cell walk."""
+
+    @staticmethod
+    def _check(f):
+        plus, minus = signed_masks_by_values(f.values)
+        B = trade_from_tern(f)
+        assert {B.part0, B.part1} == {plus, minus}
+        assert B.base.mask == f.support().mask == plus | minus
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_every_function(self, n):
+        from tritrade.enumeration import enumerate_functions
+
+        for f in enumerate_functions(n):
+            self._check(f)
+
+    def test_seeded_n5(self):
+        from tritrade.enumeration import enumerate_functions
+
+        rng = random.Random(5)
+        fl4 = list(enumerate_functions(4))
+        for _ in range(20):
+            self._check(random_n5_function(rng, fl4))
+
+    def test_support_of_every_value_tuple_at_n2(self):
+        for values in itertools.product((-1, 0, 1), repeat=9):
+            plus, minus = signed_masks_by_values(values)
+            assert TernFn(2, values).support().mask == plus | minus
+
+
+@pytest.mark.parametrize(
+    "fn, word",
+    [
+        (TernFn.from_text("-0+"), (-1,)),
+        (TernFn.from_text("-0+"), (0, 1)),
+        (TernFn.from_text("-0+"), (3,)),
+        (TernFn.from_text("-0+"), ()),
+        (BoolFn.from_text("01"), (2,)),
+        (BoolFn.from_text("01"), (-1,)),
+        (BoolFn.from_text("0110"), (1,)),
+    ],
+)
+def test_call_rejects_words_outside_the_cube(fn, word):
+    # -1 indexed the last cell, (0, 1) cell 1 of a dimension-1 function
+    with pytest.raises(ValueError):
+        fn(word)
 
 
 class TestSupportBounds:

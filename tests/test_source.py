@@ -65,3 +65,32 @@ def test_no_unused_module_imports():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         found += [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in read]
     assert not found, f"unused imports in src: {found}"
+
+
+def _spec_text(node):
+    """The literal characters of a format spec: a string constant, or the
+    constant parts of an f-string."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(_spec_text(part) for part in node.values)
+    return ""
+
+
+def test_binary_format_only_in_cube():
+    # the cell-order codec (`cube.mask_text` and friends) is the one place
+    # that writes a mask's binary digits, by format(x, "...b") or f"{x:b}"
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "cube":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "format":
+                spec = _spec_text(node.args[1]) if len(node.args) > 1 else ""
+            elif isinstance(node, ast.FormattedValue) and node.format_spec is not None:
+                spec = _spec_text(node.format_spec)
+            else:
+                continue
+            if spec.endswith("b"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"binary format outside cube: {found}"

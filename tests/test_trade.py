@@ -3,7 +3,7 @@ import random
 from collections import Counter
 
 import pytest
-from helpers import color_by_cells, unitrade_by_line_counts
+from helpers import cells_by_shifts, color_by_cells, text_by_bits, unitrade_by_line_counts
 
 from tritrade import cube
 from tritrade.construct import embed_in_alphabet, grid_cycle_bitrade, maximal_bitrade, product
@@ -335,6 +335,30 @@ def test_tradeset_serialization():
     S = TradeSet.from_words(2, 3, [(0, 1), (2, 2)])
     assert TradeSet.from_json(S.to_json()) == S
     assert TradeSet.from_text(2, 3, S.to_text()) == S
+
+
+def test_cells_match_shift_walk_at_n6():
+    rng = random.Random(6)
+    B = maximal_bitrade(6)
+    for mask in (0, B.base.mask, B.part0, (1 << 729) - 1, *(rng.getrandbits(729) for _ in range(5))):
+        S = TradeSet(6, 3, mask)
+        assert S.cells() == cells_by_shifts(mask)
+        assert S.words() == [cube.word_of_cell(c, 6, 3) for c in cells_by_shifts(mask)]
+    assert B.to_json()["part0"] == text_by_bits(B.part0, 729)
+
+
+@pytest.mark.parametrize("words", [[(0, 1)], [(3,)], [(-1,)], [()]])
+def test_tradeset_from_words_rejects_words_outside_the_cube(words):
+    # (0, 1) was read as cell 1 of Q_3^1 and (-1,) as a negative shift
+    with pytest.raises(ValueError):
+        TradeSet.from_words(1, 3, words)
+
+
+@pytest.mark.parametrize("n, text", [(0, "2"), (0, "a"), (1, "0a0"), (1, "01"), (1, "0000")])
+def test_tradeset_from_text_rejects(n, text):
+    # a character other than 0 and 1, or a length other than 3^n
+    with pytest.raises(ValueError):
+        TradeSet.from_text(n, 3, text)
 
 
 @pytest.mark.parametrize(
