@@ -6,9 +6,11 @@ time, worker count, payload checksum; only `verify` draws random numbers,
 so the seed is null elsewhere); identical inputs must reproduce
 identical payload checksums.  Exit codes: 0 success, 1 failed check or
 broken invariant, 2 bad parameters, 3 resource limit.  The commands raise
-and `main` alone maps exceptions to exit codes: DimensionTooLarge (the
-caps are the library's) and MemoryError are 3, BrokenInvariant is 1, any
-other TritradeError, ValueError, TypeError or OSError is 2.  Counts up to
+and `main` alone maps exceptions to exit codes, one code per class of
+`tritrade.errors`: BrokenInvariant 1; DimensionTooLarge 3 (the caps are
+the library's), as is MemoryError; TritradeError, NotAUnitrade,
+DimensionTooSmall and PreconditionFailed 2, as are ValueError (all other
+bad input), TypeError and OSError.  Counts up to
 n = 5 run directly and N(6) through the 92 n = 5 classes.  Class reports
 key each class by its representative, which the class layer yields in
 canonical form.
@@ -264,15 +266,19 @@ def _check_hprime(n: int, rng) -> tuple[bool, dict]:
 
 def _check_recover(n: int, rng) -> tuple[bool, dict]:
     trials, good = 25, 0
+    refused = []
     dim = max(n, 8)
     for _ in range(trials):
         V = _random_recoverable_set(rng, dim)
         U = monomial.trade_from_monomials(V)
         D = construct.min_distance(sorted(V.words))
-        got = construct.recover_monomials(U, D)
-        if got == V:
-            good += 1
-    return good == trials, {"n": dim, "trials": trials, "recovered": good}
+        try:
+            good += construct.recover_monomials(U, D) == V
+        except ValueError as exc:  # V meets the precondition: a refusal fails
+            refused.append(str(exc))
+    return good == trials, {
+        "n": dim, "trials": trials, "recovered": good, "refused": refused[:5],
+    }
 
 
 def _random_recoverable_set(rng, n: int) -> MonomialSet:
@@ -312,12 +318,12 @@ def _check_testset(n: int, rng) -> tuple[bool, dict]:
             ok = False
     report["xor_decomposable"] = decomposable
     report["extractable"] = extractable
-    # mechanics: ranks behave even when the hypothesis fails
+    # mechanics: ranks behave even when the hypothesis fails (a line system
+    # of the wrong rank raises BrokenInvariant inside the extraction)
     U = construct.maximal_bitrade(m).base
     T = testsets.extract_testset(U)
     report["mechanics_points"] = len(T)
     ok = ok and len(T) == 2 ** m - 1
-    ok = ok and testsets.line_system_rank(m) == 3 ** m - 2 ** m
     return ok, report
 
 

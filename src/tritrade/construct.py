@@ -18,15 +18,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import cube
-from .errors import (
-    AmbiguousRecovery,
-    BadS,
-    BrokenInvariant,
-    DimensionTooSmall,
-    NotAUnitrade,
-    NotBalanced,
-    PreconditionUnverifiable,
-)
+from .errors import BrokenInvariant, DimensionTooSmall, NotAUnitrade
 from .funcspace import (
     BoolFn,
     TernFn,
@@ -105,7 +97,7 @@ def rank2_family(n: int, s: int) -> BipartiteTrade:
     """XOR of two monomial cubes agreeing in exactly s coordinates:
     a rank <= 2 bitrade of cardinality 2^(n+1) - 2^(s+1)."""
     if not 0 <= s <= n - 1:
-        raise BadS(f"s must be in 0..{n - 1}")
+        raise ValueError(f"s must be in 0..{n - 1}")
     u = (0,) * n
     v = (0,) * s + (1,) * (n - s)
     U = trade_from_monomials(MonomialSet(n, [u, v]))
@@ -330,11 +322,11 @@ def recover_monomials(U: TradeSet, D: int) -> MonomialSet:
     V = MonomialSet(n, found)
     d_found = min_distance(found)
     if len(found) * 2 ** (n - min(D, d_found) + 1) >= 2 ** (n - 2):
-        raise PreconditionUnverifiable(
+        raise ValueError(
             f"|V|*2^(n-D+1) vs 2^(n-2) fails for |V|={len(found)}, D<={d_found}"
         )
     if trade_from_monomials(V).mask != U.mask:
-        raise AmbiguousRecovery("recovered set does not reproduce the input")
+        raise ValueError("recovered set does not reproduce the input")
     return V
 
 
@@ -364,7 +356,7 @@ def almost_balanced_in_faces(f: BoolFn) -> bool:
 def pot12(f: BoolFn) -> BipartiteTrade:
     """U[f xor parity] for an almost-balanced f; the unitrade is bipartite."""
     if not almost_balanced_in_faces(f):
-        raise NotBalanced("ones/zeros differ by more than 2 in some face")
+        raise ValueError("ones/zeros differ by more than 2 in some face")
     U = u_from_bool(f.xor(parity_counter(f.n)))
     B = bipartition(U)
     if B is None:

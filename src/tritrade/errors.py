@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Only errors some caller tells apart get a class; bad input is ValueError.
+`cli.main` maps BrokenInvariant to exit 1, DimensionTooLarge to exit 3 and
+every other class here to exit 2.
+"""
 
 
 class TritradeError(Exception):
@@ -7,18 +12,6 @@ class TritradeError(Exception):
 
 class NotAUnitrade(TritradeError):
     """The given set fails the 0-or-2 line intersection property."""
-
-
-class BadBaseWord(TritradeError):
-    """Base word of a signed-subcube basis function contains a maximal digit."""
-
-
-class EmptyCatalog(TritradeError):
-    """A statistic was requested over an empty trade catalog."""
-
-
-class OrbitTooLarge(TritradeError):
-    """Orbit closure exceeded the configured element limit."""
 
 
 class BrokenInvariant(TritradeError):
@@ -33,46 +26,9 @@ class DimensionTooSmall(TritradeError):
     """Construction needs a higher dimension."""
 
 
-class TooManyMonomials(TritradeError):
-    """Subset expansion over the monomial set would be too large."""
-
-
-class ProfileHasEqualColumns(TritradeError):
-    """Triple cardinality formula assumes no column where all rows agree."""
-
-
-class DegenerateTriple(TritradeError):
-    """Monomial triple collapses to rank <= 2 under distance-1 reduction."""
-
-
-class BadS(TritradeError):
-    """Subcube-agreement parameter outside 0..n-1."""
-
-
-class NotBalanced(TritradeError):
-    """Boolean function is not almost balanced in every face."""
-
-
-class PreconditionUnverifiable(TritradeError):
-    """Recovery inequality fails for the recovered monomial set."""
-
-
-class AmbiguousRecovery(TritradeError):
-    """Recovered monomial set does not reproduce the input set."""
-
-
 class PreconditionFailed(TritradeError):
     """Input is a mod-2 sum of two bitrades; carries the witness pair."""
 
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
-
-
-class RankDefect(TritradeError):
-    """Linear system ranks disagree with the expected dimensions."""
-
-
-class OutOfRange(TritradeError):
-    """Cardinality outside the window the predicate covers."""
-

@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import cube
-from .errors import BadBaseWord, NotAUnitrade
+from .errors import NotAUnitrade
 from .trade import BipartiteTrade, TradeSet, _independent, _normalized, is_unitrade
 
 NEG_INF = float("-inf")
@@ -343,7 +343,7 @@ def gf2_basis_fn(x: tuple[int, ...]) -> TernFn:
     """
     n = len(x)
     if not {0, 1}.issuperset(x):
-        raise BadBaseWord(f"base word digits must be 0 or 1: {x}")
+        raise ValueError(f"base word digits must be 0 or 1: {x}")
     even, odd = cube.subcube_legs(tuple(2 - d for d in x))
     return _tern_from_legs(n, odd, even) if n % 2 else _tern_from_legs(n, even, odd)
 

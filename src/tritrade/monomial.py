@@ -28,14 +28,7 @@ from typing import Iterable, Sequence
 
 from . import cube
 from .cube import CUBE_FACTOR, subcube_legs, subcube_mask
-from .errors import (
-    BrokenInvariant,
-    DegenerateTriple,
-    DimensionTooLarge,
-    NotAUnitrade,
-    ProfileHasEqualColumns,
-    TooManyMonomials,
-)
+from .errors import BrokenInvariant, DimensionTooLarge, NotAUnitrade
 from .funcspace import BoolFn, TernFn, _tern_from_legs, bool_from_unitrade
 from .trade import TradeSet, is_unitrade
 
@@ -309,7 +302,7 @@ def cardinality_formula(V: MonomialSet) -> int:
     """|U[f^V]| from r-values alone: the signed inclusion-exclusion
     sum over subsets W of V of (-2)^(|W|-1) * 2^r(W)."""
     if len(V) > MAX_FORMULA_MONOMIALS:
-        raise TooManyMonomials(
+        raise DimensionTooLarge(
             f"{len(V)} monomials means 2^{len(V)} subset terms"
         )
     words = sorted(V.words)
@@ -372,7 +365,7 @@ def triple_cardinality(profile: TripleProfile, n: int) -> int:
     """|U[f^V]| for a triple with no all-equal column:
     3*2^n - 2*(2^k1 + 2^k2 + 2^k3) + 4*[k4 == 0]."""
     if profile.k_eq:
-        raise ProfileHasEqualColumns("formula assumes no all-equal column")
+        raise ValueError("formula assumes no all-equal column")
     if profile.n != n:
         raise ValueError("profile does not cover n columns")
     delta = 4 if profile.k4 == 0 else 0
@@ -395,10 +388,10 @@ def triple_is_bitrade(V: MonomialSet) -> tuple[bool, str]:
     """
     words = sorted(V.words)
     if len(words) != 3:
-        raise DegenerateTriple("need exactly three distinct monomials")
+        raise ValueError("need exactly three distinct monomials")
     for u, v in itertools.combinations(words, 2):
         if cube.hamming_distance(u, v) <= 1:
-            raise DegenerateTriple(
+            raise ValueError(
                 "distance-1 pair collapses; normalize first (rank <= 2 is "
                 "always a bitrade)"
             )

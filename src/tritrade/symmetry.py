@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 
 from . import cube
 from .cube import Isometry
-from .errors import NotAUnitrade, OrbitTooLarge
+from .errors import DimensionTooLarge, NotAUnitrade
 from .funcspace import TernFn, trade_from_tern
 
 _SYM3 = tuple(itertools.permutations((0, 1, 2)))
@@ -114,16 +114,19 @@ def canonical_form(f: TernFn) -> str:
 # Orbits and stabilizers
 # ---------------------------------------------------------------------------
 
-DEFAULT_ORBIT_LIMIT = 2_000_000
+ORBIT_MAX_N = 5
 
 
-def orbit_values(values: tuple[int, ...], n: int, limit: int = DEFAULT_ORBIT_LIMIT) -> set[bytes]:
+def orbit_values(values: tuple[int, ...], n: int) -> set[bytes]:
     """Closure of a value tuple under the generators, as encoded byte keys
     (value v as byte v + 1).  Images are taken on the keys themselves: the
     sign flip fixes every cell and swaps the bytes 0 and 2, and each other
     generator is one itemgetter over the cells.  The values are read
     through `TernFn(n, values)`, so a value outside {-1,0,+1} or a tuple
-    of the wrong length raises ValueError."""
+    of the wrong length raises ValueError.  DimensionTooLarge above
+    n = ORBIT_MAX_N: an n = 6 orbit can hold millions of 729-byte keys."""
+    if n > ORBIT_MAX_N:
+        raise DimensionTooLarge(f"orbit closure capped at n={ORBIT_MAX_N}")
     values = TernFn(n, values).values
     gets = _gen_getters(n)
     start = _encode(values)
@@ -136,8 +139,6 @@ def orbit_values(values: tuple[int, ...], n: int, limit: int = DEFAULT_ORBIT_LIM
             images.append(key.translate(_FLIP))
             for img in images:
                 if img not in seen:
-                    if len(seen) >= limit:
-                        raise OrbitTooLarge(f"orbit exceeds {limit} elements")
                     seen.add(img)
                     nxt.append(img)
         frontier = nxt

@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import cube
-from .errors import NotAUnitrade, PreconditionFailed, RankDefect
+from .errors import BrokenInvariant, NotAUnitrade, PreconditionFailed
 from .trade import BipartiteTrade, TradeSet, is_unitrade, xor_of_two_bitrades
 
 
@@ -90,8 +90,8 @@ class _Eliminator:
     """Incremental GF(2) row reduction on bitmask rows; pivot of a reduced
     row is its lowest set cell, matching cell lex order."""
 
-    def __init__(self):
-        self.pivots: dict[int, int] = {}  # pivot cell -> reduced row
+    def __init__(self, pivots: Optional[dict[int, int]] = None):
+        self.pivots = dict(pivots or {})  # pivot cell -> reduced row
 
     def reduce(self, row: int) -> int:
         while row:
@@ -114,13 +114,21 @@ class _Eliminator:
 
 
 @lru_cache(maxsize=None)
-def line_system_rank(m: int) -> int:
-    """GF(2) rank of the all-lines system over Q_3^m: equals 3^m - 2^m
-    (the kernel is the unitrade space of dimension 2^m)."""
+def _line_pivots(m: int) -> dict[int, int]:
+    """Pivot table of the all-lines system over Q_3^m, eliminated in line
+    order; BrokenInvariant unless its rank is 3^m - 2^m (the kernel is the
+    unitrade space of dimension 2^m).  Callers copy it, never mutate it."""
     elim = _Eliminator()
     for lm in cube.line_masks(m, 3):
         elim.add(lm)
-    return elim.rank
+    if elim.rank != 3 ** m - 2 ** m:
+        raise BrokenInvariant("line system rank is off")
+    return elim.pivots
+
+
+def line_system_rank(m: int) -> int:
+    """GF(2) rank of the all-lines system over Q_3^m: 3^m - 2^m."""
+    return len(_line_pivots(m))
 
 
 def extract_testset(
@@ -129,11 +137,11 @@ def extract_testset(
 ) -> TestSet:
     """A testing set of 2^m - 1 points for bitrades at dimension m.
 
-    Eliminates the line equations first (pivot order: line order), then
-    scans the unit equations x_v = 0 for cells v outside U in lex order,
-    keeping those independent of everything chosen so far; the kept cells
-    are T.  The combined system must leave exactly the 1-dimensional
-    solution space {0, chi_U}, else RankDefect.
+    Starts from the line equations, eliminated once per m (pivot order:
+    line order), then scans the unit equations x_v = 0 for cells v outside
+    U in lex order, keeping those independent of everything chosen so far;
+    the kept cells are T.  The combined system must leave exactly the
+    1-dimensional solution space {0, chi_U}, else BrokenInvariant.
 
     With a catalog, the hypothesis "U is not an xor of two bitrades" is
     checked and PreconditionFailed carries the witness pair; without one,
@@ -152,17 +160,13 @@ def extract_testset(
             raise PreconditionFailed(
                 "input is an xor of two catalog bitrades", witness=pair
             )
-    elim = _Eliminator()
-    for lm in cube.line_masks(m, 3):
-        elim.add(lm)
-    if elim.rank != 3 ** m - 2 ** m:
-        raise RankDefect("line system rank is off")
+    elim = _Eliminator(_line_pivots(m))
     points = []
     for cell in cube.mask_cells(U.mask ^ ((1 << 3 ** m) - 1)):
         if elim.add(1 << cell):
             points.append(cube.word_of_cell(cell, m, 3))
     if elim.rank != 3 ** m - 1 or len(points) != 2 ** m - 1:
-        raise RankDefect(
+        raise BrokenInvariant(
             f"expected rank {3 ** m - 1} and {2 ** m - 1} points, got "
             f"{elim.rank} and {len(points)}"
         )

@@ -29,7 +29,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import cube
-from .errors import EmptyCatalog, NotAUnitrade, OutOfRange
+from .errors import NotAUnitrade
 
 
 class TradeSet:
@@ -338,7 +338,7 @@ def small_bitrade_admissible(N: int, c: int) -> bool:
     (3, 18), (4, 40), (5, 78).
     """
     if not (2 ** (N + 1) < c <= 5 * 2 ** (N - 1)):
-        raise OutOfRange(f"cardinality {c} outside (2^{N + 1}, 5*2^{N - 1}]")
+        raise ValueError(f"cardinality {c} outside (2^{N + 1}, 5*2^{N - 1}]")
     for m in range(0, N + 1):
         n = N - m
         scale = 2 ** m
@@ -383,7 +383,7 @@ def half_cardinality_stats(catalog: Sequence[BipartiteTrade]) -> tuple[float, fl
     always half the cardinality.
     """
     if not catalog:
-        raise EmptyCatalog("no trades to aggregate")
+        raise ValueError("no trades to aggregate")
     halves = [B.half0 for B in catalog]
     mean = sum(halves) / len(halves)
     var = sum((h - mean) ** 2 for h in halves) / len(halves)
@@ -394,7 +394,7 @@ def half_cardinality_stats_from_spectrum(entries: dict[int, int]) -> tuple[float
     """Same statistic computed from a size -> set-count table."""
     total = sum(entries.values())
     if total == 0:
-        raise EmptyCatalog("spectrum has no nonempty trades")
+        raise ValueError("spectrum has no nonempty trades")
     mean = sum(cnt * (size / 2) for size, cnt in entries.items()) / total
     var = sum(cnt * (size / 2 - mean) ** 2 for size, cnt in entries.items()) / total
     return mean, math.sqrt(var)

@@ -7,7 +7,6 @@ from tritrade.construct import embed_in_alphabet, grid_cycle_bitrade
 from tritrade.cube import CUBE_FACTOR, Isometry
 from tritrade.funcspace import BoolFn, TernFn, tern_from_trade, trade_from_tern, u_from_bool
 from tritrade.symmetry import (
-    DEFAULT_ORBIT_LIMIT,
     ClassRecord,
     aut_order,
     group_order,
@@ -223,10 +222,10 @@ def bool_by_word_walk(U):
     return bits
 
 
-def orbit(f, limit=DEFAULT_ORBIT_LIMIT):
+def orbit(f):
     """The orbit of f as a set of functions, from the closure over encoded
     values."""
-    keys = orbit_values(f.values, f.n, limit)
+    keys = orbit_values(f.values, f.n)
     return {TernFn(f.n, tuple(b - 1 for b in key)) for key in keys}
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from tritrade import cli, construct, enumeration
+from tritrade import cli, construct, cube, enumeration, errors, testsets
 from tritrade.cli import (
     CHECKS,
     EXIT_BAD_PARAMS,
@@ -15,7 +15,7 @@ from tritrade.cli import (
     build_parser,
     main,
 )
-from tritrade.errors import BrokenInvariant, DimensionTooLarge, DimensionTooSmall, NotAUnitrade
+from tritrade.errors import BrokenInvariant
 from tritrade.refdata import N_FUNCTIONS
 
 
@@ -199,6 +199,44 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--check", "recover", "--n", "8")
         assert code == EXIT_OK
 
+    def test_recover_refusal_fails_the_check(self, capsys, monkeypatch, tmp_path):
+        # every synthetic instance meets the recovery precondition, so a
+        # refusal is a failed trial, not a parameter error
+        def refuse(U, D):
+            raise ValueError("recovered set does not reproduce the input")
+
+        monkeypatch.setattr(construct, "recover_monomials", refuse)
+        out_file = tmp_path / "rec.json"
+        code, out, _ = run(
+            capsys, "verify", "--check", "recover", "--n", "8", "--out", str(out_file)
+        )
+        assert code == EXIT_CHECK_FAILED
+        assert out.strip().endswith("FAIL")
+        detail = json.loads(out_file.read_text())["payload"]["detail"]
+        assert detail["recovered"] == 0 and detail["trials"] == 25
+        assert detail["refused"] == ["recovered set does not reproduce the input"] * 5
+
+    def test_testset_broken_extraction_fails_the_check(self, capsys, monkeypatch):
+        def broken(U):
+            raise BrokenInvariant("expected rank 26 and 7 points, got 25 and 6")
+
+        monkeypatch.setattr(testsets, "extract_testset", broken)
+        code, _, err = run(capsys, "verify", "--check", "testset", "--n", "3")
+        assert code == EXIT_CHECK_FAILED
+        assert err.strip() == "broken invariant: expected rank 26 and 7 points, got 25 and 6"
+
+    def test_testset_wrong_line_rank_fails_the_check(self, capsys, monkeypatch):
+        # a line system short of rank 3^m - 2^m breaks the theorem, not the input
+        lines = cube.line_masks
+        monkeypatch.setattr(cube, "line_masks", lambda m, k: lines(m, k)[:1])
+        testsets._line_pivots.cache_clear()
+        try:
+            code, _, err = run(capsys, "verify", "--check", "testset", "--n", "3")
+        finally:
+            testsets._line_pivots.cache_clear()
+        assert code == EXIT_CHECK_FAILED
+        assert err.strip() == "broken invariant: line system rank is off"
+
     def test_unknown_check(self, capsys):
         code, _, err = run(capsys, "verify", "--check", "nope", "--n", "2")
         assert code == 2
@@ -301,12 +339,25 @@ _RAISING_CALLS = [
     (cli, "spectrum", "verify --check mod3 --n 3"),
     (construct, "maximal_bitrade", "construct --what maximal --n 3"),
 ]
+# one exit code per class of tritrade.errors, and one row per class: a
+# class added there without a code here gets None and fails its rows
+_CODE_OF = {
+    errors.TritradeError: EXIT_BAD_PARAMS,
+    errors.NotAUnitrade: EXIT_BAD_PARAMS,
+    errors.DimensionTooSmall: EXIT_BAD_PARAMS,
+    errors.PreconditionFailed: EXIT_BAD_PARAMS,
+    errors.BrokenInvariant: EXIT_CHECK_FAILED,
+    errors.DimensionTooLarge: EXIT_RESOURCE,
+}
+_PREFIX = {EXIT_BAD_PARAMS: "parameter error: ", EXIT_CHECK_FAILED: "broken invariant: "}
+_ERROR_CLASSES = [
+    c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, Exception)
+]
 _EXIT_FOR = [
-    (DimensionTooLarge("capped"), EXIT_RESOURCE, "capped"),
+    (c(c.__name__), _CODE_OF.get(c), _PREFIX.get(_CODE_OF.get(c), "") + c.__name__)
+    for c in _ERROR_CLASSES
+] + [
     (MemoryError(), EXIT_RESOURCE, "resource limit: out of memory"),
-    (BrokenInvariant("odd count"), EXIT_CHECK_FAILED, "broken invariant: odd count"),
-    (DimensionTooSmall("too small"), EXIT_BAD_PARAMS, "parameter error: too small"),
-    (NotAUnitrade("not a unitrade"), EXIT_BAD_PARAMS, "parameter error: not a unitrade"),
     (ValueError("bad value"), EXIT_BAD_PARAMS, "parameter error: bad value"),
     (TypeError("bad type"), EXIT_BAD_PARAMS, "parameter error: bad type"),
     (OSError("unreadable"), EXIT_BAD_PARAMS, "parameter error: unreadable"),
@@ -330,6 +381,68 @@ def test_one_exit_code_boundary(capsys, monkeypatch, owner, target, argv, exc, c
     assert got == code
     assert err.strip() == message
     assert "Traceback" not in out + err
+
+
+# the exit-code contract at every boundary: per command, the code at n = 0
+# and at n = 1, and the first n past the library's cap (None: uncapped);
+# n = -1 is exit 2 everywhere
+_SPECTRUM_CHECK = (EXIT_BAD_PARAMS, EXIT_OK, 8)  # live to n = 5, shipped n = 6, 7
+_CONTRACT = {
+    "enumerate --mode count": (EXIT_OK, EXIT_OK, 7),
+    "enumerate --mode spectrum": (EXIT_BAD_PARAMS, EXIT_OK, 6),
+    "enumerate --mode classes": (EXIT_OK, EXIT_OK, 6),
+    "verify --check mod3": _SPECTRUM_CHECK,
+    "verify --check small-spectrum": _SPECTRUM_CHECK,
+    "verify --check minimal-count": _SPECTRUM_CHECK,
+    "verify --check max-unique": _SPECTRUM_CHECK,
+    "verify --check gap-14": (EXIT_BAD_PARAMS, EXIT_BAD_PARAMS, 8),
+    "verify --check alpha": (EXIT_BAD_PARAMS, EXIT_OK, 5),
+    "verify --check rank2": (EXIT_BAD_PARAMS, EXIT_OK, 5),
+    "verify --check pot12": (EXIT_OK, EXIT_OK, None),
+    "verify --check hprime": (EXIT_OK, EXIT_OK, None),  # ignores --n
+    "verify --check recover": (EXIT_OK, EXIT_OK, None),  # runs at max(n, 8)
+    "verify --check testset": (EXIT_BAD_PARAMS, EXIT_OK, None),  # runs at min(n, 3)
+    "construct --what maximal": (EXIT_BAD_PARAMS, EXIT_OK, None),
+    "construct --what rank2": (EXIT_BAD_PARAMS, EXIT_OK, None),
+    "construct --what bitrade14": (EXIT_BAD_PARAMS, EXIT_BAD_PARAMS, None),
+    "construct --what product": (EXIT_OK, EXIT_OK, None),  # ignores --n
+    "construct --what kext": (EXIT_OK, EXIT_OK, None),  # ignores --n
+    "construct --what hprime": (EXIT_OK, EXIT_OK, None),  # ignores --n
+    "construct --what pot12": (EXIT_OK, EXIT_OK, None),  # ignores --n
+}
+
+
+def _choices(command, dest):
+    sub = next(a for a in build_parser()._actions if a.dest == "cmd").choices[command]
+    return next(a for a in sub._actions if a.dest == dest).choices
+
+
+def test_contract_names_every_command():
+    commands = (
+        [f"enumerate --mode {m}" for m in _choices("enumerate", "mode")]
+        + [f"verify --check {c}" for c in CHECKS]
+        + [f"construct --what {w}" for w in _choices("construct", "what")]
+    )
+    assert sorted(_CONTRACT) == sorted(commands)
+
+
+@pytest.mark.parametrize(
+    "command,n,code",
+    [
+        pytest.param(command, n, code, id=f"{command} --n {n}")
+        for command, (at0, at1, past_cap) in _CONTRACT.items()
+        for n, code in ((-1, EXIT_BAD_PARAMS), (0, at0), (1, at1), (past_cap, EXIT_RESOURCE))
+        if n is not None
+    ],
+)
+def test_exit_code_contract(capsys, command, n, code):
+    got, out, err = run(capsys, *command.split(), "--n", str(n))
+    assert got == code
+    assert "Traceback" not in out + err
+    if code == EXIT_BAD_PARAMS:
+        assert err.startswith("parameter error")
+    if code == EXIT_RESOURCE:  # refused before any work: no partial output
+        assert out == "" and err.strip()
 
 
 _NO_SUPPORT = {"n": 2, "k": 3}

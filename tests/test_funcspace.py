@@ -11,7 +11,7 @@ from helpers import (
 
 from tritrade import funcspace
 from tritrade.cube import below
-from tritrade.errors import BadBaseWord, NotAUnitrade
+from tritrade.errors import NotAUnitrade
 from tritrade.funcspace import (
     BoolFn,
     LineSumKind,
@@ -199,13 +199,13 @@ class TestGf2Basis:
             assert trace == [x]
 
     def test_rejects_maximal_digit(self):
-        with pytest.raises(BadBaseWord):
+        with pytest.raises(ValueError, match="base word digits must be 0 or 1"):
             gf2_basis_fn((0, 2))
 
     @pytest.mark.parametrize("x", [(-1,), (1, 3)])
     def test_rejects_digit_outside_0_1(self, x):
         # -1 once read as the digit 2 of the word 2 - x: `00+` at (-1,)
-        with pytest.raises(BadBaseWord):
+        with pytest.raises(ValueError, match="base word digits must be 0 or 1"):
             gf2_basis_fn(x)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])

@@ -94,3 +94,17 @@ def test_binary_format_only_in_cube():
             if spec.endswith("b"):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"binary format outside cube: {found}"
+
+
+def test_every_error_class_is_raised():
+    # a class no code raises tells no caller anything; the base is only caught
+    tree = ast.parse((SRC / "errors.py").read_text())
+    classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert classes - raised == {"TritradeError"}

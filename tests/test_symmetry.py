@@ -13,7 +13,7 @@ from helpers import (
 
 from tritrade.cube import Isometry
 from tritrade.enumeration import enumerate_functions
-from tritrade.errors import DimensionTooLarge, OrbitTooLarge
+from tritrade.errors import DimensionTooLarge
 from tritrade.funcspace import LineSumKind, TernFn, line_sums, tern_from_trade
 from tritrade.symmetry import (
     aut_order,
@@ -165,8 +165,9 @@ class TestOrbit:
         assert len(orbit(_maximal_fn(2))) == 12
 
     def test_limit(self):
-        with pytest.raises(OrbitTooLarge):
-            orbit(_minimal_fn(3), limit=10)
+        # refused before any work: an n = 6 orbit can hold millions of keys
+        with pytest.raises(DimensionTooLarge, match="orbit closure capped at n=5"):
+            orbit_values((0,) * 3 ** 6, 6)
 
     def test_closure_is_the_set_of_group_images(self):
         # every function at n <= 2, a seeded sample at n = 3

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from tritrade.errors import PreconditionFailed
+from tritrade import cube, testsets
+from tritrade.errors import BrokenInvariant, PreconditionFailed
 from tritrade.funcspace import BoolFn, u_from_bool
 from tritrade.testsets import (
     TestSet,
@@ -69,6 +70,32 @@ class TestLineSystemRank:
     def test_rank_formula(self, m):
         assert line_system_rank(m) == 3 ** m - 2 ** m
 
+    def test_wrong_rank_is_a_broken_invariant(self, monkeypatch):
+        lines = cube.line_masks
+        monkeypatch.setattr(cube, "line_masks", lambda m, k: lines(m, k)[:1])
+        testsets._line_pivots.cache_clear()
+        try:
+            with pytest.raises(BrokenInvariant, match="line system rank is off"):
+                line_system_rank(2)
+            with pytest.raises(BrokenInvariant, match="line system rank is off"):
+                extract_testset(u_from_bool(BoolFn(2, 1)))
+        finally:
+            testsets._line_pivots.cache_clear()
+
+
+def _points_by_fresh_elimination(U):
+    # reference with a fresh elimination per call, sharing no cache: lines
+    # first, then the unit equations of the cells outside U in lex order
+    m = U.n
+    elim = testsets._Eliminator()
+    for lm in cube.line_masks(m, 3):
+        elim.add(lm)
+    return {
+        cube.word_of_cell(c, m, 3)
+        for c in range(3 ** m)
+        if c not in U and elim.add(1 << c)
+    }
+
 
 class TestExtractTestset:
     def test_point_count_m2(self):
@@ -91,6 +118,18 @@ class TestExtractTestset:
         for bits in (1, 37, 255, 128):
             U = u_from_bool(BoolFn(3, bits))
             assert len(extract_testset(U)) == 7
+
+    def test_points_match_a_fresh_elimination(self):
+        # every unitrade at m <= 2, a seeded sample at m = 3, 4; each call
+        # leaves the shared pivot table as it found it
+        rng = random.Random(24)
+        cases = [(m, bits) for m in (1, 2) for bits in range(1, 1 << (1 << m))]
+        cases += [(3, rng.randrange(1, 1 << 8)) for _ in range(20)]
+        cases += [(4, rng.randrange(1, 1 << 16)) for _ in range(5)]
+        for m, bits in cases:
+            U = u_from_bool(BoolFn(m, bits))
+            assert extract_testset(U).points == _points_by_fresh_elimination(U)
+            assert line_system_rank(m) == 3 ** m - 2 ** m
 
     def test_m1_precondition_fails_with_witness(self):
         from tritrade.enumeration import bitrade_catalog
