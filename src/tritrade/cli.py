@@ -10,10 +10,10 @@ and `main` alone maps exceptions to exit codes, one code per class of
 `tritrade.errors`: BrokenInvariant 1; DimensionTooLarge 3 (the caps are
 the library's), as is MemoryError; TritradeError, NotAUnitrade,
 DimensionTooSmall and PreconditionFailed 2, as are ValueError (all other
-bad input), TypeError and OSError.  Counts up to
-n = 5 run directly and N(6) through the 92 n = 5 classes.  Class reports
-key each class by its representative, which the class layer yields in
-canonical form.
+bad input), TypeError and OSError.  Every count N(n) runs through the
+class layer one dimension down (N(6) through the 92 n = 5 classes), and
+only the count uses `--jobs`.  Class reports key each class by its
+representative, which the class layer yields in canonical form.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import time
 from typing import Optional
 
 from . import __version__, construct, enumeration, monomial, refdata, testsets
-from .enumeration import bitrade_catalog, classify_all, count_functions, spectrum
+from .enumeration import bitrade_catalog, classify_all, spectrum
 from .errors import BrokenInvariant, DimensionTooLarge, DimensionTooSmall, TritradeError
 from .funcspace import BoolFn, u_from_bool
 from .monomial import MonomialSet
@@ -94,13 +94,11 @@ def _emit(payload, csv_rows, kind, args_list, seed, jobs, t0, out: Optional[str]
 
 def _cmd_enumerate(args, argv) -> int:
     t0 = time.time()
-    jobs = args.jobs
     n = args.n
+    jobs = 1  # the spectrum and the class report run in one process
     if args.mode == "count":
-        if n <= enumeration.COUNT_MAX_N:
-            total = count_functions(n, jobs=jobs)
-        else:
-            total = enumeration.count_by_retract_classes(n, jobs=jobs)
+        jobs = args.jobs
+        total = enumeration.count_by_retract_classes(n, jobs=jobs)
         payload = {"n": n, "count": str(total)}
         csv_rows = [["n", "count"], [n, total]]
         print(total)
@@ -300,6 +298,8 @@ def _random_recoverable_set(rng, n: int) -> MonomialSet:
 
 
 def _check_testset(n: int, rng) -> tuple[bool, dict]:
+    if n < 1:  # refused before the loop: the mechanics run needs m >= 1
+        raise DimensionTooSmall("testset check needs n >= 1")
     m = min(n, 3)
     catalog = bitrade_catalog(m)
     report = {"m": m, "catalog": len(catalog)}

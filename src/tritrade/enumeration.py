@@ -31,8 +31,10 @@ table.
 A streamed solution is decoded once: its octal digits, translated to
 signed bytes, are unpacked into the value tuple by one cached struct call
 per n, and its cardinality is read off the 0 plane, so the TernFn never
-counts its zeros.  The direct count stops at n = 5; N(6) is counted
-through the n = 5 classes.
+counts its zeros.  The direct count runs in one process and stops at
+n = 5: it is the cross-check of `count_by_retract_classes`, the one
+production count, which reads N(n) for n <= 6 off the class layer one
+dimension down and alone fans work over worker processes.
 
 One cached class layer, `_class_layer(n)` for n <= 5, serves every
 class-based count: it keeps the first completion of an n-1 representative
@@ -251,29 +253,12 @@ def enumerate_functions(
 COUNT_MAX_N = 5
 
 
-def count_functions(
-    n: int,
-    cell_domains: Optional[Sequence[Iterable[int]]] = None,
-    jobs: int = 1,
-) -> int:
-    """Exact count of line-sum-zero functions, optionally restricted.
-
-    With `jobs` > 1 the work splits at the first hyperplane: each of its
-    assignments is one unit, fanned over forked workers by `_fan_out`.
-    N(6) is counted through the n = 5 classes (`count_by_retract_classes`).
-    """
+def count_functions(n: int, cell_domains: Optional[Sequence[Iterable[int]]] = None) -> int:
+    """Exact count of line-sum-zero functions, optionally restricted: the
+    direct count, serial, and the oracle of `count_by_retract_classes`."""
     if n > COUNT_MAX_N:
         raise DimensionTooLarge(f"counting capped at n={COUNT_MAX_N}")
-    doms = _packed_domains(n, cell_domains)
-    if n == 0 or jobs <= 1:
-        return _count(n, doms)
-    b0, d0, up, mid, down = _restriction(n, doms)
-    units = []
-    for _, (z, m, p) in _heads(n - 1, d0):
-        d1p = mid & z | up & m | down & p
-        if (d1p | d1p >> 1 | d1p >> 2) & b0 == b0:
-            units.append((1, d1p))
-    return _fan_out(n - 1, units, jobs)
+    return _count(n, _packed_domains(n, cell_domains))
 
 
 def _count_units(n: int, units: Sequence[tuple[int, int]]) -> int:
@@ -281,7 +266,8 @@ def _count_units(n: int, units: Sequence[tuple[int, int]]) -> int:
 
 
 def _fan_out(n: int, units: Sequence[tuple[int, int]], jobs: int) -> int:
-    """Sum of weight * _count(n, doms) over the (weight, doms) units.
+    """Sum of weight * _count(n, doms) over the (weight, doms) units, the
+    classes of `count_by_retract_classes`.
 
     Worker w of `jobs` forked workers takes units[w::jobs]; the merge is an
     integer sum, so the result does not depend on `jobs`.  No more workers
@@ -303,14 +289,15 @@ def _fan_out(n: int, units: Sequence[tuple[int, int]], jobs: int) -> int:
 # ---------------------------------------------------------------------------
 
 def count_by_retract_classes(n: int, jobs: int = 1) -> int:
-    """N(n) from the class layer at n-1: the completions of each
-    representative as the first hyperplane, weighted by orbit size, which
-    certifies the layer at n; `jobs` > 1 fans the classes over forked
-    workers (`_fan_out`).  The zero representative's completions are the
-    (0, g, -g), so it adds N(n-1), the layer's certified orbit sum.
-    Capped at n = CLASSIFY_MAX_N + 1 = 6, one above the class layer."""
+    """N(n), the package's one production count: the completions of each
+    class representative at n-1 as the first hyperplane, weighted by orbit
+    size, which certifies the layer at n; `jobs` > 1 fans the classes over
+    forked workers (`_fan_out`).  The zero representative's completions
+    are the (0, g, -g), so it adds N(n-1), the layer's certified orbit sum.
+    At n <= 0 it is the direct count, which rejects n < 0.  Capped at
+    n = CLASSIFY_MAX_N + 1 = 6, one above the class layer."""
     if n < 1:
-        raise DimensionTooSmall("class count needs n >= 1")
+        return count_functions(n)
     if n > CLASSIFY_MAX_N + 1:
         raise DimensionTooLarge(f"class count capped at n={CLASSIFY_MAX_N + 1}")
     layer = _class_layer(n - 1)[0]
@@ -434,7 +421,7 @@ def _class_layer(n: int) -> tuple[tuple[ClassRecord, ...], dict[bytes, int]]:
         aut = aut_order(reps[key])
         records.append(ClassRecord(reps[key], group_order(n) // aut, aut))
     total = sum(r.orbit_size for r in records)
-    expected = count_by_retract_classes(n) if n else count_functions(0)
+    expected = count_by_retract_classes(n)
     if total != expected:
         raise BrokenInvariant(f"{len(records)} keys cover {total} functions, N({n}) = {expected}")
     return tuple(records), _ClassIndex(n, {k: i for i, k in enumerate(keys)}, below)

@@ -33,7 +33,7 @@ class TestEnumerateCommand:
             (["--n", "0"], EXIT_OK, "3"),
             (["--n", "1"], EXIT_OK, "7"),
             (["--n", "3"], EXIT_OK, "403"),
-            (["--n", "4", "--jobs", "2"], EXIT_OK, "29875"),  # the split into units
+            (["--n", "4", "--jobs", "2"], EXIT_OK, "29875"),  # classes over two workers
             (["--n", "3", "--jobs", "0"], EXIT_BAD_PARAMS, ""),
         ],
         ids=["n-1", "n0", "n1", "n3", "n4-jobs2", "jobs0"],
@@ -51,6 +51,16 @@ class TestEnumerateCommand:
         assert run(capsys, "verify", "--check", "mod3", "--n", "2")[0] == EXIT_OK
         out_file = tmp_path / "count.json"
         code, _, _ = run(capsys, "enumerate", "--n", "2", "--out", str(out_file))
+        assert code == EXIT_OK
+        assert json.loads(out_file.read_text())["manifest"]["jobs"] == 1
+
+    @pytest.mark.parametrize("mode", ["spectrum", "classes"])
+    def test_manifest_records_the_workers_used(self, capsys, tmp_path, mode):
+        # only the count fans out; the spectrum and the class report run in one process
+        out_file = tmp_path / "out.json"
+        code, _, _ = run(
+            capsys, "enumerate", "--n", "2", "--mode", mode, "--jobs", "4", "--out", str(out_file)
+        )
         assert code == EXIT_OK
         assert json.loads(out_file.read_text())["manifest"]["jobs"] == 1
 
@@ -120,16 +130,14 @@ class TestEnumerateCommand:
         assert digests[0] == digests[1]
 
     def test_resource_limits(self, capsys):
-        # the caps are the library's; the CLI maps DimensionTooLarge to exit 3
+        # the caps are the library's; test_exit_code_contract holds the exit
+        # codes, this the message of the count's cap
         code, _, err = run(capsys, "enumerate", "--n", "7", "--mode", "count")
         assert code == EXIT_RESOURCE
         assert "capped at n=6" in err
-        code, _, err = run(capsys, "enumerate", "--n", "6", "--mode", "spectrum")
-        assert code == EXIT_RESOURCE
-        code, _, err = run(capsys, "enumerate", "--n", "6", "--mode", "classes")
-        assert code == EXIT_RESOURCE
 
     def test_count_n6_routes_through_classes(self, capsys, monkeypatch):
+        # every count, not only N(6), is the class count's
         calls = []
 
         def stub(n, jobs=1):
@@ -137,10 +145,11 @@ class TestEnumerateCommand:
             return 12345
 
         monkeypatch.setattr(enumeration, "count_by_retract_classes", stub)
-        code, out, _ = run(capsys, "enumerate", "--n", "6", "--mode", "count", "--jobs", "2")
-        assert code == EXIT_OK
-        assert calls == [(6, 2)]
-        assert out.strip() == "12345"
+        for n in (1, 5, 6):
+            code, out, _ = run(capsys, "enumerate", "--n", str(n), "--mode", "count", "--jobs", "2")
+            assert code == EXIT_OK
+            assert out.strip() == "12345"
+        assert calls == [(1, 2), (5, 2), (6, 2)]
 
     @pytest.mark.nightly
     def test_count_n6(self, capsys):
@@ -237,15 +246,19 @@ class TestVerifyCommand:
         assert code == EXIT_CHECK_FAILED
         assert err.strip() == "broken invariant: line system rank is off"
 
+    def test_testset_refuses_n0_before_its_loop(self, capsys, monkeypatch):
+        # the refusal names the check, not the construction it would reach
+        def no_catalog(m):
+            raise AssertionError("the xor/extraction loop ran")
+
+        monkeypatch.setattr(cli, "bitrade_catalog", no_catalog)
+        code, _, err = run(capsys, "verify", "--check", "testset", "--n", "0")
+        assert code == EXIT_BAD_PARAMS
+        assert err.strip() == "parameter error: testset check needs n >= 1"
+
     def test_unknown_check(self, capsys):
         code, _, err = run(capsys, "verify", "--check", "nope", "--n", "2")
         assert code == 2
-
-    def test_resource_limits(self, capsys):
-        for check, n in (("alpha", 5), ("rank2", 5), ("mod3", 8)):
-            code, _, err = run(capsys, "verify", "--check", check, "--n", str(n))
-            assert code == EXIT_RESOURCE
-            assert err.strip()
 
     def test_report_payload(self, capsys, tmp_path):
         out_file = tmp_path / "rep.json"
@@ -271,14 +284,8 @@ class TestVerifyCommand:
 @pytest.mark.parametrize(
     "argv",
     [
-        "enumerate --n -1",
         "enumerate --n 2 --jobs 0",
         "enumerate --n 2 --jobs -3",
-        "verify --check gap-14 --n 1",
-        "verify --check testset --n 0",
-        "verify --check mod3 --n 0",
-        "verify --check alpha --n 0",
-        "verify --check rank2 --n 0",
         "enumerate --n 2 --mode spectrum --out /nonexistent/dir/x.json",
         "construct --what product --left @/nonexistent",
         "construct --what pot12 --f 2",
@@ -335,7 +342,7 @@ def test_readme_cli_examples_parse():
 # one library call per command, each made to raise; main alone maps the
 # exception to the exit code, and no input ends in a traceback
 _RAISING_CALLS = [
-    (cli, "count_functions", "enumerate --n 3"),
+    (enumeration, "count_by_retract_classes", "enumerate --n 3"),
     (cli, "spectrum", "verify --check mod3 --n 3"),
     (construct, "maximal_bitrade", "construct --what maximal --n 3"),
 ]

@@ -137,24 +137,21 @@ class TestCount:
         assert got == expect
 
     def test_parallel_agrees(self):
-        assert count_functions(3, jobs=2) == 403
-        assert count_functions(4, jobs=2) == 29875
-        rng = random.Random(14)
-        for _ in range(8):
-            doms = _random_domains(rng, 3)
-            assert count_functions(3, doms, jobs=2) == count_functions(3, doms)
+        # the one fan-out is the class count's, over its nonzero classes;
+        # the direct count is its serial oracle
+        assert count_by_retract_classes(3, jobs=2) == count_functions(3) == 403
 
     def test_no_pool_for_one_unit_or_none(self, monkeypatch):
         import multiprocessing
+
+        from tritrade import enumeration
 
         def no_pool(method):
             raise AssertionError("a worker pool was opened")
 
         monkeypatch.setattr(multiprocessing, "get_context", no_pool)
-        pinned = [(1,), (0,), (-1,)] + [FREE] * 6  # one digit-0 layer: one unit
-        assert count_functions(2, pinned, jobs=2) == count_functions(2, pinned) > 0
-        assert count_functions(2, [()] + [FREE] * 8, jobs=4) == 0  # no unit
         assert count_by_retract_classes(1, jobs=2) == 7  # one nonzero class
+        assert enumeration._fan_out(2, [], 4) == 0  # no unit
 
     def test_no_more_workers_than_units(self, monkeypatch):
         import multiprocessing
@@ -177,8 +174,8 @@ class TestCount:
         monkeypatch.setattr(
             multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=InProcessPool)
         )
-        assert count_functions(1, jobs=8) == 7  # three digit-0 values, three units
-        assert sizes == [3]
+        assert count_by_retract_classes(3, jobs=8) == 403  # two nonzero n = 2 classes
+        assert sizes == [2]
 
     def test_direct_count_capped(self):
         # N(6) is counted through the n = 5 classes, never directly
@@ -258,7 +255,7 @@ class TestStreamDecode:
         lambda: next(enumerate_functions(-1)),
         lambda: next(unitrade_supports(-1)),
         lambda: classify_all(-1),
-        lambda: count_by_retract_classes(0),
+        lambda: count_by_retract_classes(-1),
     ],
     ids=[
         "count_functions",
