@@ -12,8 +12,9 @@ the library's), as is MemoryError; TritradeError, NotAUnitrade,
 DimensionTooSmall and PreconditionFailed 2, as are ValueError (all other
 bad input), TypeError and OSError.  Every count N(n) runs through the
 class layer one dimension down (N(6) through the 92 n = 5 classes), and
-only the count uses `--jobs`.  Class reports key each class by its
-representative, which the class layer yields in canonical form.
+only the count uses `--jobs`; its manifest records the workers it used.
+Class reports key each class by its representative, which the class
+layer yields in canonical form.
 """
 
 from __future__ import annotations
@@ -97,8 +98,7 @@ def _cmd_enumerate(args, argv) -> int:
     n = args.n
     jobs = 1  # the spectrum and the class report run in one process
     if args.mode == "count":
-        jobs = args.jobs
-        total = enumeration.count_by_retract_classes(n, jobs=jobs)
+        total = enumeration.count_by_retract_classes(n, jobs=args.jobs)
         payload = {"n": n, "count": str(total)}
         csv_rows = [["n", "count"], [n, total]]
         print(total)
@@ -121,6 +121,8 @@ def _cmd_enumerate(args, argv) -> int:
         ]
         print(count)
     if args.out or args.mode == "spectrum" or args.format == "csv":
+        if args.mode == "count":  # the workers the count used, not the --jobs asked for
+            jobs = enumeration.count_workers(n, args.jobs)
         _emit(payload, csv_rows, f"enumerate/{args.mode}", argv, None, jobs, t0, args.out, args.format)
     return EXIT_OK
 

@@ -23,10 +23,14 @@ The restriction runs once per node: _restriction computes the node's
 masks, and the stream and the count each apply the per-head step inline,
 in their own loop over the heads of the digit-0 layer.  One memo,
 _MEMO2, maps an n = 2 domain vector to its heads, the (solution, twist)
-pairs of _solutions(2) inside it: an n = 3 node reads the heads of its
-digit-0 layer there, the stream takes each pair's solution and the count
-the length of an entry, so both recursions stop at n = 2 on the same
-table.
+pairs of _solutions(2) inside it: an n = 3 node of the stream reads the
+heads of its digit-0 layer there, so the stream stops at n = 2.  The
+count stops at n = 4 on a bit-column index of the full stream, built
+once per n <= 4 in blocks (_columns): column k holds, one bit per
+solution in stream order, the solutions that set packed domain bit k.
+The solutions inside a domain vector are then N(n) minus the popcount of
+the OR of the columns of the bits it clears (the bitmap index of O'Neil
+and Quass, SIGMOD 1997), a few wide ORs in place of a walk of heads.
 
 A streamed solution is decoded once: its octal digits, translated to
 signed bytes, are unpacked into the value tuple by one cached struct call
@@ -53,8 +57,8 @@ import itertools
 import struct
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import itemgetter
+from functools import lru_cache, reduce
+from operator import itemgetter, or_
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import cube
@@ -152,7 +156,7 @@ _MEMO2: dict[int, tuple[tuple[int, tuple[int, int, int]], ...]] = {}
 def _heads(n: int, doms: int) -> Iterable[tuple[int, tuple[int, int, int]]]:
     """(f, twist) for every solution f inside `doms`, lex order.  At n = 2
     the heads of a domain vector are kept in _MEMO2: shared pairs of
-    _solutions(2), read by the stream and the count alike."""
+    _solutions(2), read by the stream."""
     if n == 2:
         heads = _MEMO2.get(doms)
         if heads is None:
@@ -205,23 +209,49 @@ def _decoder(n: int) -> Callable[[int], tuple[int, ...]]:
     return decode
 
 
+_BLOCK = 4096  # solutions per block of the column build
+# an octal digit of a solution to "1" where it holds value -1, 0 and +1
+_VALUE_BITS = tuple(bytes.maketrans(b"124", bits) for bits in (b"100", b"010", b"001"))
+_BIT_FLAG = bytes.maketrans(b"01", b"\x00\x01")  # binary digits to compress() selectors
+
+
+@lru_cache(maxsize=None)
+def _columns(n: int) -> tuple[int, tuple[int, ...]]:
+    """(N(n), cols): a bit-column index of the full stream at n <= 4.
+
+    Bit i of cols[3c + v + 1] is set when the i-th solution in stream order
+    has value v at cell c, so column k belongs to packed domain bit k.  The
+    build transposes the octal digits of blocks of _BLOCK solutions, so it
+    holds no more than one block besides the columns."""
+    cells = 3 ** n
+    cols = [0] * (3 * cells)
+    total = 0
+    stream = _enum(n, FULL_MASK * _b0(cells))
+    while block := list(itertools.islice(stream, _BLOCK)):
+        # a solution has a nonzero digit at every cell, so its oct() text
+        # is "0o" and `cells` digits, cell 0 last: cell c is every
+        # (cells + 2)-th byte of the block's texts from cells + 1 - c.  The
+        # block goes in reversed, so its first solution is the low bit
+        text = "".join(map(oct, reversed(block))).encode()
+        for c in range(cells):
+            column = text[cells + 1 - c :: cells + 2]
+            for k, values in enumerate(_VALUE_BITS, 3 * c):
+                cols[k] |= int(column.translate(values), 2) << total
+        total += len(block)
+    return total, tuple(cols)
+
+
 def _count(n: int, doms: int) -> int:
-    """The number of solutions inside `doms`: at n <= 2 the length of the
-    heads, else the per-head restriction of _enum_split with a count in
-    place of the stream; at n = 3 each branch's count is the length of
-    its _MEMO2 entry, read in place."""
-    if n <= 2:
-        return len(_heads(n, doms))
+    """The number of solutions inside `doms`.  At n <= 4 it is N(n) minus
+    the solutions that hold a value `doms` clears: one popcount of the OR
+    of those values' columns in _columns(n).  Above, the per-head
+    restriction of _enum_split with a count in place of the stream."""
+    if n <= 4:
+        total, cols = _columns(n)
+        cleared = bin(FULL_MASK * _b0(3 ** n) & ~doms)[:1:-1].encode().translate(_BIT_FLAG)
+        return total - reduce(or_, itertools.compress(cols, cleared), 0).bit_count()
     b0, d0, up, mid, down = _restriction(n, doms)
     total = 0
-    if n == 3:
-        get = _MEMO2.get
-        for _, (z, m, p) in _heads(2, d0):
-            d1p = mid & z | up & m | down & p
-            if (d1p | d1p >> 1 | d1p >> 2) & b0 == b0:
-                heads = get(d1p)
-                total += len(_heads(2, d1p) if heads is None else heads)
-        return total
     for _, (z, m, p) in _heads(n - 1, d0):
         d1p = mid & z | up & m | down & p
         if (d1p | d1p >> 1 | d1p >> 2) & b0 == b0:
@@ -255,7 +285,9 @@ COUNT_MAX_N = 5
 
 def count_functions(n: int, cell_domains: Optional[Sequence[Iterable[int]]] = None) -> int:
     """Exact count of line-sum-zero functions, optionally restricted: the
-    direct count, serial, and the oracle of `count_by_retract_classes`."""
+    direct count, serial, and the oracle of `count_by_retract_classes`.
+    Its recursion ends in popcounts over the column index at n <= 4,
+    which the first call builds."""
     if n > COUNT_MAX_N:
         raise DimensionTooLarge(f"counting capped at n={COUNT_MAX_N}")
     return _count(n, _packed_domains(n, cell_domains))
@@ -265,21 +297,28 @@ def _count_units(n: int, units: Sequence[tuple[int, int]]) -> int:
     return sum(weight * _count(n, doms) for weight, doms in units)
 
 
+def _workers(jobs: int, units: Sequence[tuple[int, int]]) -> int:
+    """The processes `_fan_out` counts `units` in: at most one per unit,
+    and 1, the caller's own, for one unit or none."""
+    return max(1, min(jobs, len(units)))
+
+
 def _fan_out(n: int, units: Sequence[tuple[int, int]], jobs: int) -> int:
     """Sum of weight * _count(n, doms) over the (weight, doms) units, the
     classes of `count_by_retract_classes`.
 
-    Worker w of `jobs` forked workers takes units[w::jobs]; the merge is an
-    integer sum, so the result does not depend on `jobs`.  No more workers
-    start than there are units, and none at all for one unit or none.  The
-    package starts no threads, and forked workers keep the parent's n = 2
-    memo.
+    Worker w of _workers(jobs, units) forked workers takes units[w::jobs];
+    the merge is an integer sum, so the result does not depend on `jobs`.
+    For one worker no pool opens.  The package starts no threads; the
+    parent builds the column index its counts end in before it forks, so
+    the workers inherit it.
     """
-    jobs = min(jobs, len(units))
-    if jobs <= 1:
+    jobs = _workers(jobs, units)
+    if jobs == 1:
         return _count_units(n, units)
     import multiprocessing as mp
 
+    _columns(min(n, 4))  # built once here, inherited by every worker
     with mp.get_context("fork").Pool(jobs) as pool:
         return sum(pool.starmap(_count_units, [(n, units[w::jobs]) for w in range(jobs)]))
 
@@ -301,12 +340,23 @@ def count_by_retract_classes(n: int, jobs: int = 1) -> int:
     if n > CLASSIFY_MAX_N + 1:
         raise DimensionTooLarge(f"class count capped at n={CLASSIFY_MAX_N + 1}")
     layer = _class_layer(n - 1)[0]
-    units = [
+    return sum(rec.orbit_size for rec in layer) + _fan_out(n, _units(n), jobs)
+
+
+def _units(n: int) -> list[tuple[int, int]]:
+    """The (orbit size, domains) units of the class count at n >= 1: each
+    nonzero class at n-1 with its representative as the first hyperplane."""
+    return [
         (rec.orbit_size, _pinned(rec.representative.values))
-        for rec in layer
+        for rec in _class_layer(n - 1)[0]
         if rec.representative.cardinality
     ]
-    return sum(rec.orbit_size for rec in layer) + _fan_out(n, units, jobs)
+
+
+def count_workers(n: int, jobs: int) -> int:
+    """The processes `count_by_retract_classes(n, jobs)` counts in; call it
+    after the count, which rejects the n it cannot count."""
+    return 1 if n < 1 else _workers(jobs, _units(n))
 
 
 @dataclass

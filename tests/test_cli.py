@@ -64,6 +64,17 @@ class TestEnumerateCommand:
         assert code == EXIT_OK
         assert json.loads(out_file.read_text())["manifest"]["jobs"] == 1
 
+    @pytest.mark.parametrize("n,workers", [(2, 1), (3, 2)])
+    def test_count_manifest_records_the_workers_used(self, capsys, tmp_path, n, workers):
+        # the count opens one worker per nonzero class one dimension down at
+        # most, and none for one class: n = 2 counts in-process, n = 3 in two
+        out_file = tmp_path / "count.json"
+        code, _, _ = run(
+            capsys, "enumerate", "--n", str(n), "--mode", "count", "--jobs", "4", "--out", str(out_file)
+        )
+        assert code == EXIT_OK
+        assert json.loads(out_file.read_text())["manifest"]["jobs"] == workers
+
     def test_classes_n2(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--n", "2", "--mode", "classes")
         assert code == EXIT_OK

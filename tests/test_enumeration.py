@@ -183,6 +183,75 @@ class TestCount:
             count_functions(6)
 
 
+class TestColumnIndex:
+    """The bit-column index the count reads at n <= 4, against the stream."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_size_is_the_reference_count(self, n):
+        from tritrade import enumeration
+
+        assert enumeration._columns(n)[0] == N_FUNCTIONS[n]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_each_cell_partitions_the_solutions(self, n):
+        from tritrade import enumeration
+
+        total, cols = enumeration._columns(n)
+        assert len(cols) == 3 * 3 ** n
+        everything = (1 << total) - 1
+        for c in range(3 ** n):
+            minus, zero, plus = cols[3 * c : 3 * c + 3]
+            assert not (minus & zero or minus & plus or zero & plus)
+            assert minus | zero | plus == everything
+
+    def test_columns_follow_stream_order(self):
+        # bit i of column 3c + v + 1 is the i-th streamed solution's value at c
+        from tritrade import enumeration
+
+        _, cols = enumeration._columns(3)
+        for i, values in enumerate(_full_list(3)):
+            for c, v in enumerate(values):
+                assert [cols[3 * c + k] >> i & 1 for k in range(3)] == [v == -1, v == 0, v == 1]
+
+    @staticmethod
+    def _seeded_domains(rng, n):
+        """Packed domain vectors at n: restricted cells (an empty cell
+        among them), one-hot layers, and, at n = 4, the digit-1 domains
+        d1p that random pinned n = 5 heads leave."""
+        from tritrade import enumeration
+
+        full = enumeration.FULL_MASK * enumeration._b0(3 ** n)
+        out = [full, full & ~(7 << 3 * rng.randrange(3 ** n))]  # no solution fits an empty cell
+        for _ in range(12):
+            doms = full
+            for c in rng.sample(range(3 ** n), rng.randint(1, n + 4)):
+                doms &= ~(rng.randint(1, 7) << 3 * c)
+            out.append(doms)
+        width, layer_full = 3 ** n, enumeration.FULL_MASK * enumeration._b0(3 ** (n - 1))
+        for f in rng.sample(list(enumeration._enum(n - 1, layer_full)), 3):
+            out += [full & ~(layer_full << k * width) | f << k * width for k in range(3)]
+        if n == 4:
+            for h in rng.sample(_full_list(4), 20):
+                b0, f0, up, mid, down = enumeration._restriction(5, enumeration._pinned(h))
+                z, m, p = enumeration._twist(f0, b0)
+                out.append(mid & z | up & m | down & p)
+        return out
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_count_equals_stream(self, n):
+        from tritrade import enumeration
+
+        for doms in self._seeded_domains(random.Random(26 + n), n):
+            assert enumeration._count(n, doms) == sum(1 for _ in enumeration._enum(n, doms))
+
+    def test_n4_columns_fit_the_memory_budget(self):
+        import sys
+
+        from tritrade import enumeration
+
+        assert sum(map(sys.getsizeof, enumeration._columns(4)[1])) < 1.1e6
+
+
 class TestStreamDecode:
     """Streamed functions against the packed solutions they decode, read by
     a reference decode that shares no code with the enumeration's."""
@@ -215,11 +284,13 @@ class TestStreamDecode:
 
     @pytest.mark.parametrize("count_first", [True, False], ids=["count-first", "stream-first"])
     def test_count_equals_stream_on_a_fresh_memo(self, count_first, monkeypatch):
-        # the stream and the count share the n = 2 memo: whichever fills an
-        # entry, the other reads the same heads.  On nonzero pinned n = 5
-        # hyperplanes both also match a bitmask scan of the N(4) list: f1
-        # completes f0 iff no cell holds the same nonzero value in both,
-        # and the completion is (f0, f1, -(f0 + f1)), in the list's order
+        # the count reads the column index at n <= 4 and the stream reads
+        # the n = 2 memo; the index is built from the stream, so each case
+        # starts with both empty, and whichever runs first, the other
+        # agrees.  On nonzero pinned n = 5 hyperplanes both also match a
+        # bitmask scan of the N(4) list: f1 completes f0 iff no cell holds
+        # the same nonzero value in both, and the completion is
+        # (f0, f1, -(f0 + f1)), in the list's order
         from tritrade import enumeration
 
         rng = random.Random(18)
@@ -236,6 +307,9 @@ class TestStreamDecode:
             cases.append((5, [(v,) for v in f0] + [FREE] * 162, expect))
         for n, doms, expect in cases:
             monkeypatch.setattr(enumeration, "_MEMO2", {})
+            # a fresh cache, so the session's cached index stays in place
+            fresh = lru_cache(maxsize=None)(enumeration._columns.__wrapped__)
+            monkeypatch.setattr(enumeration, "_columns", fresh)
             if count_first:
                 count = count_functions(n, doms)
                 streamed = [f.values for f in enumerate_functions(n, doms)]
@@ -280,7 +354,6 @@ class TestRetractClassCount:
     def test_n5_from_classes4(self):
         assert count_by_retract_classes(5) == 32184151
 
-    @pytest.mark.nightly
     def test_n6_from_classes5(self):
         assert count_by_retract_classes(6) == N_FUNCTIONS[6]
 
