@@ -10,17 +10,15 @@ reference tables for the cluster-scale dimensions (refdata).
 
 __version__ = "0.1.0"
 
-from .cube import Isometry, Line, below, lines
+from .cube import Isometry, below
 from .funcspace import (
     BoolFn,
-    LineSumKind,
     TernFn,
     bool_from_unitrade,
     degree,
     gf2_basis_fn,
     gf3_basis_fn,
     inner3,
-    line_sums,
     mobius,
     u_from_bool,
 )

@@ -224,6 +224,7 @@ def _check_gap14(n: int, rng) -> tuple[bool, dict]:
 
 
 def _check_pot12(n: int, rng) -> tuple[bool, dict]:
+    construct.check_dimension(n)
     trials = 200
     found = 0
     counterexample = None
@@ -268,6 +269,7 @@ def _check_recover(n: int, rng) -> tuple[bool, dict]:
     trials, good = 25, 0
     refused = []
     dim = max(n, 8)
+    construct.check_dimension(dim)
     for _ in range(trials):
         V = _random_recoverable_set(rng, dim)
         U = monomial.trade_from_monomials(V)
@@ -401,6 +403,7 @@ def _parse_trade_spec(spec: str):
         return construct.bitrade14(*ints)
     if name == "minimal":
         (n,) = ints
+        construct.check_dimension(n)
         return bipartition(monomial.monomial_cube((0,) * n))
     raise ValueError(f"unknown trade spec {spec!r}")
 

@@ -18,7 +18,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import cube
-from .errors import BrokenInvariant, DimensionTooSmall, NotAUnitrade
+from .errors import BrokenInvariant, DimensionTooLarge, DimensionTooSmall, NotAUnitrade
 from .funcspace import (
     BoolFn,
     TernFn,
@@ -31,6 +31,20 @@ from .monomial import MonomialSet, _monomial_tables, trade_from_monomials
 from .trade import BipartiteTrade, TradeSet, _normalized, bipartition, is_unitrade
 
 
+# The largest dimension a construction builds.  A bitrade of Q_3^n is a
+# mask of 3^n cells, and each step up costs about eight times as much: the
+# maximal bitrade with its JSON and bipartition check took 0.3 s at n = 12
+# and 17 s at n = 14 (one run each, 2-core VM).
+CONSTRUCT_MAX_N = 12
+
+
+def check_dimension(n: int) -> None:
+    """DimensionTooLarge above CONSTRUCT_MAX_N, before any mask of 3^n
+    cells or truth table of 2^n bits is built."""
+    if n > CONSTRUCT_MAX_N:
+        raise DimensionTooLarge(f"constructions capped at n={CONSTRUCT_MAX_N}, got n={n}")
+
+
 # ---------------------------------------------------------------------------
 # Products and extensions
 # ---------------------------------------------------------------------------
@@ -40,6 +54,7 @@ def product(B: BipartiteTrade, C: BipartiteTrade) -> BipartiteTrade:
     cardinality is exactly |B| * |C| (over any alphabet)."""
     if B.k != C.k:
         raise ValueError("alphabet mismatch")
+    check_dimension(B.n + C.n)
     shift = B.k ** C.n
     legs = [0, 0]
     for cb in B.base.cells():
@@ -57,6 +72,7 @@ def k_extension(B: BipartiteTrade, m: int) -> BipartiteTrade:
     checks the result.  ValueError unless B is ternary."""
     if m < 0:
         raise ValueError("extension count must be >= 0")
+    check_dimension(B.n + m)
     f = tern_from_trade(B)
     if m and f.n < 1:
         raise DimensionTooSmall("extension needs at least one coordinate")
@@ -86,6 +102,7 @@ def maximal_bitrade(n: int) -> BipartiteTrade:
     are built one coordinate at a time from its digit planes."""
     if n < 1:
         raise DimensionTooSmall("need n >= 1")
+    check_dimension(n)
     part = [(1 << 3 ** n) - 1, 0, 0]
     for p0, p1, p2 in cube.digit_masks(n, 3):
         part = [p0 & part[r] | p1 & part[r - 1] | p2 & part[r - 2] for r in range(3)]
@@ -98,6 +115,7 @@ def rank2_family(n: int, s: int) -> BipartiteTrade:
     a rank <= 2 bitrade of cardinality 2^(n+1) - 2^(s+1)."""
     if not 0 <= s <= n - 1:
         raise ValueError(f"s must be in 0..{n - 1}")
+    check_dimension(n)
     u = (0,) * n
     v = (0,) * s + (1,) * (n - s)
     U = trade_from_monomials(MonomialSet(n, [u, v]))
@@ -113,8 +131,9 @@ BITRADE14_WITNESS = ((1, 0, 0), (0, 1, 1), (0, 0, 2))
 def bitrade14(n: int) -> BipartiteTrade:
     """The 14 * 3^(n-3) series: the dimension-3 witness is the monomial
     triple 100/011/002 (odd pairwise distance sum), verified bipartite at
-    construction, then alphabet-extended.  No bitrade cardinality lies
-    strictly between 14*3^(n-3) and 2*3^(n-1)."""
+    construction, then alphabet-extended (which applies the dimension
+    cap).  No bitrade cardinality lies strictly between 14*3^(n-3) and
+    2*3^(n-1)."""
     if n < 3:
         raise DimensionTooSmall("the series starts at n=3")
     U = trade_from_monomials(MonomialSet(3, BITRADE14_WITNESS))
@@ -179,9 +198,6 @@ class TernaryCode:
                         w[i] = (w[i] + a * r) % 3
             words.append(tuple(w))
         return tuple(words)
-
-    def weights(self) -> list[int]:
-        return [cube.weight(w) for w in self.codewords()]
 
     def to_json(self) -> dict:
         return {
@@ -355,6 +371,7 @@ def almost_balanced_in_faces(f: BoolFn) -> bool:
 
 def pot12(f: BoolFn) -> BipartiteTrade:
     """U[f xor parity] for an almost-balanced f; the unitrade is bipartite."""
+    check_dimension(f.n)
     if not almost_balanced_in_faces(f):
         raise ValueError("ones/zeros differ by more than 2 in some face")
     U = u_from_bool(f.xor(parity_counter(f.n)))

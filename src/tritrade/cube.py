@@ -9,9 +9,11 @@ centered convention used by the function-space layer.
 
 A *line* is a 1-dimensional face: k pairwise adjacent words differing in a
 single coordinate.  Lines are the maximal cliques of the Hamming graph and
-everything trade-related is phrased through them: the trade predicates
-read them as the digit planes of ``digit_masks``, and the line tables are
-precomputed once per (n, k) and shared read-only.
+everything trade-related is phrased through them.  ``line_planes`` reads
+them off the digit planes of ``digit_masks``: the trade predicates and
+``line_masks`` (the line system of the testing sets) both come from it.
+``lines`` and ``lines_through`` walk the words of each line instead; no
+module of the package reads them.
 
 Isometries of the cube are generated by coordinate permutations and by
 independent symbol permutations in each coordinate.  ``Isometry`` carries an
@@ -148,7 +150,8 @@ class Line(NamedTuple):
 
 @lru_cache(maxsize=None)
 def lines(n: int, k: int) -> tuple[Line, ...]:
-    """All n*k^(n-1) lines, direction-major, base in lex order."""
+    """All n*k^(n-1) lines, direction-major, base in lex order: a walk over
+    the words of each line."""
     if n == 0:
         return ()
     out = []
@@ -162,18 +165,6 @@ def lines(n: int, k: int) -> tuple[Line, ...]:
             cells = tuple(base_cell + d * step for d in range(k))
             out.append(Line(direction, base_word, cells))
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def line_masks(n: int, k: int) -> tuple[int, ...]:
-    """Per line, the support bitmask of its member cells."""
-    masks = []
-    for ln in lines(n, k):
-        m = 0
-        for c in ln.cells:
-            m |= 1 << c
-        masks.append(m)
-    return tuple(masks)
 
 
 @lru_cache(maxsize=None)
@@ -198,6 +189,32 @@ def digit_masks(n: int, k: int) -> tuple[tuple[int, ...], ...]:
         repeat = ((1 << k ** n) - 1) // ((1 << k * stride) - 1)
         out.append(tuple((((1 << stride) - 1) << a * stride) * repeat for a in range(k)))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def line_planes(n: int, k: int) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:
+    """Per coordinate i with digit stride s = k^(n-1-i): the pairs (plane,
+    shift) of its k digit planes, where the shift a * s moves plane a onto
+    digit 0, and the spread sum_a 1 << a * s, whose product with a set of
+    digit-0 cells is the union of their lines in direction i."""
+    out = []
+    for i, planes in enumerate(digit_masks(n, k)):
+        s = k ** (n - 1 - i)
+        out.append((
+            tuple((plane, a * s) for a, plane in enumerate(planes)),
+            sum(1 << a * s for a in range(k)),
+        ))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def line_masks(n: int, k: int) -> tuple[int, ...]:
+    """Per line, the mask of its k cells, in the order of ``lines``: in
+    direction i the lines are the spread shifted to each cell of digit
+    plane 0, in ascending order."""
+    return tuple(
+        spread << c for planes, spread in line_planes(n, k) for c in mask_cells(planes[0][0])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +365,6 @@ class Isometry:
         return len(self.symbol_perms[0]) if self.symbol_perms else 0
 
     @staticmethod
-    def identity(n: int, k: int) -> "Isometry":
-        return Isometry(tuple(range(n)), (tuple(range(k)),) * n, False)
-
-    @staticmethod
     def random(rng: random.Random, n: int, k: int, allow_sign: bool = True) -> "Isometry":
         cp = list(range(n))
         rng.shuffle(cp)
@@ -362,12 +375,6 @@ class Isometry:
             sps.append(tuple(sp))
         flip = allow_sign and bool(rng.getrandbits(1))
         return Isometry(tuple(cp), tuple(sps), flip)
-
-    def apply_word(self, word: tuple[int, ...]) -> tuple[int, ...]:
-        out = [0] * self.n
-        for i, d in enumerate(word):
-            out[self.coord_perm[i]] = self.symbol_perms[i][d]
-        return tuple(out)
 
     def compose(self, other: "Isometry") -> "Isometry":
         """self after other: (self.compose(other))(x) = self(other(x))."""

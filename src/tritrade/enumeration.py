@@ -367,14 +367,6 @@ class SpectrumTable:
     entries: dict[int, int]
     total_functions: int
 
-    def count_at(self, size: int) -> int:
-        return self.entries.get(size, 0)
-
-    def as_list(self) -> list[int]:
-        """Counts at 2^n, 2^n+2, ..., 2*3^(n-1)."""
-        lo, hi = 2 ** self.n, 2 * 3 ** (self.n - 1)
-        return [self.count_at(s) for s in range(lo, hi + 1, 2)]
-
     def to_json(self) -> dict:
         return {
             "n": self.n,

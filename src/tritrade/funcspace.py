@@ -19,9 +19,7 @@ minimal words is kept as the test-side oracle.
 
 from __future__ import annotations
 
-import enum
 from functools import lru_cache
-from typing import Iterable, Sequence
 
 from . import cube
 from .errors import NotAUnitrade
@@ -150,10 +148,6 @@ class TernFn:
         return f
 
     @staticmethod
-    def zero(n: int) -> "TernFn":
-        return TernFn(n, (0,) * 3 ** n)
-
-    @staticmethod
     def from_text(text: str) -> "TernFn":
         if not {"-", "0", "+"}.issuperset(text):
             raise ValueError(f"value string must hold only -, 0 and +, got {text!r}")
@@ -184,9 +178,6 @@ class TernFn:
         zeros = cube.bytes_mask(cube.signed_bytes(self.values), 0)
         return TradeSet(self.n, 3, zeros ^ ((1 << len(self.values)) - 1))
 
-    def negate(self) -> "TernFn":
-        return TernFn(self.n, tuple(-v for v in self.values))
-
     def retract(self, coord: int, value: int) -> "TernFn":
         cells = cube.retract_cells(self.n, 3, coord, value)
         return TernFn(self.n - 1, tuple(self.values[c] for c in cells))
@@ -204,41 +195,6 @@ class TernFn:
 
     def __repr__(self) -> str:
         return f"TernFn(n={self.n}, {self.to_text()})"
-
-
-class LineSumKind(enum.Enum):
-    ALL_ZERO = "allZero"
-    SIGNED_TRIPLE = "signedTriple"
-    INVALID = "invalid"
-
-
-def line_sums(f: TernFn) -> tuple[LineSumKind, ...]:
-    """Classify every line of Q_3^n.
-
-    f lies in the line-sum-zero space (with values in {-1,0,+1}) iff no line
-    is INVALID; on such f each line either vanishes or carries one +1, one
-    -1 and one 0.
-    """
-    out = []
-    vals = f.values
-    for ln in cube.lines(f.n, 3):
-        a, b, c = (vals[i] for i in ln.cells)
-        if a == b == c == 0:
-            out.append(LineSumKind.ALL_ZERO)
-        elif a + b + c == 0 and (a or b or c):
-            out.append(LineSumKind.SIGNED_TRIPLE)
-        else:
-            out.append(LineSumKind.INVALID)
-    return tuple(out)
-
-
-def in_gf3_space(f: TernFn) -> bool:
-    """GF(3)-sum membership: line sums vanish mod 3 only (the monomial
-    basis lives here; e.g. the constant 1 sums to 3 on every line)."""
-    vals = f.values
-    return all(
-        sum(vals[i] for i in ln.cells) % 3 == 0 for ln in cube.lines(f.n, 3)
-    )
 
 
 def tern_from_trade(B: BipartiteTrade) -> TernFn:
@@ -263,7 +219,8 @@ def trade_from_tern(f: TernFn) -> BipartiteTrade:
     the support is a unitrade and no leg has two cells on one line.  The
     two conditions together say that f is line-sum-zero: each line meets
     the support in no cell or in a +1 and a -1.  This is the package's
-    test of that space; `line_sums` is the cell-by-cell reading of it."""
+    test of that space; the test-side oracle `line_sums` reads it cell by
+    cell, over the words of ``cube.lines``."""
     signed = cube.signed_bytes(f.values)
     p0, p1 = cube.bytes_mask(signed, 0x01), cube.bytes_mask(signed, 0xFF)
     base = TradeSet(f.n, 3, p0 | p1)
@@ -373,18 +330,3 @@ def inner3(f: TernFn, g: TernFn) -> int:
         raise ValueError("dimension mismatch")
     s = sum(a * b for a, b in zip(f.values, g.values)) % 3
     return s - 3 if s == 2 else s
-
-
-def gf3_rank(rows: Iterable[Sequence[int]]) -> int:
-    """Rank over GF(3) of integer row vectors (any residues accepted)."""
-    basis: list[list[int]] = []
-    for row in rows:
-        r = [v % 3 for v in row]
-        for b in basis:
-            lead = next((i for i, v in enumerate(b) if v), None)
-            if lead is not None and r[lead]:
-                coef = (r[lead] * pow(b[lead], -1, 3)) % 3
-                r = [(a - coef * c) % 3 for a, c in zip(r, b)]
-        if any(r):
-            basis.append(r)
-    return len(basis)

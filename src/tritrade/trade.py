@@ -6,14 +6,15 @@ is connected, so the two legs are unique up to swapping and the whole
 structural layer below (intersection, no proper containment, connectivity)
 is specific to the ternary cube.
 
-The predicates read lines as digit planes (`_line_meets`): the cells of a
-line differ only in its direction's digit, so a set's digit planes, added
-bitwise, mark the lines it meets once, twice or three times, and every
-predicate is a few whole-mask steps on those marks.  A breadth-first layer
-reaches its neighbours by one multiply per direction (the marks times the
-direction's spread), and an odd cycle shows inside the layer that closes
-it, as a line meeting that layer twice, so `bipartition` stops there and
-never rescans the finished legs.
+The predicates read lines as digit planes (`_line_meets`, over
+`cube.line_planes`): the cells of a line differ only in its direction's
+digit, so a set's digit planes, added bitwise, mark the lines it meets
+once, twice or three times, and every predicate is a few whole-mask steps
+on those marks.  A breadth-first layer reaches its neighbours by one
+multiply per direction (the marks times the direction's spread), and an
+odd cycle shows inside the layer that closes it, as a line meeting that
+layer twice, so `bipartition` stops there and never rescans the finished
+legs.
 
 Cardinality predicates are pure integer arithmetic: the admissible-size
 families are expanded to exact integer sets per dimension, never touching
@@ -25,7 +26,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import cube
@@ -113,11 +113,6 @@ class TradeSet:
 
     # ---- geometry ---------------------------------------------------------
 
-    def line_incidence(self) -> tuple[int, ...]:
-        """Per line of ``cube.lines``, the number of support cells on it."""
-        m = self.mask
-        return tuple((m & lm).bit_count() for lm in cube.line_masks(self.n, self.k))
-
     def retract(self, coord: int, value: int) -> "TradeSet":
         out = cube.retract_mask(self.mask, self.n, self.k, coord, value)
         return TradeSet(self.n - 1, self.k, out)
@@ -132,28 +127,12 @@ class TradeSet:
         return TradeSet(self.n, self.k, self.mask ^ other.mask)
 
 
-@lru_cache(maxsize=None)
-def _line_planes(n: int, k: int) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:
-    """Per coordinate i with digit stride s = k^(n-1-i): the pairs (plane,
-    shift) of its k digit planes, where the shift a * s moves plane a onto
-    digit 0, and the spread sum_a 1 << a * s, whose product with a set of
-    digit-0 cells is the union of their lines in direction i."""
-    out = []
-    for i, planes in enumerate(cube.digit_masks(n, k)):
-        s = k ** (n - 1 - i)
-        out.append((
-            tuple((plane, a * s) for a, plane in enumerate(planes)),
-            sum(1 << a * s for a in range(k)),
-        ))
-    return tuple(out)
-
-
 def _line_meets(mask: int, n: int, k: int) -> Iterator[tuple[int, int, int, int]]:
-    """Per coordinate i, its spread (`_line_planes`) and the masks at1, at2,
-    at3 of the digit-0 cells whose line in direction i meets `mask` in at
-    least 1, 2, 3 cells: the k digit planes shifted onto digit 0 and added
-    bitwise."""
-    for planes, spread in _line_planes(n, k):
+    """Per coordinate i, its spread (`cube.line_planes`) and the masks at1,
+    at2, at3 of the digit-0 cells whose line in direction i meets `mask` in
+    at least 1, 2, 3 cells: the k digit planes shifted onto digit 0 and
+    added bitwise."""
+    for planes, spread in cube.line_planes(n, k):
         at1 = at2 = at3 = 0
         for plane, shift in planes:
             p = (mask & plane) >> shift
@@ -221,10 +200,6 @@ class BipartiteTrade:
     @property
     def half0(self) -> int:
         return self.part0.bit_count()
-
-    @property
-    def half1(self) -> int:
-        return self.part1.bit_count()
 
     def to_json(self) -> dict:
         return {**self.base.to_json(), "part0": cube.mask_text(self.part0, self.k ** self.n)}

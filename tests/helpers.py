@@ -1,5 +1,6 @@
 """Shared test utilities."""
 
+import enum
 import itertools
 
 from tritrade import cube
@@ -34,9 +35,64 @@ def random_q4_unitrade(rng):
 
 
 def unitrade_by_line_counts(S):
-    """Reference unitrade test, independent of the digit-plane view: one
-    popcount per line of ``cube.line_masks``."""
-    return all((S.mask & lm).bit_count() in (0, 2) for lm in cube.line_masks(S.n, S.k))
+    """Reference unitrade test, independent of the digit-plane view: a
+    count of the support cells on each line of ``cube.lines``."""
+    return all(count in (0, 2) for count in line_incidence(S))
+
+
+def line_incidence(S):
+    """Per line of ``cube.lines``, the number of support cells on it."""
+    m = S.mask
+    return tuple(sum(m >> c & 1 for c in ln.cells) for ln in cube.lines(S.n, S.k))
+
+
+class LineSumKind(enum.Enum):
+    ALL_ZERO = "allZero"
+    SIGNED_TRIPLE = "signedTriple"
+    INVALID = "invalid"
+
+
+def line_sums(f):
+    """Reference line-sum-zero test, independent of `trade_from_tern`: the
+    kind of every line of ``cube.lines``, from the values on its cells.
+
+    f lies in the line-sum-zero space (with values in {-1,0,+1}) iff no line
+    is INVALID; on such f each line either vanishes or carries one +1, one
+    -1 and one 0.
+    """
+    out = []
+    vals = f.values
+    for ln in cube.lines(f.n, 3):
+        a, b, c = (vals[i] for i in ln.cells)
+        if a == b == c == 0:
+            out.append(LineSumKind.ALL_ZERO)
+        elif a + b + c == 0 and (a or b or c):
+            out.append(LineSumKind.SIGNED_TRIPLE)
+        else:
+            out.append(LineSumKind.INVALID)
+    return tuple(out)
+
+
+def in_gf3_space(f):
+    """GF(3)-sum membership: line sums vanish mod 3 only (the monomial
+    basis lives here; e.g. the constant 1 sums to 3 on every line)."""
+    vals = f.values
+    return all(sum(vals[i] for i in ln.cells) % 3 == 0 for ln in cube.lines(f.n, 3))
+
+
+def gf3_rank(rows):
+    """Rank over GF(3) of integer row vectors (any residues accepted)."""
+    basis = []
+    for row in rows:
+        r = [v % 3 for v in row]
+        for b in basis:
+            lead = next((i for i, v in enumerate(b) if v), None)
+            if lead is not None and r[lead]:
+                coef = (r[lead] * pow(b[lead], -1, 3)) % 3
+                r = [(a - coef * c) % 3 for a, c in zip(r, b)]
+        if any(r):
+            basis.append(r)
+    return len(basis)
 
 
 def color_by_cells(S):

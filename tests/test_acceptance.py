@@ -101,14 +101,14 @@ class TestCriterion2Classes:
 
 class TestCriterion3Spectra:
     def test_spectra_entry_for_entry(self, spectra, spectrum5):
-        for n in (1, 2, 3, 4):
-            assert spectra[n].as_list() == SPECTRUM_LISTS[n], n
-        assert spectrum5.as_list() == SPECTRUM_LISTS[5]
+        for n, table in {**spectra, 5: spectrum5}.items():
+            sizes = range(2 ** n, 2 * 3 ** (n - 1) + 1, 2)
+            assert [table.entries.get(s, 0) for s in sizes] == SPECTRUM_LISTS[n], n
         sp5 = spectrum5.entries
         assert (sp5[68], sp5[72], sp5[74], sp5[78], sp5[80]) == (
             58320, 41580, 77760, 116640, 301320,
         )
-        assert all(spectrum5.count_at(s) == 0 for s in (64, 66, 70, 76))
+        assert all(spectrum5.entries.get(s, 0) == 0 for s in (64, 66, 70, 76))
         _report("3: PASS — spectra n=1..5 match the published lists exactly")
 
 
@@ -119,13 +119,13 @@ class TestCriterion4Theorems:
             for size, count in table.entries.items():
                 if count:
                     assert mod3_admissible(n, size), (n, size)
-            assert table.count_at(2 ** (n + 1)) == 0
+            assert table.entries.get(2 ** (n + 1), 0) == 0
         _report("4a: PASS — mod-3 admissibility, zero count at 2^(n+1) (n<=5)")
 
     def test_minimal_size_count(self, spectra, spectrum5):
         tables = {**spectra, 5: spectrum5}
         for n, table in tables.items():
-            assert table.count_at(2 ** n) == 3 ** n, n
+            assert table.entries.get(2 ** n, 0) == 3 ** n, n
         _report("4b: PASS — minimal-size count = 3^n (n<=5)")
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -161,7 +161,7 @@ class TestCriterion4Theorems:
             lo, hi = 2 ** (n + 1), 5 * 2 ** (n - 1)
             for c in range(lo + 2, hi + 1, 2):
                 predicted = small_bitrade_admissible(n, c)
-                assert predicted == (table.count_at(c) > 0), (n, c)
+                assert predicted == (table.entries.get(c, 0) > 0), (n, c)
         _report("4e: PASS — small-cardinality series <=> spectrum window (n<=5)")
 
     def test_gap_and_maximal_counts(self, spectra, spectrum5):
@@ -169,10 +169,10 @@ class TestCriterion4Theorems:
         for n, table in tables.items():
             gap_lo, gap_hi = 14 * 3 ** (n - 3), 2 * 3 ** (n - 1)
             assert all(
-                table.count_at(s) == 0 for s in range(gap_lo + 2, gap_hi, 2)
+                table.entries.get(s, 0) == 0 for s in range(gap_lo + 2, gap_hi, 2)
             ), n
-            assert table.count_at(gap_hi) == 3 * 2 ** (n - 1), n
-        assert [t.count_at(2 * 3 ** (n - 1)) for n, t in tables.items()] == [12, 24, 48]
+            assert table.entries.get(gap_hi, 0) == 3 * 2 ** (n - 1), n
+        assert [t.entries.get(2 * 3 ** (n - 1), 0) for n, t in tables.items()] == [12, 24, 48]
         _report("4f: PASS — gap theorem and maximal-class counts 12/24/48")
 
 

@@ -402,9 +402,10 @@ def test_one_exit_code_boundary(capsys, monkeypatch, owner, target, argv, exc, c
 
 
 # the exit-code contract at every boundary: per command, the code at n = 0
-# and at n = 1, and the first n past the library's cap (None: uncapped);
-# n = -1 is exit 2 everywhere
+# and at n = 1, and the first n past the library's cap (None: the command
+# ignores --n or bounds it itself); n = -1 is exit 2 everywhere
 _SPECTRUM_CHECK = (EXIT_BAD_PARAMS, EXIT_OK, 8)  # live to n = 5, shipped n = 6, 7
+_PAST_CONSTRUCT_CAP = construct.CONSTRUCT_MAX_N + 1  # 13
 _CONTRACT = {
     "enumerate --mode count": (EXIT_OK, EXIT_OK, 7),
     "enumerate --mode spectrum": (EXIT_BAD_PARAMS, EXIT_OK, 6),
@@ -416,13 +417,13 @@ _CONTRACT = {
     "verify --check gap-14": (EXIT_BAD_PARAMS, EXIT_BAD_PARAMS, 8),
     "verify --check alpha": (EXIT_BAD_PARAMS, EXIT_OK, 5),
     "verify --check rank2": (EXIT_BAD_PARAMS, EXIT_OK, 5),
-    "verify --check pot12": (EXIT_OK, EXIT_OK, None),
+    "verify --check pot12": (EXIT_OK, EXIT_OK, _PAST_CONSTRUCT_CAP),
     "verify --check hprime": (EXIT_OK, EXIT_OK, None),  # ignores --n
-    "verify --check recover": (EXIT_OK, EXIT_OK, None),  # runs at max(n, 8)
+    "verify --check recover": (EXIT_OK, EXIT_OK, _PAST_CONSTRUCT_CAP),  # runs at max(n, 8)
     "verify --check testset": (EXIT_BAD_PARAMS, EXIT_OK, None),  # runs at min(n, 3)
-    "construct --what maximal": (EXIT_BAD_PARAMS, EXIT_OK, None),
-    "construct --what rank2": (EXIT_BAD_PARAMS, EXIT_OK, None),
-    "construct --what bitrade14": (EXIT_BAD_PARAMS, EXIT_BAD_PARAMS, None),
+    "construct --what maximal": (EXIT_BAD_PARAMS, EXIT_OK, _PAST_CONSTRUCT_CAP),
+    "construct --what rank2": (EXIT_BAD_PARAMS, EXIT_OK, _PAST_CONSTRUCT_CAP),
+    "construct --what bitrade14": (EXIT_BAD_PARAMS, EXIT_BAD_PARAMS, _PAST_CONSTRUCT_CAP),
     "construct --what product": (EXIT_OK, EXIT_OK, None),  # ignores --n
     "construct --what kext": (EXIT_OK, EXIT_OK, None),  # ignores --n
     "construct --what hprime": (EXIT_OK, EXIT_OK, None),  # ignores --n
@@ -461,6 +462,27 @@ def test_exit_code_contract(capsys, command, n, code):
         assert err.startswith("parameter error")
     if code == EXIT_RESOURCE:  # refused before any work: no partial output
         assert out == "" and err.strip()
+
+
+# the constructions that ignore --n pass the cap through their other
+# arguments: the result of a product or an extension past it from inputs
+# within it, a past-cap `minimal:n` spec, and a pot12 truth table of 2^13
+# characters
+_PAST_CAP_ARGS = [
+    f"construct --what product --left maximal:7 --right maximal:{_PAST_CONSTRUCT_CAP - 7}",
+    f"construct --what product --left minimal:1 --right minimal:{_PAST_CONSTRUCT_CAP - 1}",
+    f"construct --what product --left minimal:{_PAST_CONSTRUCT_CAP}",
+    f"construct --what kext --base maximal:{_PAST_CONSTRUCT_CAP - 2} --m 2",
+    f"construct --what kext --base bitrade14:3 --m {_PAST_CONSTRUCT_CAP - 3}",
+    f"construct --what pot12 --f {'01' * 2 ** (_PAST_CONSTRUCT_CAP - 1)}",
+]
+
+
+@pytest.mark.parametrize("argv", _PAST_CAP_ARGS, ids=lambda argv: argv[:60])
+def test_construct_refuses_past_cap_results(capsys, argv):
+    got, out, err = run(capsys, *argv.split())
+    assert got == EXIT_RESOURCE
+    assert out == "" and "constructions capped" in err and "Traceback" not in err
 
 
 _NO_SUPPORT = {"n": 2, "k": 3}

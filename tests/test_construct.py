@@ -29,6 +29,7 @@ from tritrade.errors import BrokenInvariant, DimensionTooSmall
 from helpers import (
     face_counts_by_words,
     k_extension_by_words,
+    line_incidence,
     maximal_legs_by_word_sums,
     random_q4_unitrade,
 )
@@ -104,7 +105,7 @@ class TestMaximalBitrade:
     def test_n2(self):
         B = maximal_bitrade(2)
         assert B.cardinality == 6
-        assert (B.half0, B.half1) == (3, 3)
+        assert (B.half0, B.part1.bit_count()) == (3, 3)
 
     def test_n3_size(self):
         assert maximal_bitrade(3).cardinality == 18
@@ -120,7 +121,7 @@ class TestMaximalBitrade:
     def test_complement_is_mds(self, n):
         B = maximal_bitrade(n)
         comp = TradeSet(n, 3, ((1 << 3 ** n) - 1) ^ B.base.mask)
-        assert all(c == 1 for c in comp.line_incidence())
+        assert all(c == 1 for c in line_incidence(comp))
 
     def test_anf_discrepancy_documented(self):
         # the set {x1+x2 != 0} at n=2 has ANF x1+x2+x1x2, not just x1x2
@@ -183,7 +184,7 @@ class TestHammingDual:
     def test_t2_generator_and_weights(self):
         code = hamming_dual(2)
         assert code.generator == ((1, 0, 1, 1), (0, 1, 1, 2))
-        assert sorted(set(code.weights())) == [0, 3]
+        assert sorted({cube.weight(w) for w in code.codewords()}) == [0, 3]
 
     @pytest.mark.parametrize("t", [1, 2, 3])
     def test_equidistant(self, t):

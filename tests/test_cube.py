@@ -100,6 +100,14 @@ class TestLines:
         assert [ln.direction for ln in ls] == [0, 0, 0, 1, 1, 1]
         assert ls[0].cells == (0, 3, 6)
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_line_masks_match_the_word_walk(self, k):
+        # line_masks is read off the digit planes; the word walk of `lines`
+        # is its reference, line for line in the same order
+        for n in range(6):
+            walk = tuple(sum(1 << c for c in ln.cells) for ln in lines(n, k))
+            assert cube.line_masks(n, k) == walk, n
+
 
 class TestBelow:
     def test_no_maximal_digit(self):
@@ -180,9 +188,17 @@ class TestRetract:
                     assert bipartition(R) is not None
 
 
+def _image(g, word):
+    """The image of a word under g: y[coord_perm[i]] = symbol_perms[i][x[i]]."""
+    out = [0] * g.n
+    for i, d in enumerate(word):
+        out[g.coord_perm[i]] = g.symbol_perms[i][d]
+    return tuple(out)
+
+
 class TestIsometry:
     def test_identity(self):
-        g = Isometry.identity(2, 3)
+        g = Isometry((0, 1), ((0, 1, 2),) * 2)
         S = TradeSet.from_words(2, 3, [(1, 2), (0, 1)])
         assert S.apply_isometry(g) == S
 
@@ -203,7 +219,7 @@ class TestIsometry:
             assert not g.compose(gi).sign_flip
             # composition acts correctly on words
             w = tuple(rng.randrange(3) for _ in range(3))
-            assert g.compose(h).apply_word(w) == g.apply_word(h.apply_word(w))
+            assert _image(g.compose(h), w) == _image(g, _image(h, w))
 
     def test_preserves_distance(self):
         rng = random.Random(11)
@@ -212,7 +228,7 @@ class TestIsometry:
             u = tuple(rng.randrange(3) for _ in range(4))
             v = tuple(rng.randrange(3) for _ in range(4))
             assert cube.hamming_distance(u, v) == cube.hamming_distance(
-                g.apply_word(u), g.apply_word(v)
+                _image(g, u), _image(g, v)
             )
 
     def test_preserves_trade_size_and_predicate(self):
@@ -232,7 +248,7 @@ class TestIsometry:
 
         f = tern_from_trade(maximal_bitrade(2))
         g = Isometry((0, 1), ((0, 1, 2),) * 2, sign_flip=True)
-        assert f.apply_isometry(g).values == f.negate().values
+        assert f.apply_isometry(g).values == tuple(-v for v in f.values)
 
 
 def test_retract_commutes_with_isometry():

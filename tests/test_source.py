@@ -1,5 +1,6 @@
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tritrade"
@@ -108,3 +109,110 @@ def test_every_error_class_is_raised():
                 if isinstance(exc, ast.Name):
                     raised.add(exc.id)
     assert classes - raised == {"TritradeError"}
+
+
+# Public names that no code in src/ reads, each with the reason it stays.
+# Anything else without a reader in src/ is deleted, or moved to
+# tests/helpers.py when only the tests use it.
+_KEEP = {
+    # paper objects, pinned by the tests
+    "construct.embed_in_alphabet": "paper object: a bitrade re-read over a larger alphabet",
+    "construct.grid_cycle_bitrade": "paper object: the 2k-cycle bitrade of Q_k^2",
+    "construct.rm_embed": "paper object: the k = 4 degree embedding into boolean functions",
+    "cube.Isometry.compose": "paper object: the product of the isometry group",
+    "funcspace.BoolFn.retract": "paper object: the retract of a function onto a hyperface",
+    "funcspace.TernFn.retract": "paper object: the retract of a function onto a hyperface",
+    "trade.TradeSet.retract": "paper object: the retract of a set onto a hyperface",
+    "funcspace.TernFn.apply_isometry": "paper object: the isometry action behind the classes",
+    "trade.TradeSet.apply_isometry": "paper object: the isometry action behind the classes",
+    "funcspace.TernFn.support": "paper object: the support of a signed function",
+    "funcspace.degree": "paper object: the algebraic degree, bounded on rm_embed images",
+    "funcspace.gf2_basis_fn": "paper object: the GF(2) basis of the line-sum-zero space",
+    "monomial.is_decomposable": "paper object: a unitrade that is a product",
+    "monomial.jointly_consistent": "paper object: the sign relations of a monomial set",
+    "monomial.normalize": "paper object: a monomial set with its distance-1 pairs collapsed",
+    "monomial.rank_branch_and_bound": "paper object: the rank, cross-checking the rank table",
+    "monomial.signed_cube_fn": "paper object: the signed monomial cube b_v",
+    "monomial.triple_cardinality": "paper object: the size of a rank-3 triple from its profile",
+    "testsets.boolean_cube_testset": "paper object: Q_2^m, a testing set for all unitrades",
+    "testsets.family_bound": "paper object: the |S|^(|T|^l) bound on a hereditary family",
+    "testsets.line_system_rank": "paper object: the rank 3^m - 2^m of the line system",
+    "testsets.product_testset": "paper object: the Cartesian power of a testing set",
+    "testsets.restriction": "paper object: the restriction of a set to a testing set",
+    "trade.connectivity_and_structure": "paper object: intersection, containment, connectivity",
+    "trade.half_cardinality_stats": "paper object: the published half-cardinality statistics",
+    "trade.half_cardinality_stats_from_spectrum": "paper object: the same, from a spectrum",
+    # read by bench/
+    "cube.Line": "read by bench/ through `lines` (the trade-queries set-up)",
+    "cube.lines": "read by bench/ (trade-queries set-up); in src/ only lines_through reads it",
+    "cube.lines_through": "read by bench/ (the trade-queries set-up)",
+    "monomial.cardinality_formula": "read by bench/ (trade-queries); the subset formula",
+    "monomial.f_from_monomials": "read by bench/ (the trade-queries set-up)",
+    "monomial.triple_is_bitrade": "read by bench/ (trade-queries); the triple classifier",
+    "symmetry.canonical_form": "read by bench/ (classify-mix)",
+    "symmetry.equivalent": "read by bench/ (classify-mix)",
+    "symmetry.orbit_values": "read by bench/ (classify-mix)",
+    # reserved for the Reed-Muller reading of the mod-3 theorem (ROADMAP D13)
+    "funcspace.gf3_basis_fn": "reserved for D13: the centered GF(3) monomials s_alpha",
+    "funcspace.inner3": "reserved for D13: the residue inner3(f, s_(1..1))",
+}
+
+
+def _public_definitions(tree, module):
+    """(qualified name, node) of each public top-level function or class of
+    a module and of each public method of its classes."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield f"{module}.{node.name}", node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                    yield f"{module}.{node.name}.{sub.name}", sub
+
+
+def _reads(node):
+    """The names a subtree reads: bare names and attribute names (an import
+    binds a name but does not read it, so a re-export in __init__ is not a
+    reader)."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_every_public_name_has_a_reader_in_src():
+    # a public name nothing in the package reads is dead code or a test
+    # oracle, unless the keep-list above says why it stays; a method counts
+    # as read when any attribute of its name is, and a definition's reads of
+    # its own name (recursion) do not count
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in SRC.glob("*.py")}
+    reads = Counter(name for tree in trees.values() for name in _reads(tree))
+    unread = []
+    defined = set()
+    for module, tree in trees.items():
+        for qualname, node in _public_definitions(tree, module):
+            defined.add(qualname)
+            own = sum(1 for name in _reads(node) if name == node.name)
+            if reads[node.name] == own and qualname not in _KEEP:
+                unread.append(qualname)
+    assert not unread, f"no reader in src/ and no keep-list reason: {unread}"
+    assert set(_KEEP) <= defined, f"keep-list names not defined: {sorted(set(_KEEP) - defined)}"
+
+
+def test_word_walk_lines_have_no_reader_in_src():
+    # the package answers line questions through cube.line_planes and
+    # cube.digit_masks; the word walk stays in cube for bench/ and the test
+    # oracles, and nothing else in src/ reads it
+    walk = {"Line", "lines", "lines_through"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if path.stem == "cube" and getattr(node, "name", None) in walk:
+                continue
+            imported = node.names if isinstance(node, (ast.Import, ast.ImportFrom)) else ()
+            names = [*_reads(node), *(alias.name for alias in imported)]
+            found += [f"{path.name}:{name}" for name in names if name in walk]
+    assert not found, f"the word walk is read in src: {found}"

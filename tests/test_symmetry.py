@@ -3,9 +3,11 @@ import random
 
 import pytest
 from helpers import (
+    LineSumKind,
     canonical_by_recursion,
     classify,
     double_count_check,
+    line_sums,
     match_count_by_runs,
     orbit,
     random_n5_function,
@@ -14,7 +16,7 @@ from helpers import (
 from tritrade.cube import Isometry
 from tritrade.enumeration import enumerate_functions
 from tritrade.errors import DimensionTooLarge
-from tritrade.funcspace import LineSumKind, TernFn, line_sums, tern_from_trade
+from tritrade.funcspace import TernFn, tern_from_trade
 from tritrade.symmetry import (
     aut_order,
     canonical_form,
@@ -62,7 +64,7 @@ def _scan_count(f, g, group):
 
 class TestCanonicalForm:
     def test_zero_fixed(self):
-        z = TernFn.zero(2)
+        z = TernFn(2, (0,) * 9)
         assert canonical_form(z) == z.to_text()
 
     def test_constant_on_orbit_and_idempotent(self):
@@ -142,12 +144,12 @@ class TestCanonicalForm:
 
     def test_capped_at_n5(self):
         with pytest.raises(DimensionTooLarge):
-            canonical_form(TernFn.zero(6))
+            canonical_form(TernFn(6, (0,) * 3 ** 6))
 
     def test_minimal_over_orbit_n5_symmetric(self):
         # generic n=5 orbits hold about 933k elements; these hold a few hundred
         rng = random.Random(17)
-        for f in (TernFn.zero(5), _minimal_fn(5), _maximal_fn(5)):
+        for f in (TernFn(5, (0,) * 3 ** 5), _minimal_fn(5), _maximal_fn(5)):
             g = f.apply_isometry(Isometry.random(rng, 5, 3))
             key = _orbit_min_text(f)
             assert canonical_form(f) == key
@@ -156,7 +158,7 @@ class TestCanonicalForm:
 
 class TestOrbit:
     def test_zero(self):
-        assert orbit(TernFn.zero(2)) == {TernFn.zero(2)}
+        assert orbit(TernFn(2, (0,) * 9)) == {TernFn(2, (0,) * 9)}
 
     def test_minimal_n2_size_18(self):
         assert len(orbit(_minimal_fn(2))) == 18
@@ -182,7 +184,7 @@ class TestOrbit:
 
 class TestAutOrder:
     def test_zero_full_group(self):
-        assert aut_order(TernFn.zero(2)) == 144
+        assert aut_order(TernFn(2, (0,) * 9)) == 144
 
     def test_minimal_n2(self):
         assert aut_order(_minimal_fn(2)) == 8
@@ -259,7 +261,8 @@ class TestMatcherAgainstRunsOracle:
         rng = random.Random(31)
         f = _maximal_fn(4)
         assert aut_order(f) == match_count_by_runs(f, f) == 1296
-        self._check(_matcher_pairs(rng, 4, [f, f.negate(), _minimal_fn(4)]))
+        minus = TernFn(4, tuple(-v for v in f.values))
+        self._check(_matcher_pairs(rng, 4, [f, minus, _minimal_fn(4)]))
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_vectors_off_the_line_sum_zero_space(self, n):
@@ -319,7 +322,7 @@ class TestDoubleCount:
     [
         lambda n, v: aut_order(TernFn(n, v)),
         lambda n, v: equivalent(TernFn(n, v), TernFn(n, v)),
-        lambda n, v: count_isometries_onto(TernFn.zero(n), TernFn(n, v)),
+        lambda n, v: count_isometries_onto(TernFn(n, (0,) * 3 ** n), TernFn(n, v)),
         lambda n, v: orbit_values(v, n),
     ],
     ids=["aut_order", "equivalent", "count-onto-target", "orbit_values"],
@@ -344,7 +347,7 @@ def test_orbit_values_rejects_wrong_length(values):
 class TestEquivalent:
     def test_sign_flip_is_equivalence(self):
         f = _minimal_fn(2)
-        assert equivalent(f, f.negate())
+        assert equivalent(f, TernFn(f.n, tuple(-v for v in f.values)))
 
     def test_inequivalent_sizes(self):
         assert not equivalent(_minimal_fn(2), _maximal_fn(2))
