@@ -8,9 +8,9 @@ identical payload checksums.  Exit codes: 0 success, 1 failed check or
 broken invariant, 2 bad parameters, 3 resource limit.  The commands raise
 and `main` alone maps exceptions to exit codes, one code per class of
 `tritrade.errors`: BrokenInvariant 1; DimensionTooLarge 3 (the caps are
-the library's), as is MemoryError; TritradeError, NotAUnitrade,
-DimensionTooSmall and PreconditionFailed 2, as are ValueError (all other
-bad input), TypeError and OSError.  Every count N(n) runs through the
+the library's, but for the recover check's own), as is MemoryError;
+TritradeError, NotAUnitrade, DimensionTooSmall and PreconditionFailed 2,
+as are ValueError (all other bad input), TypeError and OSError.  Every count N(n) runs through the
 class layer one dimension down (N(6) through the 92 n = 5 classes), and
 only the count uses `--jobs`; its manifest records the workers it used.
 Class reports key each class by its representative, which the class
@@ -265,11 +265,18 @@ def _check_hprime(n: int, rng) -> tuple[bool, dict]:
     return ok, detail
 
 
+# The largest n of the recover check.  Each of its 25 trials takes one
+# subcube mask per word of Q_3^n: 2.4 s at n = 9, 15 s at n = 10 and 127 s
+# at n = 11 (one run each, 2-core VM).
+RECOVER_MAX_N = 10
+
+
 def _check_recover(n: int, rng) -> tuple[bool, dict]:
     trials, good = 25, 0
     refused = []
     dim = max(n, 8)
-    construct.check_dimension(dim)
+    if dim > RECOVER_MAX_N:
+        raise DimensionTooLarge(f"recover check capped at n={RECOVER_MAX_N}, got n={dim}")
     for _ in range(trials):
         V = _random_recoverable_set(rng, dim)
         U = monomial.trade_from_monomials(V)

@@ -37,6 +37,11 @@ from .trade import BipartiteTrade, TradeSet, _normalized, bipartition, is_unitra
 # and 17 s at n = 14 (one run each, 2-core VM).
 CONSTRUCT_MAX_N = 12
 
+# The largest t of `hprime`.  Its 3^t codewords have length
+# 2^t - 2 + (3^t - 1)/2, and the CLI audits every pair of them: 4.5 s at
+# t = 6 and 123 s at t = 7 (one run each, 2-core VM).
+HPRIME_MAX_T = 6
+
 
 def check_dimension(n: int) -> None:
     """DimensionTooLarge above CONSTRUCT_MAX_N, before any mask of 3^n
@@ -239,6 +244,8 @@ def hprime(t: int) -> TernaryCode:
     stay odd and the basis rows acquire pairwise-unique compositions."""
     if t < 2:
         raise ValueError("t >= 2")
+    if t > HPRIME_MAX_T:
+        raise DimensionTooLarge(f"constructions capped at t={HPRIME_MAX_T} for hprime, got t={t}")
     base = hamming_dual(t)
     cols = [tuple(row[i] for row in base.generator) for i in range(base.length)]
     for j in range(2, t + 1):

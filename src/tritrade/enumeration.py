@@ -24,13 +24,25 @@ masks, and the stream and the count each apply the per-head step inline,
 in their own loop over the heads of the digit-0 layer.  One memo,
 _MEMO2, maps an n = 2 domain vector to its heads, the (solution, twist)
 pairs of _solutions(2) inside it: an n = 3 node of the stream reads the
-heads of its digit-0 layer there, so the stream stops at n = 2.  The
-count stops at n = 4 on a bit-column index of the full stream, built
-once per n <= 4 in blocks (_columns): column k holds, one bit per
-solution in stream order, the solutions that set packed domain bit k.
-The solutions inside a domain vector are then N(n) minus the popcount of
-the OR of the columns of the bits it clears (the bitmap index of O'Neil
-and Quass, SIGMOD 1997), a few wide ORs in place of a walk of heads.
+heads of its digit-0 layer there, so the stream stops at n = 2.
+
+One cache, _index(n) for n <= 4, holds the full stream's packed
+solutions in stream order and a bit-column index over them, built once
+from that stream in blocks: column k holds, one bit per solution, the
+solutions that set packed domain bit k.  The solutions inside a domain
+vector are then those outside the OR of the columns of the bits it
+clears (the bitmap index of O'Neil and Quass, SIGMOD 1997), a few wide
+ORs in place of a walk of heads.  The count stops at n = 4 on the
+popcount of that OR, whatever the domains.  The stream at n = 4 and 5
+reads the digit-1 tails of a head off the index (_tails) only when the
+head's digit-1 layer clears at most a quarter of its value bits.  The
+read is one pass over the N(n - 1) bits of the index however few tails
+fit, the recursion a step per node it visits, and measured the two cross
+where a layer clears about 70 of 243 bits (n - 1 = 4) or 35 of 81
+(n - 1 = 3); so a quarter keeps every read a gain.  The heads of a
+pinned n = 5 hyperplane clear 10-50 of 243 bits and leave hundreds of
+tails each, and the read is 7-8 times faster; most inner n = 5 nodes of
+an n = 6 stream clear 60-90 bits, leave a handful of tails, and recurse.
 
 A streamed solution is decoded once: its octal digits, translated to
 signed bytes, are unpacked into the value tuple by one cached struct call
@@ -180,10 +192,14 @@ def _enum_split(n: int, doms: int) -> Iterator[int]:
     w = 3 ** n
     b0, d0, up, mid, down = _restriction(n, doms)
     b1 = b0 << 1
+    # at n = 4, 5 a head's digit-1 tails are read off _index(n - 1) when
+    # its layer clears at most a quarter of its 3^n value bits (see _tails)
+    indexed = n in (4, 5)
     for f0, (z, m, p) in _heads(n - 1, d0):
         d1p = mid & z | up & m | down & p
         if (d1p | d1p >> 1 | d1p >> 2) & b0 == b0:
-            for f1 in _enum(n - 1, d1p):
+            loose = indexed and 4 * d1p.bit_count() >= 3 * w
+            for f1 in _tails(n - 1, d1p) if loose else _enum(n - 1, d1p):
                 r1 = (f1 & b0) << 2 | f1 & b1 | (f1 >> 2) & b0  # _mirror(f1, b0)
                 f2 = r1 & z | (r1 << 1) & m | (r1 >> 1) & p
                 yield f0 | f1 << w | f2 << 2 * w
@@ -213,43 +229,69 @@ _BLOCK = 4096  # solutions per block of the column build
 # an octal digit of a solution to "1" where it holds value -1, 0 and +1
 _VALUE_BITS = tuple(bytes.maketrans(b"124", bits) for bits in (b"100", b"010", b"001"))
 _BIT_FLAG = bytes.maketrans(b"01", b"\x00\x01")  # binary digits to compress() selectors
+_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 
 
 @lru_cache(maxsize=None)
-def _columns(n: int) -> tuple[int, tuple[int, ...]]:
-    """(N(n), cols): a bit-column index of the full stream at n <= 4.
+def _index(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(sols, cols): the full stream at n <= 4, packed, in stream order,
+    and its bit-column index.
 
-    Bit i of cols[3c + v + 1] is set when the i-th solution in stream order
-    has value v at cell c, so column k belongs to packed domain bit k.  The
-    build transposes the octal digits of blocks of _BLOCK solutions, so it
-    holds no more than one block besides the columns."""
+    Bit i of cols[3c + v + 1] is set when sols[i] has value v at cell c,
+    so column k belongs to packed domain bit k.  The build transposes the
+    octal digits of blocks of _BLOCK solutions, so besides sols and the
+    columns it holds one block's text at a time."""
     cells = 3 ** n
+    sols = tuple(_enum(n, FULL_MASK * _b0(cells)))
     cols = [0] * (3 * cells)
-    total = 0
-    stream = _enum(n, FULL_MASK * _b0(cells))
-    while block := list(itertools.islice(stream, _BLOCK)):
+    for start in range(0, len(sols), _BLOCK):
         # a solution has a nonzero digit at every cell, so its oct() text
         # is "0o" and `cells` digits, cell 0 last: cell c is every
         # (cells + 2)-th byte of the block's texts from cells + 1 - c.  The
         # block goes in reversed, so its first solution is the low bit
-        text = "".join(map(oct, reversed(block))).encode()
+        text = "".join(map(oct, reversed(sols[start : start + _BLOCK]))).encode()
         for c in range(cells):
             column = text[cells + 1 - c :: cells + 2]
             for k, values in enumerate(_VALUE_BITS, 3 * c):
-                cols[k] |= int(column.translate(values), 2) << total
-        total += len(block)
-    return total, tuple(cols)
+                cols[k] |= int(column.translate(values), 2) << start
+    return sols, tuple(cols)
+
+
+def _tails(n: int, doms: int) -> list[int]:
+    """The solutions inside `doms` at n <= 4, in stream order, read off
+    _index(n): the complement of the OR of the columns `doms` clears has
+    bit i set when sols[i] fits, and its nonzero bytes are expanded
+    through _BYTE_BITS.
+
+    The read costs a pass over all N(n) bits, the recursion of _enum a
+    step per node it visits.  So the stream reads the index for a digit-1
+    layer that clears at most a quarter of its bits, where dozens to
+    thousands of tails fit and the read is up to 8 times faster, and
+    recurses on a tighter one, where a handful fit and the recursion is
+    up to 3 times faster."""
+    sols, cols = _index(n)
+    cleared = bin(FULL_MASK * _b0(3 ** n) & ~doms)[:1:-1].encode().translate(_BIT_FLAG)
+    total = len(sols)
+    fit = reduce(or_, itertools.compress(cols, cleared), 0) ^ (1 << total) - 1
+    data = fit.to_bytes((total + 7) // 8, "little")
+    return [
+        sols[8 * i + bit]
+        for i in itertools.compress(range(len(data)), data)
+        for bit in _BYTE_BITS[data[i]]
+    ]
 
 
 def _count(n: int, doms: int) -> int:
     """The number of solutions inside `doms`.  At n <= 4 it is N(n) minus
     the solutions that hold a value `doms` clears: one popcount of the OR
-    of those values' columns in _columns(n).  Above, the per-head
+    of those values' columns in _index(n).  Unlike the stream's _tails,
+    a popcount takes no step per solution that fits, so the count reads
+    the index however few bits `doms` clears.  Above, the per-head
     restriction of _enum_split with a count in place of the stream."""
     if n <= 4:
-        total, cols = _columns(n)
+        sols, cols = _index(n)
         cleared = bin(FULL_MASK * _b0(3 ** n) & ~doms)[:1:-1].encode().translate(_BIT_FLAG)
-        return total - reduce(or_, itertools.compress(cols, cleared), 0).bit_count()
+        return len(sols) - reduce(or_, itertools.compress(cols, cleared), 0).bit_count()
     b0, d0, up, mid, down = _restriction(n, doms)
     total = 0
     for _, (z, m, p) in _heads(n - 1, d0):
@@ -286,8 +328,11 @@ COUNT_MAX_N = 5
 def count_functions(n: int, cell_domains: Optional[Sequence[Iterable[int]]] = None) -> int:
     """Exact count of line-sum-zero functions, optionally restricted: the
     direct count, serial, and the oracle of `count_by_retract_classes`.
-    Its recursion ends in popcounts over the column index at n <= 4,
-    which the first call builds."""
+    Its recursion ends in popcounts over the column index of _index(n)
+    at n <= 4, which the first call builds, whatever the domains; the
+    stream reads the same index only for digit-1 layers of its n = 4 and
+    5 heads that clear at most a quarter of their bits, where reading
+    every solution's bit costs less than the recursion."""
     if n > COUNT_MAX_N:
         raise DimensionTooLarge(f"counting capped at n={COUNT_MAX_N}")
     return _count(n, _packed_domains(n, cell_domains))
@@ -318,7 +363,7 @@ def _fan_out(n: int, units: Sequence[tuple[int, int]], jobs: int) -> int:
         return _count_units(n, units)
     import multiprocessing as mp
 
-    _columns(min(n, 4))  # built once here, inherited by every worker
+    _index(min(n, 4))  # built once here, inherited by every worker
     with mp.get_context("fork").Pool(jobs) as pool:
         return sum(pool.starmap(_count_units, [(n, units[w::jobs]) for w in range(jobs)]))
 

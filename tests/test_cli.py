@@ -419,7 +419,7 @@ _CONTRACT = {
     "verify --check rank2": (EXIT_BAD_PARAMS, EXIT_OK, 5),
     "verify --check pot12": (EXIT_OK, EXIT_OK, _PAST_CONSTRUCT_CAP),
     "verify --check hprime": (EXIT_OK, EXIT_OK, None),  # ignores --n
-    "verify --check recover": (EXIT_OK, EXIT_OK, _PAST_CONSTRUCT_CAP),  # runs at max(n, 8)
+    "verify --check recover": (EXIT_OK, EXIT_OK, cli.RECOVER_MAX_N + 1),  # runs at max(n, 8)
     "verify --check testset": (EXIT_BAD_PARAMS, EXIT_OK, None),  # runs at min(n, 3)
     "construct --what maximal": (EXIT_BAD_PARAMS, EXIT_OK, _PAST_CONSTRUCT_CAP),
     "construct --what rank2": (EXIT_BAD_PARAMS, EXIT_OK, _PAST_CONSTRUCT_CAP),
@@ -466,9 +466,10 @@ def test_exit_code_contract(capsys, command, n, code):
 
 # the constructions that ignore --n pass the cap through their other
 # arguments: the result of a product or an extension past it from inputs
-# within it, a past-cap `minimal:n` spec, and a pot12 truth table of 2^13
-# characters
+# within it, a past-cap `minimal:n` spec, a pot12 truth table of 2^13
+# characters, and the first hprime t past its own cap
 _PAST_CAP_ARGS = [
+    f"construct --what hprime --t {construct.HPRIME_MAX_T + 1}",
     f"construct --what product --left maximal:7 --right maximal:{_PAST_CONSTRUCT_CAP - 7}",
     f"construct --what product --left minimal:1 --right minimal:{_PAST_CONSTRUCT_CAP - 1}",
     f"construct --what product --left minimal:{_PAST_CONSTRUCT_CAP}",

@@ -39,14 +39,77 @@ def _random_domains(rng, n):
     return doms
 
 
-def _inside(values, restricted):
-    return all(values[c] in dom for c, dom in restricted)
-
-
 @lru_cache(maxsize=None)
 def _full_list(n):
     """The unrestricted stream as value tuples."""
     return [f.values for f in enumerate_functions(n)]
+
+
+def _cell_domains(doms, n):
+    """A packed domain vector as one tuple of allowed values per cell."""
+    return [tuple(v for v in FREE if doms >> 3 * c + v + 1 & 1) for c in range(3 ** n)]
+
+
+def _digit1_layers(n, doms, limit):
+    """The digit-1 domains d1p that up to `limit` heads of the node `doms`
+    at n leave, as the stream restricts them; empty-celled ones dropped."""
+    from tritrade import enumeration
+
+    b0, d0, up, mid, down = enumeration._restriction(n, doms)
+    out = []
+    for f0 in itertools.islice(enumeration._enum(n - 1, d0), limit):
+        z, m, p = enumeration._twist(f0, b0)
+        d1p = mid & z | up & m | down & p
+        if (d1p | d1p >> 1 | d1p >> 2) & b0 == b0:
+            out.append(d1p)
+    return out
+
+
+def _seeded_domains(rng, n):
+    """Packed domain vectors at n: restricted cells (an empty cell among
+    them), one-hot layers, and the digit-1 layers the stream meets one
+    dimension up.  At n = 3 those are the loose layers of the full and of
+    pinned n = 4 streams and the tight ones below the inner n = 5 nodes of
+    n = 6 streams; at n = 4, the loose layers of pinned n = 5 heads and
+    the tight ones of those inner nodes.  So the domains fall on both
+    sides of the stream's rule for reading _index."""
+    from tritrade import enumeration
+
+    full = enumeration.FULL_MASK * enumeration._b0(3 ** n)
+    out = [full, full & ~(7 << 3 * rng.randrange(3 ** n))]  # no solution fits an empty cell
+    for _ in range(12):
+        doms = full
+        for c in rng.sample(range(3 ** n), rng.randint(1, n + 4)):
+            doms &= ~(rng.randint(1, 7) << 3 * c)
+        out.append(doms)
+    width, layer_full = 3 ** n, enumeration.FULL_MASK * enumeration._b0(3 ** (n - 1))
+    for f in rng.sample(list(enumeration._enum(n - 1, layer_full)), 3):
+        out += [full & ~(layer_full << k * width) | f << k * width for k in range(3)]
+    if n < 3:
+        return out
+    fl4 = _full_list(4)
+    inner = []  # inner n = 5 nodes of n = 6 streams pinned to n = 5 completions
+    for h in rng.sample([h for h in fl4 if any(h)], 3):
+        g = rng.choice(list(enumeration._enum(5, enumeration._pinned(h))))
+        inner += _digit1_layers(6, enumeration._pinned(values_from_packed(g, 5)), 1)
+    tight4 = [d for node in inner for d in _digit1_layers(5, node, 4)]
+    if n == 4:
+        for h in rng.sample(fl4, 20):
+            out += _digit1_layers(5, enumeration._pinned(h), 1)
+        return out + tight4
+    out += rng.sample(_digit1_layers(4, enumeration.FULL_MASK * enumeration._b0(81), 403), 10)
+    for h in rng.sample(_full_list(3), 5):
+        out += _digit1_layers(4, enumeration._pinned(h), 1)
+    return out + [d for node in tight4 for d in _digit1_layers(4, node, 3)]
+
+
+@lru_cache(maxsize=None)
+def _value_masks(n):
+    """The +1, -1 and 0 cell masks of each function of _full_list(n)."""
+    every = (1 << 3 ** n) - 1
+    return [
+        (p, m, every & ~(p | m)) for p, m in map(signed_masks_by_values, _full_list(n))
+    ]
 
 
 class TestEnumerate:
@@ -88,8 +151,30 @@ class TestRandomDomains:
             if LineSumKind.INVALID not in line_sums(TernFn(2, values))
         ]
 
+    @staticmethod
+    def _check(n, full, doms):
+        """The stream, the count and the index read _tails inside `doms`
+        against the filtered full list; returns the number that fit."""
+        from tritrade import enumeration
+
+        # the cells that allow +1, -1 and 0; a function fits when each of
+        # its value masks lies inside the matching one
+        ap, am, az = (sum(1 << c for c, dom in enumerate(doms) if v in dom) for v in (1, -1, 0))
+        expect = [
+            values
+            for values, (p, m, z) in zip(full, _value_masks(n))
+            if not (p & ~ap or m & ~am or z & ~az)
+        ]
+        assert [f.values for f in enumerate_functions(n, doms)] == expect
+        assert count_functions(n, doms) == len(expect)
+        tails = enumeration._tails(n, enumeration._packed_domains(n, doms))
+        assert list(map(enumeration._decoder(n), tails)) == expect  # see TestStreamDecode
+        return len(expect)
+
     @pytest.mark.parametrize("n,seed", [(2, 11), (3, 12), (4, 15)])
     def test_against_filtered_stream(self, n, seed, brute2):
+        # the full list is the oracle: at n = 2 it is the brute-force scan,
+        # at n = 3, 4 TestColumnIndex certifies it
         rng = random.Random(seed)
         full = _full_list(n)
         if n == 2:
@@ -97,14 +182,14 @@ class TestRandomDomains:
         nonzero = empty_cell = 0
         for _ in range(40):
             doms = _random_domains(rng, n)
-            restricted = [(c, dom) for c, dom in enumerate(doms) if dom != FREE]
-            expect = [values for values in full if _inside(values, restricted)]
-            assert [f.values for f in enumerate_functions(n, doms)] == expect
-            assert count_functions(n, doms) == len(expect)
-            nonzero += bool(expect)
+            nonzero += bool(self._check(n, full, doms))
             empty_cell += () in doms
         # the draw must not be empty domains only, nor miss them
         assert nonzero >= 10 and empty_cell >= 1
+        # the digit-1 layers the stream meets one dimension up, loose and
+        # tight, and one-hot layers and an empty cell
+        for packed in _seeded_domains(rng, n):
+            self._check(n, full, _cell_domains(packed, n))
 
     def test_domain_spec_forms(self):
         rng = random.Random(13)
@@ -191,19 +276,33 @@ class TestCount:
 
 
 class TestColumnIndex:
-    """The bit-column index the count reads at n <= 4, against the stream."""
+    """The index _index(n) at n <= 4, read by the count and by the
+    stream's loose tails, against the stream and the line sums."""
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     def test_size_is_the_reference_count(self, n):
         from tritrade import enumeration
 
-        assert enumeration._columns(n)[0] == N_FUNCTIONS[n]
+        assert len(enumeration._index(n)[0]) == N_FUNCTIONS[n]
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_indexed_stream_is_every_solution_in_lex_order(self, n):
+        # the stream's tails read sols: N(n) members, strictly lex-ascending
+        # (so distinct), each with zero line sums, are every solution once
+        from tritrade import enumeration
+
+        values = [values_from_packed(f, n) for f in enumeration._index(n)[0]]
+        assert len(values) == N_FUNCTIONS[n]
+        assert all(a < b for a, b in zip(values, values[1:]))
+        assert not any(LineSumKind.INVALID in line_sums(TernFn(n, v)) for v in values)
+        assert values == _full_list(n)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     def test_each_cell_partitions_the_solutions(self, n):
         from tritrade import enumeration
 
-        total, cols = enumeration._columns(n)
+        sols, cols = enumeration._index(n)
+        total = len(sols)
         assert len(cols) == 3 * 3 ** n
         everything = (1 << total) - 1
         for c in range(3 ** n):
@@ -215,40 +314,16 @@ class TestColumnIndex:
         # bit i of column 3c + v + 1 is the i-th streamed solution's value at c
         from tritrade import enumeration
 
-        _, cols = enumeration._columns(3)
+        _, cols = enumeration._index(3)
         for i, values in enumerate(_full_list(3)):
             for c, v in enumerate(values):
                 assert [cols[3 * c + k] >> i & 1 for k in range(3)] == [v == -1, v == 0, v == 1]
-
-    @staticmethod
-    def _seeded_domains(rng, n):
-        """Packed domain vectors at n: restricted cells (an empty cell
-        among them), one-hot layers, and, at n = 4, the digit-1 domains
-        d1p that random pinned n = 5 heads leave."""
-        from tritrade import enumeration
-
-        full = enumeration.FULL_MASK * enumeration._b0(3 ** n)
-        out = [full, full & ~(7 << 3 * rng.randrange(3 ** n))]  # no solution fits an empty cell
-        for _ in range(12):
-            doms = full
-            for c in rng.sample(range(3 ** n), rng.randint(1, n + 4)):
-                doms &= ~(rng.randint(1, 7) << 3 * c)
-            out.append(doms)
-        width, layer_full = 3 ** n, enumeration.FULL_MASK * enumeration._b0(3 ** (n - 1))
-        for f in rng.sample(list(enumeration._enum(n - 1, layer_full)), 3):
-            out += [full & ~(layer_full << k * width) | f << k * width for k in range(3)]
-        if n == 4:
-            for h in rng.sample(_full_list(4), 20):
-                b0, f0, up, mid, down = enumeration._restriction(5, enumeration._pinned(h))
-                z, m, p = enumeration._twist(f0, b0)
-                out.append(mid & z | up & m | down & p)
-        return out
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_count_equals_stream(self, n):
         from tritrade import enumeration
 
-        for doms in self._seeded_domains(random.Random(26 + n), n):
+        for doms in _seeded_domains(random.Random(26 + n), n):
             assert enumeration._count(n, doms) == sum(1 for _ in enumeration._enum(n, doms))
 
     def test_n4_columns_fit_the_memory_budget(self):
@@ -256,7 +331,20 @@ class TestColumnIndex:
 
         from tritrade import enumeration
 
-        assert sum(map(sys.getsizeof, enumeration._columns(4)[1])) < 1.1e6
+        sols, cols = enumeration._index(4)
+        assert sum(map(sys.getsizeof, cols)) < 1.1e6
+        assert sys.getsizeof(sols) + sum(map(sys.getsizeof, sols)) < 2.2e6
+
+    def test_full_n4_stream_leaves_the_n4_index_unbuilt(self, monkeypatch):
+        # a set-up that draws the n = 4 list pays no n = 4 column build:
+        # the full n = 4 stream reads only the n = 3 index
+        from tritrade import enumeration
+
+        fresh = lru_cache(maxsize=None)(enumeration._index.__wrapped__)
+        built = []
+        monkeypatch.setattr(enumeration, "_index", lambda n: built.append(n) or fresh(n))
+        assert sum(1 for _ in enumerate_functions(4)) == N_FUNCTIONS[4]
+        assert 3 in built and 4 not in built
 
 
 class TestStreamDecode:
@@ -291,13 +379,13 @@ class TestStreamDecode:
 
     @pytest.mark.parametrize("count_first", [True, False], ids=["count-first", "stream-first"])
     def test_count_equals_stream_on_a_fresh_memo(self, count_first, monkeypatch):
-        # the count reads the column index at n <= 4 and the stream reads
-        # the n = 2 memo; the index is built from the stream, so each case
-        # starts with both empty, and whichever runs first, the other
-        # agrees.  On nonzero pinned n = 5 hyperplanes both also match a
-        # bitmask scan of the N(4) list: f1 completes f0 iff no cell holds
-        # the same nonzero value in both, and the completion is
-        # (f0, f1, -(f0 + f1)), in the list's order
+        # the count reads the index at n <= 4, and the stream reads it for
+        # loose tails and reads the n = 2 memo; the index is built from the
+        # stream, so each case starts with both empty, and whichever runs
+        # first, the other agrees.  On nonzero pinned n = 5 hyperplanes
+        # both also match a bitmask scan of the N(4) list: f1 completes f0
+        # iff no cell holds the same nonzero value in both, and the
+        # completion is (f0, f1, -(f0 + f1)), in the list's order
         from tritrade import enumeration
 
         rng = random.Random(18)
@@ -315,8 +403,8 @@ class TestStreamDecode:
         for n, doms, expect in cases:
             monkeypatch.setattr(enumeration, "_MEMO2", {})
             # a fresh cache, so the session's cached index stays in place
-            fresh = lru_cache(maxsize=None)(enumeration._columns.__wrapped__)
-            monkeypatch.setattr(enumeration, "_columns", fresh)
+            fresh = lru_cache(maxsize=None)(enumeration._index.__wrapped__)
+            monkeypatch.setattr(enumeration, "_index", fresh)
             if count_first:
                 count = count_functions(n, doms)
                 streamed = [f.values for f in enumerate_functions(n, doms)]
