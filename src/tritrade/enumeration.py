@@ -15,34 +15,28 @@ for every cell, x & B0, (x >> 1) & B0 and (x >> 2) & B0 are the planes of
 the values -1, 0 and +1.  Every step on a layer is a fixed number of
 big-integer operations, never a loop over its cells: restricting the
 digit-1 domains, the empty-cell check, forcing the digit-2 layer, and the
-support weight (L minus the bits of the 0 plane).  At n <= 2 the solutions
-inside a domain vector D are the f with f & D == f among the 3, 7 or 31
-one-hot solutions.
+support weight (L minus the bits of the 0 plane).
 
 The restriction runs once per node: _restriction computes the node's
 masks, and the stream and the count each apply the per-head step inline,
-in their own loop over the heads of the digit-0 layer.  One memo,
-_MEMO2, maps an n = 2 domain vector to its heads, the (solution, twist)
-pairs of _solutions(2) inside it: an n = 3 node of the stream reads the
-heads of its digit-0 layer there, so the stream stops at n = 2.
+in their own loop over the heads of the digit-0 layer.
 
 One cache, _index(n) for n <= 4, holds the full stream's packed
-solutions in stream order and a bit-column index over them, built once
-from that stream in blocks: column k holds, one bit per solution, the
-solutions that set packed domain bit k.  The solutions inside a domain
-vector are then those outside the OR of the columns of the bits it
-clears (the bitmap index of O'Neil and Quass, SIGMOD 1997), a few wide
-ORs in place of a walk of heads.  The count stops at n = 4 on the
-popcount of that OR, whatever the domains.  The stream at n = 4 and 5
-reads the digit-1 tails of a head off the index (_tails) only when the
-head's digit-1 layer clears at most a quarter of its value bits.  The
-read is one pass over the N(n - 1) bits of the index however few tails
+solutions in stream order and a bit-column index over them: column k
+holds, one bit per solution, the solutions that set packed domain bit k.
+The solutions inside a domain vector are those outside the OR of the
+columns of the bits it clears (_misfits; the bitmap index of O'Neil and
+Quass, SIGMOD 1997).  The index is the one leaf of both searches, and no
+memo keyed by domains is kept.  The count stops at n = 4 on the popcount
+of that OR, the stream at n = 3 on the solutions it leaves (_tails),
+whatever the domains.  At n = 5 the stream also reads a head's digit-1
+tails off _index(4) when that layer clears at most a quarter of its
+value bits: the read is one pass over all N(4) bits however few tails
 fit, the recursion a step per node it visits, and measured the two cross
-where a layer clears about 70 of 243 bits (n - 1 = 4) or 35 of 81
-(n - 1 = 3); so a quarter keeps every read a gain.  The heads of a
-pinned n = 5 hyperplane clear 10-50 of 243 bits and leave hundreds of
-tails each, and the read is 7-8 times faster; most inner n = 5 nodes of
-an n = 6 stream clear 60-90 bits, leave a handful of tails, and recurse.
+where a layer clears about 70 of 243 bits.  The heads of a pinned n = 5
+hyperplane clear 10-50 bits and leave hundreds of tails each, and the
+read is 7-8 times faster; most inner n = 5 nodes of an n = 6 stream
+clear 60-90 bits, leave a handful of tails, and recurse.
 
 A streamed solution is decoded once: its octal digits, translated to
 signed bytes, are unpacked into the value tuple by one cached struct call
@@ -70,7 +64,7 @@ import struct
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from operator import itemgetter, or_
+from operator import or_
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import cube
@@ -162,39 +156,25 @@ def _restriction(n: int, doms: int) -> tuple[int, int, int, int, int]:
     return b0, doms & full, d1 & (r2 << 1), d1 & r2, d1 & (r2 >> 1)
 
 
-_MEMO2: dict[int, tuple[tuple[int, tuple[int, int, int]], ...]] = {}
-
-
-def _heads(n: int, doms: int) -> Iterable[tuple[int, tuple[int, int, int]]]:
-    """(f, twist) for every solution f inside `doms`, lex order.  At n = 2
-    the heads of a domain vector are kept in _MEMO2: shared pairs of
-    _solutions(2), read by the stream."""
-    if n == 2:
-        heads = _MEMO2.get(doms)
-        if heads is None:
-            heads = _MEMO2[doms] = tuple(h for h in _solutions(2) if h[0] & doms == h[0])
-        return heads
-    if n < 2:
-        return [h for h in _solutions(n) if h[0] & doms == h[0]]
+def _heads(n: int, doms: int) -> Iterator[tuple[int, tuple[int, int, int]]]:
+    """(f, twist) for every solution f inside `doms`, lex order."""
     b0 = _b0(3 ** n)
-    return ((f, _twist(f, b0)) for f in _enum_split(n, doms))
-
-
-_first = itemgetter(0)
+    return ((f, _twist(f, b0)) for f in _enum(n, doms))
 
 
 def _enum(n: int, doms: int) -> Iterable[int]:
-    """All packed solutions inside `doms`, lex-ascending under -1 < 0 < +1."""
-    return map(_first, _heads(n, doms)) if n <= 2 else _enum_split(n, doms)
+    """All packed solutions inside `doms`, lex-ascending under -1 < 0 < +1:
+    read off _index(n) at n <= 3, split by the first coordinate above."""
+    return _tails(n, doms) if n <= 3 else _enum_split(n, doms)
 
 
 def _enum_split(n: int, doms: int) -> Iterator[int]:
     w = 3 ** n
     b0, d0, up, mid, down = _restriction(n, doms)
     b1 = b0 << 1
-    # at n = 4, 5 a head's digit-1 tails are read off _index(n - 1) when
-    # its layer clears at most a quarter of its 3^n value bits (see _tails)
-    indexed = n in (4, 5)
+    # at n = 5 a head's digit-1 tails are read off _index(4) when its
+    # layer clears at most a quarter of its 3^n value bits (see _tails)
+    indexed = n == 5
     for f0, (z, m, p) in _heads(n - 1, d0):
         d1p = mid & z | up & m | down & p
         if (d1p | d1p >> 1 | d1p >> 2) & b0 == b0:
@@ -203,14 +183,6 @@ def _enum_split(n: int, doms: int) -> Iterator[int]:
                 r1 = (f1 & b0) << 2 | f1 & b1 | (f1 >> 2) & b0  # _mirror(f1, b0)
                 f2 = r1 & z | (r1 << 1) & m | (r1 >> 1) & p
                 yield f0 | f1 << w | f2 << 2 * w
-
-
-@lru_cache(maxsize=None)
-def _solutions(n: int) -> tuple[tuple[int, tuple[int, int, int]], ...]:
-    """(f, twist) for the 3, 7 or 31 packed solutions at n <= 2, lex order."""
-    b0 = _b0(3 ** n)
-    sols = (0b001, 0b010, 0b100) if n == 0 else _enum_split(n, FULL_MASK * b0)
-    return tuple((f, _twist(f, b0)) for f in sols)
 
 
 @lru_cache(maxsize=None)
@@ -228,7 +200,7 @@ def _decoder(n: int) -> Callable[[int], tuple[int, ...]]:
 _BLOCK = 4096  # solutions per block of the column build
 # an octal digit of a solution to "1" where it holds value -1, 0 and +1
 _VALUE_BITS = tuple(bytes.maketrans(b"124", bits) for bits in (b"100", b"010", b"001"))
-_BIT_FLAG = bytes.maketrans(b"01", b"\x00\x01")  # binary digits to compress() selectors
+_CLEARED = bytes.maketrans(b"01", b"\x01\x00")  # binary digits to selectors of the 0 bits
 _BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 
 
@@ -237,12 +209,14 @@ def _index(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(sols, cols): the full stream at n <= 4, packed, in stream order,
     and its bit-column index.
 
-    Bit i of cols[3c + v + 1] is set when sols[i] has value v at cell c,
-    so column k belongs to packed domain bit k.  The build transposes the
+    The three one-hot domains at n = 0; above, the first-coordinate split
+    of the full domains, whose heads and tails read _index(n - 1).  Bit i
+    of cols[3c + v + 1] is set when sols[i] has value v at cell c, so
+    column k belongs to packed domain bit k.  The build transposes the
     octal digits of blocks of _BLOCK solutions, so besides sols and the
     columns it holds one block's text at a time."""
     cells = 3 ** n
-    sols = tuple(_enum(n, FULL_MASK * _b0(cells)))
+    sols = (0b001, 0b010, 0b100) if n == 0 else tuple(_enum_split(n, FULL_MASK * _b0(cells)))
     cols = [0] * (3 * cells)
     for start in range(0, len(sols), _BLOCK):
         # a solution has a nonzero digit at every cell, so its oct() text
@@ -257,23 +231,32 @@ def _index(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return sols, tuple(cols)
 
 
-def _tails(n: int, doms: int) -> list[int]:
-    """The solutions inside `doms` at n <= 4, in stream order, read off
-    _index(n): the complement of the OR of the columns `doms` clears has
-    bit i set when sols[i] fits, and its nonzero bytes are expanded
-    through _BYTE_BITS.
+def _misfits(n: int, doms: int) -> tuple[tuple[int, ...], int]:
+    """(sols, miss) at n <= 4: the solutions of _index(n), and the OR of
+    the columns of the bits `doms` clears, so bit i of miss is set when
+    sols[i] holds a value `doms` does not allow."""
+    sols, cols = _index(n)
+    # a sentinel bit above the 3^(n+1) domain bits keeps bin() from
+    # dropping the cleared bits at the top
+    cleared = bin(doms | 1 << 3 ** (n + 1))[:2:-1].encode().translate(_CLEARED)
+    return sols, reduce(or_, itertools.compress(cols, cleared), 0)
 
-    The read costs a pass over all N(n) bits, the recursion of _enum a
-    step per node it visits.  So the stream reads the index for a digit-1
-    layer that clears at most a quarter of its bits, where dozens to
-    thousands of tails fit and the read is up to 8 times faster, and
+
+def _tails(n: int, doms: int) -> list[int]:
+    """The solutions inside `doms` at n <= 4, in stream order: the bits of
+    _misfits(n, doms) left clear, their nonzero bytes expanded through
+    _BYTE_BITS.
+
+    The read costs a pass over all N(n) bits, the recursion of _enum_split
+    a step per node it visits.  At n <= 3 the index is the stream's one
+    leaf, whatever the domains.  At n = 4 the stream reads it for a
+    digit-1 layer that clears at most a quarter of its bits, where dozens
+    to thousands of tails fit and the read is up to 8 times faster, and
     recurses on a tighter one, where a handful fit and the recursion is
     up to 3 times faster."""
-    sols, cols = _index(n)
-    cleared = bin(FULL_MASK * _b0(3 ** n) & ~doms)[:1:-1].encode().translate(_BIT_FLAG)
+    sols, miss = _misfits(n, doms)
     total = len(sols)
-    fit = reduce(or_, itertools.compress(cols, cleared), 0) ^ (1 << total) - 1
-    data = fit.to_bytes((total + 7) // 8, "little")
+    data = (miss ^ (1 << total) - 1).to_bytes((total + 7) // 8, "little")
     return [
         sols[8 * i + bit]
         for i in itertools.compress(range(len(data)), data)
@@ -283,15 +266,13 @@ def _tails(n: int, doms: int) -> list[int]:
 
 def _count(n: int, doms: int) -> int:
     """The number of solutions inside `doms`.  At n <= 4 it is N(n) minus
-    the solutions that hold a value `doms` clears: one popcount of the OR
-    of those values' columns in _index(n).  Unlike the stream's _tails,
+    the popcount of _misfits(n, doms), the read the stream's _tails makes;
     a popcount takes no step per solution that fits, so the count reads
     the index however few bits `doms` clears.  Above, the per-head
     restriction of _enum_split with a count in place of the stream."""
     if n <= 4:
-        sols, cols = _index(n)
-        cleared = bin(FULL_MASK * _b0(3 ** n) & ~doms)[:1:-1].encode().translate(_BIT_FLAG)
-        return len(sols) - reduce(or_, itertools.compress(cols, cleared), 0).bit_count()
+        sols, miss = _misfits(n, doms)
+        return len(sols) - miss.bit_count()
     b0, d0, up, mid, down = _restriction(n, doms)
     total = 0
     for _, (z, m, p) in _heads(n - 1, d0):
@@ -330,9 +311,10 @@ def count_functions(n: int, cell_domains: Optional[Sequence[Iterable[int]]] = No
     direct count, serial, and the oracle of `count_by_retract_classes`.
     Its recursion ends in popcounts over the column index of _index(n)
     at n <= 4, which the first call builds, whatever the domains; the
-    stream reads the same index only for digit-1 layers of its n = 4 and
-    5 heads that clear at most a quarter of their bits, where reading
-    every solution's bit costs less than the recursion."""
+    stream ends on the same index at n <= 3, and reads _index(4) only for
+    digit-1 layers of its n = 5 heads that clear at most a quarter of
+    their bits, where reading every solution's bit costs less than the
+    recursion."""
     if n > COUNT_MAX_N:
         raise DimensionTooLarge(f"counting capped at n={COUNT_MAX_N}")
     return _count(n, _packed_domains(n, cell_domains))

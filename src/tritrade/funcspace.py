@@ -305,23 +305,23 @@ def gf2_basis_fn(x: tuple[int, ...]) -> TernFn:
     return _tern_from_legs(n, odd, even) if n % 2 else _tern_from_legs(n, even, odd)
 
 
-_CENTERED = (0, 1, -1)  # digit -> GF(3) representative
-
-
 def gf3_basis_fn(alpha: tuple[int, ...]) -> TernFn:
     """Monomial basis function s_alpha(x) = prod over alpha_i=1 of x_i,
-    evaluated in centered GF(3) (digit 2 means -1)."""
+    evaluated in centered GF(3) (digit 2 means -1).
+
+    Read off the digit planes: the support is where every coordinate with
+    alpha_i = 1 holds digit 1 or 2, and the -1 leg is the cells of the
+    support where an odd number of them hold digit 2."""
     n = len(alpha)
     if any(a not in (0, 1) for a in alpha):
         raise ValueError("alpha must be a 0/1 word")
-    vals = []
-    for word in cube.all_words(n, 3):
-        v = 1
-        for a, d in zip(alpha, word):
-            if a:
-                v = (v * _CENTERED[d]) % 3
-        vals.append(v - 3 if v == 2 else v)
-    return TernFn(n, tuple(vals))
+    support, minus = (1 << 3 ** n) - 1, 0
+    for a, (_, one, two) in zip(alpha, cube.digit_masks(n, 3)):
+        if a:
+            support &= one | two
+            minus ^= two
+    minus &= support
+    return _tern_from_legs(n, support ^ minus, minus)
 
 
 def inner3(f: TernFn, g: TernFn) -> int:

@@ -46,10 +46,18 @@ class TestSet:
 
     @staticmethod
     def from_json(obj) -> "TestSet":
+        """ValueError for a missing field or a point that is not a word of
+        m ternary digits."""
         if isinstance(obj, str):
             obj = json.loads(obj)
+        missing = [key for key in ("m", "points") if key not in obj]
+        if missing:
+            raise ValueError(f"testing set JSON lacks the field(s) {', '.join(missing)}")
+        m = int(obj["m"])
         pts = frozenset(tuple(int(ch) for ch in s) for s in obj["points"])
-        return TestSet(int(obj["m"]), pts)
+        for p in pts:
+            cube.checked_cell(p, m, 3)
+        return TestSet(m, pts)
 
 
 def boolean_cube_testset(m: int) -> TestSet:
@@ -76,9 +84,12 @@ def family_bound(test_size: int, l: int, alphabet: int) -> int:
 
 
 def restriction(S: TradeSet, T: TestSet) -> tuple[int, ...]:
-    """Characteristic values of S on the sorted points of T."""
+    """Characteristic values of S on the sorted points of T; ValueError
+    unless T lies in the cube of S."""
+    if T.m != S.n:
+        raise ValueError(f"testing set of dimension {T.m} for a set of dimension {S.n}")
     return tuple(
-        1 if cube.cell_of_word(p, S.k) in S else 0 for p in T.sorted_points()
+        1 if cube.checked_cell(p, S.n, S.k) in S else 0 for p in T.sorted_points()
     )
 
 

@@ -212,6 +212,23 @@ def gf2_basis_by_words(x):
     return TernFn(n, tuple(vals))
 
 
+_CENTERED = (0, 1, -1)  # digit -> GF(3) representative
+
+
+def gf3_basis_by_words(alpha):
+    """Reference GF(3) monomial s_alpha: a walk over the words of Q_3^n,
+    each the centered product of its digits at the coordinates of alpha."""
+    n = len(alpha)
+    vals = []
+    for word in cube.all_words(n, 3):
+        v = 1
+        for a, d in zip(alpha, word):
+            if a:
+                v = (v * _CENTERED[d]) % 3
+        vals.append(v - 3 if v == 2 else v)
+    return TernFn(n, tuple(vals))
+
+
 def face_counts_by_words(f):
     """Reference (dimension, ones) of every face of Q_2^n, independent of
     the monomial truth tables: per face spec in {0, 1, free}^n, a walk over

@@ -71,8 +71,8 @@ def _seeded_domains(rng, n):
     dimension up.  At n = 3 those are the loose layers of the full and of
     pinned n = 4 streams and the tight ones below the inner n = 5 nodes of
     n = 6 streams; at n = 4, the loose layers of pinned n = 5 heads and
-    the tight ones of those inner nodes.  So the domains fall on both
-    sides of the stream's rule for reading _index."""
+    the tight ones of those inner nodes, so at n = 4 the domains fall on
+    both sides of the stream's rule for reading _index."""
     from tritrade import enumeration
 
     full = enumeration.FULL_MASK * enumeration._b0(3 ** n)
@@ -285,7 +285,21 @@ class TestColumnIndex:
 
         assert len(enumeration._index(n)[0]) == N_FUNCTIONS[n]
 
-    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_index_is_the_brute_force_filter(self, n):
+        # below n = 4 the stream reads the index and the index is built
+        # from the stream, so the oracle shares neither: every one of the
+        # 3^(3^n) value vectors, in lex order, kept when no line is INVALID
+        from tritrade import enumeration
+
+        brute = [
+            v
+            for v in itertools.product(FREE, repeat=3 ** n)
+            if LineSumKind.INVALID not in line_sums(TernFn(n, v))
+        ]
+        assert [values_from_packed(f, n) for f in enumeration._index(n)[0]] == brute
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     def test_indexed_stream_is_every_solution_in_lex_order(self, n):
         # the stream's tails read sols: N(n) members, strictly lex-ascending
         # (so distinct), each with zero line sums, are every solution once
@@ -379,13 +393,13 @@ class TestStreamDecode:
 
     @pytest.mark.parametrize("count_first", [True, False], ids=["count-first", "stream-first"])
     def test_count_equals_stream_on_a_fresh_memo(self, count_first, monkeypatch):
-        # the count reads the index at n <= 4, and the stream reads it for
-        # loose tails and reads the n = 2 memo; the index is built from the
-        # stream, so each case starts with both empty, and whichever runs
-        # first, the other agrees.  On nonzero pinned n = 5 hyperplanes
-        # both also match a bitmask scan of the N(4) list: f1 completes f0
-        # iff no cell holds the same nonzero value in both, and the
-        # completion is (f0, f1, -(f0 + f1)), in the list's order
+        # the count reads the index at n <= 4, and the stream reads it at
+        # n <= 3 and for loose n = 4 tails; the index is built from the
+        # stream, so each case starts with an empty index cache, and
+        # whichever runs first, the other agrees.  On nonzero pinned n = 5
+        # hyperplanes both also match a bitmask scan of the N(4) list: f1
+        # completes f0 iff no cell holds the same nonzero value in both,
+        # and the completion is (f0, f1, -(f0 + f1)), in the list's order
         from tritrade import enumeration
 
         rng = random.Random(18)
@@ -401,7 +415,6 @@ class TestStreamDecode:
             ]
             cases.append((5, [(v,) for v in f0] + [FREE] * 162, expect))
         for n, doms, expect in cases:
-            monkeypatch.setattr(enumeration, "_MEMO2", {})
             # a fresh cache, so the session's cached index stays in place
             fresh = lru_cache(maxsize=None)(enumeration._index.__wrapped__)
             monkeypatch.setattr(enumeration, "_index", fresh)
@@ -414,7 +427,6 @@ class TestStreamDecode:
             assert count == len(streamed)
             if expect is not None:
                 assert streamed == expect
-            assert enumeration._MEMO2
 
 
 @pytest.mark.parametrize(

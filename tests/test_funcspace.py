@@ -6,6 +6,7 @@ from helpers import (
     LineSumKind,
     bool_by_word_walk,
     gf2_basis_by_words,
+    gf3_basis_by_words,
     gf3_rank,
     in_gf3_space,
     line_sums,
@@ -236,6 +237,13 @@ class TestGf3Basis:
     def test_spans_line_sum_zero_n2(self):
         rows = [gf3_basis_fn(a).values for a in itertools.product((0, 1), repeat=2)]
         assert gf3_rank(rows) == 4
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+    def test_matches_word_walk(self, n):
+        for a in itertools.product((0, 1), repeat=n):
+            f = gf3_basis_fn(a)
+            assert f == gf3_basis_by_words(a)
+            assert f.cardinality == 2 ** sum(a) * 3 ** (n - sum(a))
 
 
 class TestInner3:

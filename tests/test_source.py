@@ -36,6 +36,36 @@ def test_no_process_global_gc_settings():
     assert not found, f"gc settings changed in src: {found}"
 
 
+def _is_empty_container(node):
+    """An empty {} or [] literal, or a dict(), list() or set() call with
+    no arguments."""
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, ast.List):
+        return not node.elts
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in {"dict", "list", "set"}
+        and not node.args
+        and not node.keywords
+    )
+
+
+def test_no_module_level_empty_containers():
+    # a container that starts empty at module level is a memo that lives
+    # as long as the process and grows with every key it meets; a cache
+    # goes through functools.lru_cache on bounded keys instead
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                values = node.value.elts if isinstance(node.value, ast.Tuple) else [node.value]
+                if any(map(_is_empty_container, values)):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"module-level empty containers in src: {found}"
+
+
 def test_library_map_names_every_module():
     # like test_registry_matches_docs: a module must not go undocumented,
     # nor a deleted one stay documented

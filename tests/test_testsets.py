@@ -189,3 +189,32 @@ class TestExtractTestset:
 def test_testset_json_roundtrip():
     T = boolean_cube_testset(2)
     assert TestSet.from_json(T.to_json()) == T
+
+
+@pytest.mark.parametrize("obj,field", [({"m": 2}, "points"), ({"points": ["00"]}, "m")])
+def test_testset_json_names_a_missing_field(obj, field):
+    with pytest.raises(ValueError, match=f"lacks the field\\(s\\) {field}"):
+        TestSet.from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [{"m": 1, "points": ["5"]}, {"m": 2, "points": ["0"]}, {"m": 1, "points": ["0", "12"]}],
+    ids=["digit-past-2", "short-point", "long-point"],
+)
+def test_testset_json_refuses_a_point_off_the_cube(obj):
+    with pytest.raises(ValueError):
+        TestSet.from_json(obj)
+
+
+def test_restriction_refuses_another_dimension():
+    S = u_from_bool(BoolFn(2, 0b1001))
+    with pytest.raises(ValueError, match="dimension 1 for a set of dimension 2"):
+        restriction(S, TestSet(1, frozenset({(0,)})))
+
+
+def test_restriction_refuses_a_digit_past_the_alphabet():
+    # the cell of (0, 3) would be cell 3, the word (1, 0), of the next block
+    S = u_from_bool(BoolFn(2, 0b1001))
+    with pytest.raises(ValueError, match="digits must lie in 0..2"):
+        restriction(S, TestSet(2, frozenset({(0, 3)})))
