@@ -24,7 +24,6 @@ it swaps the two legs of a bitrade.
 from __future__ import annotations
 
 import itertools
-import random
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -132,10 +131,6 @@ def signed_bytes(values: Sequence[int]) -> bytes:
 
 def hamming_distance(u: tuple[int, ...], v: tuple[int, ...]) -> int:
     return sum(1 for a, b in zip(u, v) if a != b)
-
-
-def weight(u: tuple[int, ...]) -> int:
-    return sum(1 for a in u if a)
 
 
 # ---------------------------------------------------------------------------
@@ -363,18 +358,6 @@ class Isometry:
     @property
     def k(self) -> int:
         return len(self.symbol_perms[0]) if self.symbol_perms else 0
-
-    @staticmethod
-    def random(rng: random.Random, n: int, k: int, allow_sign: bool = True) -> "Isometry":
-        cp = list(range(n))
-        rng.shuffle(cp)
-        sps = []
-        for _ in range(n):
-            sp = list(range(k))
-            rng.shuffle(sp)
-            sps.append(tuple(sp))
-        flip = allow_sign and bool(rng.getrandbits(1))
-        return Isometry(tuple(cp), tuple(sps), flip)
 
     def compose(self, other: "Isometry") -> "Isometry":
         """self after other: (self.compose(other))(x) = self(other(x))."""

@@ -28,15 +28,9 @@ The solutions inside a domain vector are those outside the OR of the
 columns of the bits it clears (_misfits; the bitmap index of O'Neil and
 Quass, SIGMOD 1997).  The index is the one leaf of both searches, and no
 memo keyed by domains is kept.  The count stops at n = 4 on the popcount
-of that OR, the stream at n = 3 on the solutions it leaves (_tails),
-whatever the domains.  At n = 5 the stream also reads a head's digit-1
-tails off _index(4) when that layer clears at most a quarter of its
-value bits: the read is one pass over all N(4) bits however few tails
-fit, the recursion a step per node it visits, and measured the two cross
-where a layer clears about 70 of 243 bits.  The heads of a pinned n = 5
-hyperplane clear 10-50 bits and leave hundreds of tails each, and the
-read is 7-8 times faster; most inner n = 5 nodes of an n = 6 stream
-clear 60-90 bits, leave a handful of tails, and recurse.
+of that OR, the stream on the solutions it leaves (_tails): a node at
+n <= 3 is one read, and a node at n = 4 or 5 reads its digit-1 tails one
+dimension down, whatever the domains.
 
 A streamed solution is decoded once: its octal digits, translated to
 signed bytes, are unpacked into the value tuple by one cached struct call
@@ -79,9 +73,7 @@ from .trade import BipartiteTrade, TradeSet
 
 FULL_MASK = 0b111
 
-_ONE_HOT_DIGIT = {-1: "1", 0: "2", 1: "4"}  # octal digit of a one-value domain
 _DIGIT_VALUE = bytes.maketrans(b"124", b"\xff\x00\x01")  # signed bytes -1, 0, +1
-_DIGIT_CODE = bytes.maketrans(b"124", b"\x00\x01\x02")  # symmetry._encode bytes
 
 
 @lru_cache(maxsize=None)
@@ -119,7 +111,7 @@ def _packed_domains(n: int, cell_domains: Optional[Sequence[Iterable[int]]]) -> 
 def _pinned(layer: Sequence[int]) -> int:
     """Domains one dimension up with the digit-0 layer fixed to `layer` and
     the other two layers free."""
-    pin = "".join(_ONE_HOT_DIGIT[v] for v in reversed(layer))
+    pin = "".join(_DOMAIN_DIGIT[(v,)] for v in reversed(layer))
     return int("7" * (2 * len(layer)) + pin, 8)
 
 
@@ -172,14 +164,10 @@ def _enum_split(n: int, doms: int) -> Iterator[int]:
     w = 3 ** n
     b0, d0, up, mid, down = _restriction(n, doms)
     b1 = b0 << 1
-    # at n = 5 a head's digit-1 tails are read off _index(4) when its
-    # layer clears at most a quarter of its 3^n value bits (see _tails)
-    indexed = n == 5
     for f0, (z, m, p) in _heads(n - 1, d0):
         d1p = mid & z | up & m | down & p
         if (d1p | d1p >> 1 | d1p >> 2) & b0 == b0:
-            loose = indexed and 4 * d1p.bit_count() >= 3 * w
-            for f1 in _tails(n - 1, d1p) if loose else _enum(n - 1, d1p):
+            for f1 in _tails(n - 1, d1p):
                 r1 = (f1 & b0) << 2 | f1 & b1 | (f1 >> 2) & b0  # _mirror(f1, b0)
                 f2 = r1 & z | (r1 << 1) & m | (r1 >> 1) & p
                 yield f0 | f1 << w | f2 << 2 * w
@@ -214,7 +202,11 @@ def _index(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     of cols[3c + v + 1] is set when sols[i] has value v at cell c, so
     column k belongs to packed domain bit k.  The build transposes the
     octal digits of blocks of _BLOCK solutions, so besides sols and the
-    columns it holds one block's text at a time."""
+    columns it holds one block's text at a time.  DimensionTooLarge above
+    n = 4, before any build: the n = 5 index would hold N(5), 32M
+    solutions."""
+    if n > 4:
+        raise DimensionTooLarge(f"column index capped at n=4, got {n}")
     cells = 3 ** n
     sols = (0b001, 0b010, 0b100) if n == 0 else tuple(_enum_split(n, FULL_MASK * _b0(cells)))
     cols = [0] * (3 * cells)
@@ -247,13 +239,9 @@ def _tails(n: int, doms: int) -> list[int]:
     _misfits(n, doms) left clear, their nonzero bytes expanded through
     _BYTE_BITS.
 
-    The read costs a pass over all N(n) bits, the recursion of _enum_split
-    a step per node it visits.  At n <= 3 the index is the stream's one
-    leaf, whatever the domains.  At n = 4 the stream reads it for a
-    digit-1 layer that clears at most a quarter of its bits, where dozens
-    to thousands of tails fit and the read is up to 8 times faster, and
-    recurses on a tighter one, where a handful fit and the recursion is
-    up to 3 times faster."""
+    The read costs a pass over all N(n) bits however few tails fit, and it
+    is the stream's one leaf: every node at n <= 3, and every digit-1
+    layer of a node at n = 4 or 5, whatever the domains."""
     sols, miss = _misfits(n, doms)
     total = len(sols)
     data = (miss ^ (1 << total) - 1).to_bytes((total + 7) // 8, "little")
@@ -311,10 +299,7 @@ def count_functions(n: int, cell_domains: Optional[Sequence[Iterable[int]]] = No
     direct count, serial, and the oracle of `count_by_retract_classes`.
     Its recursion ends in popcounts over the column index of _index(n)
     at n <= 4, which the first call builds, whatever the domains; the
-    stream ends on the same index at n <= 3, and reads _index(4) only for
-    digit-1 layers of its n = 5 heads that clear at most a quarter of
-    their bits, where reading every solution's bit costs less than the
-    recursion."""
+    stream reads the same index for its tails (_tails)."""
     if n > COUNT_MAX_N:
         raise DimensionTooLarge(f"counting capped at n={COUNT_MAX_N}")
     return _count(n, _packed_domains(n, cell_domains))
@@ -438,8 +423,9 @@ CLASSIFY_MAX_N = 5
 
 
 class _ClassIndex(dict):
-    """Encoded value string to the position of its class in a layer's
-    records, filled on first lookup through the layer's certified keys."""
+    """Value string, as the signed bytes of `cube.signed_bytes`, to the
+    position of its class in a layer's records, filled on first lookup
+    through the layer's certified keys."""
 
     def __init__(self, n: int, position: dict[tuple, int], below: dict[bytes, int]):
         super().__init__()
@@ -478,7 +464,7 @@ def _class_layer(n: int) -> tuple[tuple[ClassRecord, ...], dict[bytes, int]]:
         candidates = itertools.chain.from_iterable(_enum(n, _pinned(v)) for v in heads)
     kept: dict[tuple, int] = {}
     for f in candidates:
-        code = oct(f)[:1:-1].encode().translate(_DIGIT_CODE)
+        code = oct(f)[:1:-1].encode().translate(_DIGIT_VALUE)
         kept.setdefault(_retract_class_key(code, n, below), f)
     decode = _decoder(n)
     reps = {key: TernFn(n, decode(f)) for key, f in kept.items()}
@@ -498,13 +484,14 @@ def _class_layer(n: int) -> tuple[tuple[ClassRecord, ...], dict[bytes, int]]:
 
 def _retract_class_key(code: bytes, n: int, class_of: dict[bytes, int]) -> tuple:
     """Cardinality and, sorted over coordinates, the sorted triple of the
-    classes of the three retracts of the encoded value string.  Invariant
-    under isometry and sign, so it never splits a class."""
+    classes of the three retracts of the signed-byte value string, whose
+    zero bytes are the zero cells.  Invariant under isometry and sign, so
+    it never splits a class."""
     per_coord = sorted(
         tuple(sorted(class_of[bytes(r)] for r in split(code)))
         for split in cube.retract_splitters(n)
     )
-    return len(code) - code.count(1), tuple(per_coord)
+    return len(code) - code.count(0), tuple(per_coord)
 
 
 def classify_all(n: int) -> tuple[int, list[ClassRecord]]:

@@ -29,10 +29,8 @@ from typing import Iterable, Sequence
 from . import cube
 from .cube import CUBE_FACTOR, subcube_legs, subcube_mask
 from .errors import BrokenInvariant, DimensionTooLarge, NotAUnitrade
-from .funcspace import BoolFn, TernFn, _tern_from_legs, bool_from_unitrade
+from .funcspace import NEG_INF, BoolFn, TernFn, _tern_from_legs, bool_from_unitrade
 from .trade import TradeSet, is_unitrade
-
-NEG_INF = float("-inf")
 
 
 class MonomialSet:

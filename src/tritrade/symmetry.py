@@ -82,6 +82,7 @@ _SHIFT = bytes.maketrans(b"\xff\x00\x01", b"\x00\x01\x02")  # signed byte v -> v
 
 
 def _encode(values: Sequence[int]) -> bytes:
+    """The orbit key of a value tuple: value v as byte v + 1."""
     return cube.signed_bytes(values).translate(_SHIFT)
 
 
@@ -94,11 +95,12 @@ def canonical_form(f: TernFn) -> str:
 
     Defined for line-sum-zero functions with n <= 5: the representative of
     f's class in the class layer (``enumeration._class_layer``), which is
-    the class's lex-minimal member, found through f's certified retract
-    key.  The first call at a dimension builds that layer, about 5 s at
-    n = 5.  Raises ValueError when f is not line-sum-zero, as
-    `trade_from_tern` finds it (the key of such an f can collide with a
-    real class), and DimensionTooLarge at n >= 6.
+    the class's lex-minimal member, found through the certified retract
+    key of f's signed bytes (``cube.signed_bytes``), the codec the layer
+    keys every class on.  The first call at a dimension builds that
+    layer, about 5 s at n = 5.  Raises ValueError when f is not
+    line-sum-zero, as `trade_from_tern` finds it (the key of such an f
+    can collide with a real class), and DimensionTooLarge at n >= 6.
     """
     from .enumeration import _class_layer  # enumeration imports this module
 
@@ -107,7 +109,7 @@ def canonical_form(f: TernFn) -> str:
     except NotAUnitrade as exc:
         raise ValueError(f"canonical forms need a line-sum-zero function: {exc}") from None
     records, index = _class_layer(f.n)
-    return records[index[_encode(f.values)]].representative.to_text()
+    return records[index[cube.signed_bytes(f.values)]].representative.to_text()
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,8 @@ class TradeSet:
     __slots__ = ("n", "k", "mask")
 
     def __init__(self, n: int, k: int, mask: int):
+        if n < 0 or k < 1:
+            raise ValueError(f"a cube needs n >= 0 and k >= 1, got n={n}, k={k}")
         if mask < 0 or mask >> (k ** n):
             raise ValueError("support mask out of range for the cube")
         self.n = n

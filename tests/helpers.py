@@ -30,8 +30,27 @@ def random_q4_unitrade(rng):
         U = embed_in_alphabet(B, 4).base
     else:
         U = grid_cycle_bitrade(4).base
-    g = Isometry.random(rng, U.n, 4, allow_sign=False)
+    g = random_isometry(rng, U.n, 4, allow_sign=False)
     return U.apply_isometry(g)
+
+
+def random_isometry(rng, n, k, allow_sign=True):
+    """A random isometry of Q_k^n: a shuffled coordinate order, a shuffled
+    alphabet per coordinate and, when allowed, a random sign flip."""
+    cp = list(range(n))
+    rng.shuffle(cp)
+    sps = []
+    for _ in range(n):
+        sp = list(range(k))
+        rng.shuffle(sp)
+        sps.append(tuple(sp))
+    flip = allow_sign and bool(rng.getrandbits(1))
+    return Isometry(tuple(cp), tuple(sps), flip)
+
+
+def weight(u):
+    """The Hamming weight of a word: its nonzero digits."""
+    return sum(1 for a in u if a)
 
 
 def unitrade_by_line_counts(S):

@@ -488,6 +488,10 @@ def test_construct_refuses_past_cap_results(capsys, argv):
 
 _NO_SUPPORT = {"n": 2, "k": 3}
 _Q4_PAIR = {"n": 1, "k": 4, "support": "1100"}
+# no cube has an empty or a negative alphabet; each support has the length
+# k^n asks for, so only the alphabet check refuses it
+_NO_ALPHABET = {"n": 2, "k": 0, "support": ""}
+_NEGATIVE_ALPHABET = {"n": 2, "k": -3, "support": "000000000"}
 
 
 @pytest.mark.parametrize(
@@ -505,6 +509,10 @@ _Q4_PAIR = {"n": 1, "k": 4, "support": "1100"}
     + [
         pytest.param(_Q4_PAIR, argv, "k = 4", id=argv + " (k=4)")
         for argv in ("construct --what kext --base @{} --m 0", "construct --what kext --base @{} --m 1")
+    ]
+    + [
+        pytest.param(doc, "construct --what product --left @{} --right minimal:1", "k >= 1", id=name)
+        for name, doc in (("k=0", _NO_ALPHABET), ("k=-3", _NEGATIVE_ALPHABET))
     ],
 )
 def test_trade_file_missing_a_field_exits_bad_params(capsys, tmp_path, doc, argv, needle):

@@ -32,6 +32,7 @@ from helpers import (
     line_incidence,
     maximal_legs_by_word_sums,
     random_q4_unitrade,
+    weight,
 )
 from tritrade.funcspace import BoolFn, degree, tern_from_trade
 from tritrade.monomial import MonomialSet, monomial_cube, rank, trade_from_monomials
@@ -184,7 +185,7 @@ class TestHammingDual:
     def test_t2_generator_and_weights(self):
         code = hamming_dual(2)
         assert code.generator == ((1, 0, 1, 1), (0, 1, 1, 2))
-        assert sorted({cube.weight(w) for w in code.codewords()}) == [0, 3]
+        assert sorted({weight(w) for w in code.codewords()}) == [0, 3]
 
     @pytest.mark.parametrize("t", [1, 2, 3])
     def test_equidistant(self, t):

@@ -71,8 +71,8 @@ def _seeded_domains(rng, n):
     dimension up.  At n = 3 those are the loose layers of the full and of
     pinned n = 4 streams and the tight ones below the inner n = 5 nodes of
     n = 6 streams; at n = 4, the loose layers of pinned n = 5 heads and
-    the tight ones of those inner nodes, so at n = 4 the domains fall on
-    both sides of the stream's rule for reading _index."""
+    the tight ones of those inner nodes, which clear from a few to most of
+    their bits, and every one of them is read off _index."""
     from tritrade import enumeration
 
     full = enumeration.FULL_MASK * enumeration._b0(3 ** n)
@@ -277,7 +277,7 @@ class TestCount:
 
 class TestColumnIndex:
     """The index _index(n) at n <= 4, read by the count and by the
-    stream's loose tails, against the stream and the line sums."""
+    stream's tails, against the stream and the line sums."""
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     def test_size_is_the_reference_count(self, n):
@@ -349,6 +349,19 @@ class TestColumnIndex:
         assert sum(map(sys.getsizeof, cols)) < 1.1e6
         assert sys.getsizeof(sols) + sum(map(sys.getsizeof, sols)) < 2.2e6
 
+    def test_index_capped_at_n4_before_any_build(self, monkeypatch):
+        # the n = 5 index would hold all N(5) solutions: the cap raises
+        # before the build streams a single one
+        from tritrade import enumeration
+
+        calls = []
+        monkeypatch.setattr(enumeration, "_enum_split", lambda n, doms: calls.append(n) or [])
+        with pytest.raises(DimensionTooLarge):
+            enumeration._index(5)
+        with pytest.raises(DimensionTooLarge):
+            enumeration._index(6)
+        assert calls == []
+
     def test_full_n4_stream_leaves_the_n4_index_unbuilt(self, monkeypatch):
         # a set-up that draws the n = 4 list pays no n = 4 column build:
         # the full n = 4 stream reads only the n = 3 index
@@ -394,7 +407,7 @@ class TestStreamDecode:
     @pytest.mark.parametrize("count_first", [True, False], ids=["count-first", "stream-first"])
     def test_count_equals_stream_on_a_fresh_memo(self, count_first, monkeypatch):
         # the count reads the index at n <= 4, and the stream reads it at
-        # n <= 3 and for loose n = 4 tails; the index is built from the
+        # n <= 3 and for n = 4 tails; the index is built from the
         # stream, so each case starts with an empty index cache, and
         # whichever runs first, the other agrees.  On nonzero pinned n = 5
         # hyperplanes both also match a bitmask scan of the N(4) list: f1
@@ -427,6 +440,40 @@ class TestStreamDecode:
             assert count == len(streamed)
             if expect is not None:
                 assert streamed == expect
+
+    def test_tight_digit1_layers_of_pinned_n5_heads(self):
+        # a nonzero pinned f0 and 30-40 digit-1 cells fixed to the values
+        # of an f1 that completes it: the head's digit-1 layer clears more
+        # than a quarter of its 243 bits, and its tails are still read off
+        # _index(4).  Oracle: the bitmask scan of the N(4) list, f1 inside
+        # the fixed cells and sharing no nonzero value with f0 at a cell
+        from tritrade import enumeration
+
+        rng = random.Random(30)
+        fl4 = _full_list(4)
+        masks = [signed_masks_by_values(f1) for f1 in fl4]
+        for _ in range(12):
+            f0 = rng.choice([f for f in fl4 if any(f)])
+            p0, m0 = signed_masks_by_values(f0)
+            fits = [f1 for f1, (p, m) in zip(fl4, masks) if not (p & p0 or m & m0)]
+            pick = rng.choice(fits)
+            fixed = rng.sample(range(81), rng.randint(30, 40))
+            doms = [(v,) for v in f0] + [FREE] * 162
+            for c in fixed:
+                doms[81 + c] = (pick[c],)
+            cells = sum(1 << c for c in fixed)
+            pp, pm = signed_masks_by_values(pick)
+            expect = [
+                f0 + f1 + tuple(-a - b for a, b in zip(f0, f1))
+                for f1, (p, m) in zip(fl4, masks)
+                if not (p & p0 or m & m0) and p & cells == pp & cells and m & cells == pm & cells
+            ]
+            packed = enumeration._packed_domains(5, doms)
+            b0, d0, up, mid, down = enumeration._restriction(5, packed)
+            ((_, (zero, minus, plus)),) = enumeration._heads(4, d0)
+            assert 243 - (mid & zero | up & minus | down & plus).bit_count() > 61
+            assert [f.values for f in enumerate_functions(5, doms)] == expect
+            assert count_functions(5, doms) == len(expect)
 
 
 @pytest.mark.parametrize(
@@ -561,7 +608,7 @@ class TestClassifyAll:
         monkeypatch.setattr(
             enumeration,
             "_retract_class_key",
-            lambda code, n, class_of: len(code) - code.count(1),
+            lambda code, n, class_of: len(code) - code.count(0),
         )
         # a fresh cache, so the session's cached layers stay in place
         fresh = lru_cache(maxsize=None)(enumeration._class_layer.__wrapped__)

@@ -3,7 +3,7 @@ import itertools
 import random
 
 import pytest
-from helpers import covering_by_words, signed_cube_by_words
+from helpers import covering_by_words, random_isometry, signed_cube_by_words
 
 from tritrade import monomial
 from tritrade.cube import cell_of_word
@@ -235,13 +235,11 @@ class TestRankStructure:
                 assert bipartition(TradeSet(n, 3, mask)) is not None
 
     def test_rank_invariant_under_isometry(self):
-        from tritrade.cube import Isometry
-
         rng = random.Random(10)
         for _ in range(25):
             f = BoolFn(3, rng.getrandbits(8))
             U = u_from_bool(f)
-            g = Isometry.random(rng, 3, 3, allow_sign=False)
+            g = random_isometry(rng, 3, 3, allow_sign=False)
             assert rank(U.apply_isometry(g)) == rank(U)
 
     def test_indecomposable_rank4_is_large(self):

@@ -156,6 +156,7 @@ _KEEP = {
     "funcspace.TernFn.apply_isometry": "paper object: the isometry action behind the classes",
     "trade.TradeSet.apply_isometry": "paper object: the isometry action behind the classes",
     "funcspace.TernFn.support": "paper object: the support of a signed function",
+    "funcspace.BoolFn.weight": "paper object: the weight that rm_embed preserves",
     "funcspace.degree": "paper object: the algebraic degree, bounded on rm_embed images",
     "funcspace.gf2_basis_fn": "paper object: the GF(2) basis of the line-sum-zero space",
     "monomial.is_decomposable": "paper object: a unitrade that is a product",
@@ -201,31 +202,57 @@ def _public_definitions(tree, module):
                     yield f"{module}.{node.name}.{sub.name}", sub
 
 
+def _name_reads(node):
+    """The bare names a subtree reads."""
+    return [sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)]
+
+
+def _attribute_reads(node):
+    """The attribute names a subtree reads."""
+    return [sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)]
+
+
 def _reads(node):
     """The names a subtree reads: bare names and attribute names (an import
     binds a name but does not read it, so a re-export in __init__ is not a
     reader)."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            yield sub.id
-        elif isinstance(sub, ast.Attribute):
-            yield sub.attr
+    return _name_reads(node) + _attribute_reads(node)
 
 
 def test_every_public_name_has_a_reader_in_src():
     # a public name nothing in the package reads is dead code or a test
-    # oracle, unless the keep-list above says why it stays; a method counts
-    # as read when any attribute of its name is, and a definition's reads of
-    # its own name (recursion) do not count
+    # oracle, unless the keep-list above says why it stays.  A method counts
+    # as read only through an attribute of its name.  A top-level name
+    # counts as an attribute anywhere, and as a bare name only in its own
+    # module or in a module that imports it by name, so a local variable or
+    # a stdlib module of the same name elsewhere does not hide it.  A
+    # definition's reads of its own name (recursion) do not count
     trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in SRC.glob("*.py")}
-    reads = Counter(name for tree in trees.values() for name in _reads(tree))
+    attributes = Counter(name for tree in trees.values() for name in _attribute_reads(tree))
+    names = {module: Counter(_name_reads(tree)) for module, tree in trees.items()}
+    # (source module, name) -> the modules that bind it by a from-import, and as what
+    bound: dict[tuple[str, str], list[tuple[str, str]]] = {}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                source = node.module.rpartition(".")[2]
+                for alias in node.names:
+                    bound.setdefault((source, alias.name), []).append(
+                        (module, alias.asname or alias.name)
+                    )
     unread = []
     defined = set()
     for module, tree in trees.items():
         for qualname, node in _public_definitions(tree, module):
             defined.add(qualname)
-            own = sum(1 for name in _reads(node) if name == node.name)
-            if reads[node.name] == own and qualname not in _KEEP:
+            own = _attribute_reads(node).count(node.name)
+            reads = attributes[node.name]
+            if qualname.count(".") == 1:  # top-level: bare names count too
+                own += _name_reads(node).count(node.name)
+                reads += names[module][node.name] + sum(
+                    names[reader][alias] for reader, alias in bound.get((module, node.name), ())
+                )
+            if reads == own and qualname not in _KEEP:
                 unread.append(qualname)
     assert not unread, f"no reader in src/ and no keep-list reason: {unread}"
     assert set(_KEEP) <= defined, f"keep-list names not defined: {sorted(set(_KEEP) - defined)}"

@@ -10,6 +10,7 @@ from helpers import (
     line_sums,
     match_count_by_runs,
     orbit,
+    random_isometry,
     random_n5_function,
 )
 
@@ -83,21 +84,21 @@ class TestCanonicalForm:
     def test_invariant_under_random_isometry(self):
         rng = random.Random(5)
         for f in list(enumerate_functions(2))[:20]:
-            g = Isometry.random(rng, 2, 3)
+            g = random_isometry(rng, 2, 3)
             assert canonical_form(f) == canonical_form(f.apply_isometry(g))
 
     def test_invariant_at_higher_dimensions(self):
         rng = random.Random(6)
         fns3 = list(enumerate_functions(3))
         for f in rng.sample(fns3, 70):
-            g = Isometry.random(rng, 3, 3)
+            g = random_isometry(rng, 3, 3)
             assert canonical_form(f) == canonical_form(f.apply_isometry(g))
         from tritrade.construct import bitrade14
         from tritrade.funcspace import tern_from_trade
 
         f4 = tern_from_trade(bitrade14(4))
         for _ in range(3):
-            g = Isometry.random(rng, 4, 3)
+            g = random_isometry(rng, 4, 3)
             assert canonical_form(f4) == canonical_form(f4.apply_isometry(g))
 
     def test_distinct_across_classes_n2(self):
@@ -114,7 +115,7 @@ class TestCanonicalForm:
         for rec in classes4[1]:
             f = rec.representative
             key = _orbit_min_text(f)
-            for g in [f] + [f.apply_isometry(Isometry.random(rng, 4, 3)) for _ in range(2)]:
+            for g in [f] + [f.apply_isometry(random_isometry(rng, 4, 3)) for _ in range(2)]:
                 assert canonical_form(g) == key == canonical_by_recursion(g)
 
     def test_n5_non_representatives(self, classes5):
@@ -125,7 +126,7 @@ class TestCanonicalForm:
         reps = {rec.representative for rec in classes5[1]}
         for _ in range(3):
             f = random_n5_function(rng, fl4)
-            g = f.apply_isometry(Isometry.random(rng, 5, 3))
+            g = f.apply_isometry(random_isometry(rng, 5, 3))
             assert f not in reps and g not in reps
             key = canonical_by_recursion(f)
             assert canonical_form(f) == key
@@ -150,7 +151,7 @@ class TestCanonicalForm:
         # generic n=5 orbits hold about 933k elements; these hold a few hundred
         rng = random.Random(17)
         for f in (TernFn(5, (0,) * 3 ** 5), _minimal_fn(5), _maximal_fn(5)):
-            g = f.apply_isometry(Isometry.random(rng, 5, 3))
+            g = f.apply_isometry(random_isometry(rng, 5, 3))
             key = _orbit_min_text(f)
             assert canonical_form(f) == key
             assert canonical_form(g) == key
@@ -208,7 +209,7 @@ class TestAutOrder:
         for f in fns:
             group = _all_isometries(f.n)
             assert aut_order(f) == _scan_count(f, f, group)
-            g = f.apply_isometry(Isometry.random(rng, f.n, 3))
+            g = f.apply_isometry(random_isometry(rng, f.n, 3))
             assert count_isometries_onto(f, g) == _scan_count(f, g, group)
             h = rng.choice(by_n[f.n])
             while _scan_count(f, h, group):
@@ -222,7 +223,7 @@ def _matcher_pairs(rng, n, fns):
     and against a random partner, which is almost always inequivalent."""
     pairs = []
     for f in fns:
-        pairs.append((f, f.apply_isometry(Isometry.random(rng, n, 3))))
+        pairs.append((f, f.apply_isometry(random_isometry(rng, n, 3))))
         pairs.append((f, rng.choice(fns)))
     return pairs
 
@@ -356,7 +357,7 @@ class TestEquivalent:
         rng = random.Random(11)
         for f in (_maximal_fn(3), _maximal_fn(4)):
             for _ in range(5):
-                g = Isometry.random(rng, f.n, 3)
+                g = random_isometry(rng, f.n, 3)
                 assert equivalent(f, f.apply_isometry(g))
 
     def test_kext_of_minimal_is_maximal_n2(self):

@@ -7,6 +7,7 @@ from helpers import (
     cells_by_shifts,
     color_by_cells,
     line_incidence,
+    random_isometry,
     text_by_bits,
     unitrade_by_line_counts,
 )
@@ -160,7 +161,7 @@ def _wide_sample(k, rng):
     out = []
     for j in range(150):
         S = builders[j % len(builders)]()
-        S = S.apply_isometry(cube.Isometry.random(rng, S.n, k, allow_sign=False))
+        S = S.apply_isometry(random_isometry(rng, S.n, k, allow_sign=False))
         out += [S, TradeSet(S.n, k, S.mask ^ (1 << rng.randrange(k ** S.n)))]
     return out
 
@@ -379,3 +380,12 @@ def test_tradeset_from_json_names_a_missing_field(obj, field):
 def test_tradeset_from_json_rejects_a_non_object():
     with pytest.raises(ValueError):
         TradeSet.from_json("[2, 3]")
+
+
+@pytest.mark.parametrize("n, k", [(2, 0), (2, -3), (1, -3), (-1, 3)])
+def test_tradeset_rejects_a_cube_that_does_not_exist(n, k):
+    # an empty mask fits every k^n, so only the cube's own check refuses;
+    # k = 0 used to reach cube.digit_masks and divide by zero, and k = -3
+    # at n = 1 left a negative shift count
+    with pytest.raises(ValueError, match="n >= 0 and k >= 1"):
+        TradeSet(n, k, 0)
