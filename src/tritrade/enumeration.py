@@ -17,9 +17,9 @@ big-integer operations, never a loop over its cells: restricting the
 digit-1 domains, the empty-cell check, forcing the digit-2 layer, and the
 support weight (L minus the bits of the 0 plane).
 
-The restriction runs once per node: _restriction computes the node's
-masks, and the stream and the count each apply the per-head step inline,
-in their own loop over the heads of the digit-0 layer.
+One generator, _layers, is the per-head step of the stream and the count
+over the heads it is given: the digit-0 layer's solutions, or packed
+class representatives against full domains (the class layer's units).
 
 One cache, _index(n) for n <= 4, holds the full stream's packed
 solutions in stream order and a bit-column index over them: column k
@@ -44,8 +44,10 @@ One cached class layer, `_class_layer(n)` for n <= 5, serves every
 class-based count: it keeps the first completion of an n-1 representative
 per retract-class key, so each representative is its class's canonical
 form, which `symmetry.canonical_form` reads through the layer's class
-index.  The spectrum and the class-based count stream those completions,
-weighted by orbit size; the double count also certifies the keys.
+index.  Its units, (orbit size, packed representative) in value order,
+are the heads that the layer at n+1 completes, and the class count and
+the spectrum at n+1 too, weighted by orbit size; the double count also
+certifies the keys.
 
 All counters are exact Python integers; reports serialize them as decimal
 strings because the dimension-7 reference values overflow 64 bits.
@@ -108,13 +110,6 @@ def _packed_domains(n: int, cell_domains: Optional[Sequence[Iterable[int]]]) -> 
     return int("".join(reversed(digits)), 8)
 
 
-def _pinned(layer: Sequence[int]) -> int:
-    """Domains one dimension up with the digit-0 layer fixed to `layer` and
-    the other two layers free."""
-    pin = "".join(_DOMAIN_DIGIT[(v,)] for v in reversed(layer))
-    return int("7" * (2 * len(layer)) + pin, 8)
-
-
 def _mirror(x: int, b0: int) -> int:
     """Swap the -1 and +1 planes: value v becomes -v in every cell."""
     return (x & b0) << 2 | x & (b0 << 1) | (x >> 2) & b0
@@ -122,36 +117,33 @@ def _mirror(x: int, b0: int) -> int:
 
 def _twist(f: int, b0: int) -> tuple[int, int, int]:
     """The masks of the cells where solution f is 0, -1 and +1, the last two
-    without bit 0 and bit 2 respectively (see _restriction)."""
+    without bit 0 and bit 2 respectively (see _layers)."""
     return ((f >> 1) & b0) * 7, (f & b0) * 6, ((f >> 2) & b0) * 3
 
 
-def _restriction(n: int, doms: int) -> tuple[int, int, int, int, int]:
-    """(b0, d0, up, mid, down) of a node at dimension n: the -1 plane of a
-    layer, the digit-0 layer's domains, and the parts of the digit-1
-    domains that fit a digit-0 value of -1, 0 and +1.
+def _layers(n: int, doms: int, heads: Iterable[int]) -> Iterator[tuple[int, int, tuple]]:
+    """(f0, d1p, twist) for each head f0 in `heads`, solutions inside the
+    digit-0 layer of `doms` at n: its digit-1 domains and its twist; a
+    head whose d1p has an empty cell ends its branch and is dropped.
 
     A digit-1 value v fits next to f0's value s when the forced digit-2
-    value -s-v lies in the digit-2 domain: per cell, the mirrored digit-2
-    domain shifted up one bit (s = -1), left alone (s = 0) or shifted down
-    (s = +1).  The twist (z, m, p) of a head f0 picks those shifts per
-    cell, so its digit-1 domains are d1p = mid & z | up & m | down & p,
-    and a cell of d1p with no bit left ends the branch; the same twist
-    turns a mirrored digit-1 layer into the forced digit-2 layer.
+    value -s-v lies in the digit-2 domain: per cell, the digit-1 domain
+    masked by the mirrored digit-2 domain shifted up one bit (s = -1, up),
+    left alone (s = 0, mid) or shifted down (s = +1, down).  The twist (z, m, p) of f0 picks those shifts per cell, so
+    d1p = mid & z | up & m | down & p, and the same twist turns a mirrored
+    digit-1 layer into the forced digit-2 layer.
     """
     w = 3 ** n  # bits per layer
     b0 = _b0(3 ** (n - 1))
-    full = FULL_MASK * b0
-    d1, r2 = (doms >> w) & full, _mirror(doms >> 2 * w, b0)
+    d1, r2 = (doms >> w) & FULL_MASK * b0, _mirror(doms >> 2 * w, b0)
     # the shifts carry bits in from the neighbouring cells; the s = -1 mask
     # has no bit 0 and the s = +1 mask no bit 2, which drops them
-    return b0, doms & full, d1 & (r2 << 1), d1 & r2, d1 & (r2 >> 1)
-
-
-def _heads(n: int, doms: int) -> Iterator[tuple[int, tuple[int, int, int]]]:
-    """(f, twist) for every solution f inside `doms`, lex order."""
-    b0 = _b0(3 ** n)
-    return ((f, _twist(f, b0)) for f in _enum(n, doms))
+    up, mid, down = d1 & (r2 << 1), d1 & r2, d1 & (r2 >> 1)
+    for f0 in heads:
+        z, m, p = twist = _twist(f0, b0)
+        d1p = mid & z | up & m | down & p
+        if (d1p | d1p >> 1 | d1p >> 2) & b0 == b0:
+            yield f0, d1p, twist
 
 
 def _enum(n: int, doms: int) -> Iterable[int]:
@@ -161,16 +153,21 @@ def _enum(n: int, doms: int) -> Iterable[int]:
 
 
 def _enum_split(n: int, doms: int) -> Iterator[int]:
+    return _completions(n, doms, _enum(n - 1, doms & FULL_MASK * _b0(3 ** (n - 1))))
+
+
+def _completions(n: int, doms: int, heads: Iterable[int]) -> Iterator[int]:
+    """The solutions inside `doms` at n whose digit-0 layer is a head in
+    `heads`, head by head, each head's in lex order; each head's digit-1
+    tails come off _index(n - 1)."""
     w = 3 ** n
-    b0, d0, up, mid, down = _restriction(n, doms)
+    b0 = _b0(3 ** (n - 1))
     b1 = b0 << 1
-    for f0, (z, m, p) in _heads(n - 1, d0):
-        d1p = mid & z | up & m | down & p
-        if (d1p | d1p >> 1 | d1p >> 2) & b0 == b0:
-            for f1 in _tails(n - 1, d1p):
-                r1 = (f1 & b0) << 2 | f1 & b1 | (f1 >> 2) & b0  # _mirror(f1, b0)
-                f2 = r1 & z | (r1 << 1) & m | (r1 >> 1) & p
-                yield f0 | f1 << w | f2 << 2 * w
+    for f0, d1p, (z, m, p) in _layers(n, doms, heads):
+        for f1 in _tails(n - 1, d1p):
+            r1 = (f1 & b0) << 2 | f1 & b1 | (f1 >> 2) & b0  # _mirror(f1, b0)
+            f2 = r1 & z | (r1 << 1) & m | (r1 >> 1) & p
+            yield f0 | f1 << w | f2 << 2 * w
 
 
 @lru_cache(maxsize=None)
@@ -256,18 +253,13 @@ def _count(n: int, doms: int) -> int:
     """The number of solutions inside `doms`.  At n <= 4 it is N(n) minus
     the popcount of _misfits(n, doms), the read the stream's _tails makes;
     a popcount takes no step per solution that fits, so the count reads
-    the index however few bits `doms` clears.  Above, the per-head
-    restriction of _enum_split with a count in place of the stream."""
+    the index however few bits `doms` clears.  Above, the stream's
+    per-head step (_layers) with a count in place of the tails."""
     if n <= 4:
         sols, miss = _misfits(n, doms)
         return len(sols) - miss.bit_count()
-    b0, d0, up, mid, down = _restriction(n, doms)
-    total = 0
-    for _, (z, m, p) in _heads(n - 1, d0):
-        d1p = mid & z | up & m | down & p
-        if (d1p | d1p >> 1 | d1p >> 2) & b0 == b0:
-            total += _count(n - 1, d1p)
-    return total
+    heads = _enum(n - 1, doms & FULL_MASK * _b0(3 ** (n - 1)))
+    return sum(_count(n - 1, d1p) for _, d1p, _ in _layers(n, doms, heads))
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +298,11 @@ def count_functions(n: int, cell_domains: Optional[Sequence[Iterable[int]]] = No
 
 
 def _count_units(n: int, units: Sequence[tuple[int, int]]) -> int:
-    return sum(weight * _count(n, doms) for weight, doms in units)
+    full, total = FULL_MASK * _b0(3 ** n), 0
+    for weight, head in units:
+        for _, d1p, _ in _layers(n, full, (head,)):
+            total += weight * _count(n - 1, d1p)
+    return total
 
 
 def _workers(jobs: int, units: Sequence[tuple[int, int]]) -> int:
@@ -316,21 +312,21 @@ def _workers(jobs: int, units: Sequence[tuple[int, int]]) -> int:
 
 
 def _fan_out(n: int, units: Sequence[tuple[int, int]], jobs: int) -> int:
-    """Sum of weight * _count(n, doms) over the (weight, doms) units, the
-    classes of `count_by_retract_classes`.
+    """Sum over the (weight, head) units of `count_by_retract_classes` of
+    weight times the number of completions of the packed head at n.
 
     Worker w of _workers(jobs, units) forked workers takes units[w::jobs];
     the merge is an integer sum, so the result does not depend on `jobs`.
     For one worker no pool opens.  The package starts no threads; the
-    parent builds the column index its counts end in before it forks, so
-    the workers inherit it.
+    parent builds the column index the units' counts end in before it
+    forks, so the workers inherit it.
     """
     jobs = _workers(jobs, units)
     if jobs == 1:
         return _count_units(n, units)
     import multiprocessing as mp
 
-    _index(min(n, 4))  # built once here, inherited by every worker
+    _index(min(n - 1, 4))  # built once here, inherited by every worker
     with mp.get_context("fork").Pool(jobs) as pool:
         return sum(pool.starmap(_count_units, [(n, units[w::jobs]) for w in range(jobs)]))
 
@@ -341,12 +337,12 @@ def _fan_out(n: int, units: Sequence[tuple[int, int]], jobs: int) -> int:
 
 def count_by_retract_classes(n: int, jobs: int = 1) -> int:
     """N(n), the package's one production count: the completions of each
-    class representative at n-1 as the first hyperplane, weighted by orbit
-    size, which certifies the layer at n; `jobs` > 1 fans the classes over
-    forked workers (`_fan_out`).  The zero representative's completions
-    are the (0, g, -g), so it adds N(n-1), the layer's certified orbit sum.
-    At n <= 0 it is the direct count, which rejects n < 0.  Capped at
-    n = CLASSIFY_MAX_N + 1 = 6, one above the class layer."""
+    nonzero class representative at n-1 as the first hyperplane (`_units`),
+    weighted by orbit size, which certifies the layer at n; `jobs` > 1
+    fans the units over forked workers (`_fan_out`).  The zero class's
+    completions are the (0, g, -g), so it adds N(n-1), the layer's orbit
+    sum.  At n <= 0 it is the direct count, which rejects n < 0.  Capped
+    at n = CLASSIFY_MAX_N + 1 = 6, one above the class layer."""
     if n < 1:
         return count_functions(n)
     if n > CLASSIFY_MAX_N + 1:
@@ -355,14 +351,13 @@ def count_by_retract_classes(n: int, jobs: int = 1) -> int:
     return sum(rec.orbit_size for rec in layer) + _fan_out(n, _units(n), jobs)
 
 
-def _units(n: int) -> list[tuple[int, int]]:
-    """The (orbit size, domains) units of the class count at n >= 1: each
-    nonzero class at n-1 with its representative as the first hyperplane."""
-    return [
-        (rec.orbit_size, _pinned(rec.representative.values))
-        for rec in _class_layer(n - 1)[0]
-        if rec.representative.cardinality
-    ]
+def _units(n: int) -> tuple[tuple[int, int], ...]:
+    """The (orbit size, packed head) units of the class count and the
+    spectrum at n >= 1: the class layer's units at n-1 in value order,
+    without the zero class, whose completions both readers add in closed
+    form."""
+    zero = 2 * _b0(3 ** (n - 1))  # the 0 plane: value 0 at every cell
+    return tuple(unit for unit in _class_layer(n - 1)[2] if unit[1] != zero)
 
 
 def count_workers(n: int, jobs: int) -> int:
@@ -393,23 +388,25 @@ SPECTRUM_MAX_N = 5
 
 
 def spectrum(n: int) -> SpectrumTable:
-    """Exact per-cardinality bitrade counts: one stream per class of the
-    class layer at n-1, its first hyperplane pinned to the representative,
-    each function's support weight counted orbit-size times."""
+    """Exact per-cardinality bitrade counts: the completions of each unit
+    of `_units(n)`, each function's support weight counted orbit-size
+    times, and the zero class's (0, g, -g) in closed form, each nonzero
+    class at n-1 orbit-size times at twice its cardinality."""
     if n < 1:
         raise DimensionTooSmall("spectrum available for n >= 1")
     if n > SPECTRUM_MAX_N:
         raise DimensionTooLarge(f"spectrum available for n <= {SPECTRUM_MAX_N}")
     cells, b0 = 3 ** n, _b0(3 ** n)
+    layer = _class_layer(n - 1)[0]
     counts: Counter[int] = Counter()
-    total = 0
-    for rec in _class_layer(n - 1)[0]:
-        weight = rec.orbit_size
-        for f in _enum(n, _pinned(rec.representative.values)):
+    for rec in layer:
+        if rec.cardinality:
+            counts[2 * rec.cardinality] += rec.orbit_size
+    total = sum(rec.orbit_size for rec in layer)
+    for weight, head in _units(n):
+        for f in _completions(n, FULL_MASK * b0, (head,)):
             total += weight
-            w = cells - ((f >> 1) & b0).bit_count()  # the 0 plane counts zeros
-            if w:
-                counts[w] += weight
+            counts[cells - ((f >> 1) & b0).bit_count()] += weight  # the 0 plane counts zeros
     if any(c % 2 for c in counts.values()):
         raise BrokenInvariant("every set has two sign functions, got an odd count")
     return SpectrumTable(n, {s: c // 2 for s, c in counts.items()}, total)
@@ -437,14 +434,15 @@ class _ClassIndex(dict):
 
 
 @lru_cache(maxsize=None)
-def _class_layer(n: int) -> tuple[tuple[ClassRecord, ...], dict[bytes, int]]:
-    """The classes at dimension n, records sorted by (cardinality, values),
-    and their class index; both shared, so callers copy the records and
-    only read the index.
+def _class_layer(n: int) -> tuple[tuple[ClassRecord, ...], dict[bytes, int], tuple]:
+    """The classes at dimension n: records sorted by (cardinality, values),
+    their class index, and their units, (orbit size, packed representative)
+    in value order; all shared, so callers copy the records and only read
+    the index.
 
     The candidates (the three functions at n = 0, else the completions of
-    the n-1 representatives in value order) stream lex-ascending and hit
-    every class.  The first per _retract_class_key is kept, and it is the
+    the heads of the units at n-1) stream lex-ascending and hit every
+    class.  The first per _retract_class_key is kept, and it is the
     class's lex-minimal member: that member's first block is lex-minimal
     in its n-1 class (else an isometry fixing coordinate 0 would lower
     it), so it is a candidate.  A key never splits a class, so the kept
@@ -459,27 +457,28 @@ def _class_layer(n: int) -> tuple[tuple[ClassRecord, ...], dict[bytes, int]]:
         below: dict[bytes, int] = {}
         candidates: Iterable[int] = _enum(0, FULL_MASK)
     else:
-        layer, below = _class_layer(n - 1)
-        heads = sorted(rec.representative.values for rec in layer)
-        candidates = itertools.chain.from_iterable(_enum(n, _pinned(v)) for v in heads)
+        _, below, heads = _class_layer(n - 1)
+        candidates = _completions(n, FULL_MASK * _b0(3 ** n), (f for _, f in heads))
     kept: dict[tuple, int] = {}
     for f in candidates:
         code = oct(f)[:1:-1].encode().translate(_DIGIT_VALUE)
         kept.setdefault(_retract_class_key(code, n, below), f)
     decode = _decoder(n)
     reps = {key: TernFn(n, decode(f)) for key, f in kept.items()}
-    # reps is in lex order, so a stable sort by cardinality orders the
+    # reps is in value order, so a stable sort by cardinality orders the
     # records by (cardinality, values)
     keys = sorted(reps, key=lambda k: reps[k].cardinality)
-    records = []
+    records = {}
     for key in keys:
         aut = aut_order(reps[key])
-        records.append(ClassRecord(reps[key], group_order(n) // aut, aut))
-    total = sum(r.orbit_size for r in records)
+        records[key] = ClassRecord(reps[key], group_order(n) // aut, aut)
+    units = tuple((records[key].orbit_size, f) for key, f in kept.items())
+    total = sum(orbit for orbit, _ in units)
     expected = count_by_retract_classes(n)
     if total != expected:
         raise BrokenInvariant(f"{len(records)} keys cover {total} functions, N({n}) = {expected}")
-    return tuple(records), _ClassIndex(n, {k: i for i, k in enumerate(keys)}, below)
+    index = _ClassIndex(n, {k: i for i, k in enumerate(keys)}, below)
+    return tuple(records.values()), index, units
 
 
 def _retract_class_key(code: bytes, n: int, class_of: dict[bytes, int]) -> tuple:

@@ -108,7 +108,7 @@ def canonical_form(f: TernFn) -> str:
         trade_from_tern(f)
     except NotAUnitrade as exc:
         raise ValueError(f"canonical forms need a line-sum-zero function: {exc}") from None
-    records, index = _class_layer(f.n)
+    records, index, _ = _class_layer(f.n)
     return records[index[cube.signed_bytes(f.values)]].representative.to_text()
 
 

@@ -23,7 +23,7 @@ from tritrade.enumeration import (
     spectrum,
     unitrade_supports,
 )
-from tritrade.errors import BrokenInvariant, DimensionTooLarge, DimensionTooSmall
+from tritrade.errors import DimensionTooLarge, DimensionTooSmall
 from tritrade.funcspace import TernFn
 from tritrade.refdata import N_FUNCTIONS, spectrum_entries
 
@@ -50,19 +50,22 @@ def _cell_domains(doms, n):
     return [tuple(v for v in FREE if doms >> 3 * c + v + 1 & 1) for c in range(3 ** n)]
 
 
+def _pinned(n, h):
+    """Packed domains at n with the digit-0 layer fixed to the value tuple
+    h and the other two layers free."""
+    from tritrade import enumeration
+
+    return enumeration._packed_domains(n, [(v,) for v in h] + [FREE] * 2 * len(h))
+
+
 def _digit1_layers(n, doms, limit):
     """The digit-1 domains d1p that up to `limit` heads of the node `doms`
     at n leave, as the stream restricts them; empty-celled ones dropped."""
     from tritrade import enumeration
 
-    b0, d0, up, mid, down = enumeration._restriction(n, doms)
-    out = []
-    for f0 in itertools.islice(enumeration._enum(n - 1, d0), limit):
-        z, m, p = enumeration._twist(f0, b0)
-        d1p = mid & z | up & m | down & p
-        if (d1p | d1p >> 1 | d1p >> 2) & b0 == b0:
-            out.append(d1p)
-    return out
+    d0 = doms & enumeration.FULL_MASK * enumeration._b0(3 ** (n - 1))
+    heads = itertools.islice(enumeration._enum(n - 1, d0), limit)
+    return [d1p for _, d1p, _ in enumeration._layers(n, doms, heads)]
 
 
 def _seeded_domains(rng, n):
@@ -90,16 +93,16 @@ def _seeded_domains(rng, n):
     fl4 = _full_list(4)
     inner = []  # inner n = 5 nodes of n = 6 streams pinned to n = 5 completions
     for h in rng.sample([h for h in fl4 if any(h)], 3):
-        g = rng.choice(list(enumeration._enum(5, enumeration._pinned(h))))
-        inner += _digit1_layers(6, enumeration._pinned(values_from_packed(g, 5)), 1)
+        g = rng.choice(list(enumeration._enum(5, _pinned(5, h))))
+        inner += _digit1_layers(6, _pinned(6, values_from_packed(g, 5)), 1)
     tight4 = [d for node in inner for d in _digit1_layers(5, node, 4)]
     if n == 4:
         for h in rng.sample(fl4, 20):
-            out += _digit1_layers(5, enumeration._pinned(h), 1)
+            out += _digit1_layers(5, _pinned(5, h), 1)
         return out + tight4
     out += rng.sample(_digit1_layers(4, enumeration.FULL_MASK * enumeration._b0(81), 403), 10)
     for h in rng.sample(_full_list(3), 5):
-        out += _digit1_layers(4, enumeration._pinned(h), 1)
+        out += _digit1_layers(4, _pinned(4, h), 1)
     return out + [d for node in tight4 for d in _digit1_layers(4, node, 3)]
 
 
@@ -214,6 +217,33 @@ class TestRandomDomains:
             count_functions(3, [FREE] * 26)
 
 
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """The fork pool replaced by one that runs its starmap in this process;
+    the list of the pool sizes asked for."""
+    import multiprocessing
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, func, args):
+            return list(itertools.starmap(func, args))
+
+    monkeypatch.setattr(
+        multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=InProcessPool)
+    )
+    return sizes
+
+
 class TestCount:
     @pytest.mark.parametrize(
         "n,count", [(0, 3), (1, 7), (2, 31), (3, 403), (4, 29875)]
@@ -245,29 +275,21 @@ class TestCount:
         assert count_by_retract_classes(1, jobs=2) == 7  # one nonzero class
         assert enumeration._fan_out(2, [], 4) == 0  # no unit
 
-    def test_no_more_workers_than_units(self, monkeypatch):
-        import multiprocessing
-
-        sizes = []
-
-        class InProcessPool:
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def starmap(self, func, args):
-                return list(itertools.starmap(func, args))
-
-        monkeypatch.setattr(
-            multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=InProcessPool)
-        )
+    def test_no_more_workers_than_units(self, in_process_pool):
         assert count_by_retract_classes(3, jobs=8) == 403  # two nonzero n = 2 classes
-        assert sizes == [2]
+        assert in_process_pool == [2]
+
+    def test_parent_builds_only_the_index_the_workers_read(self, in_process_pool, monkeypatch):
+        # a unit at n = 4 is counted as _count(3, d1p), so the parent's
+        # prebuild is _index(3), and the n = 4 index is never built
+        from tritrade import enumeration
+
+        fresh = lru_cache(maxsize=None)(enumeration._index.__wrapped__)
+        built = []
+        monkeypatch.setattr(enumeration, "_index", lambda n: built.append(n) or fresh(n))
+        assert count_by_retract_classes(4, jobs=2) == N_FUNCTIONS[4]
+        assert in_process_pool == [2]
+        assert 3 in built and 4 not in built
 
     def test_direct_count_capped(self):
         # N(6) is counted through the n = 5 classes, never directly
@@ -468,10 +490,8 @@ class TestStreamDecode:
                 for f1, (p, m) in zip(fl4, masks)
                 if not (p & p0 or m & m0) and p & cells == pp & cells and m & cells == pm & cells
             ]
-            packed = enumeration._packed_domains(5, doms)
-            b0, d0, up, mid, down = enumeration._restriction(5, packed)
-            ((_, (zero, minus, plus)),) = enumeration._heads(4, d0)
-            assert 243 - (mid & zero | up & minus | down & plus).bit_count() > 61
+            (d1p,) = _digit1_layers(5, enumeration._packed_domains(5, doms), 1)
+            assert 243 - d1p.bit_count() > 61
             assert [f.values for f in enumerate_functions(5, doms)] == expect
             assert count_functions(5, doms) == len(expect)
 
@@ -521,21 +541,47 @@ class TestRetractClassCount:
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_no_unit_pins_the_zero_hyperplane(self, n, monkeypatch):
-        # the zero class is added as N(n - 1), never counted as a unit
+        # the zero class is added in closed form, as N(n - 1) to the count
+        # and as the (0, g, -g) to the spectrum, never completed as a unit
         from tritrade import enumeration
 
-        units = []
-        fan_out = enumeration._fan_out
+        units, heads = [], []
+        fan_out, completions = enumeration._fan_out, enumeration._completions
 
         def record(m, batch, jobs):
             units.extend(batch)
             return fan_out(m, batch, jobs)
 
+        def record_heads(m, doms, given):
+            given = list(given)
+            if m == n:  # not the heads of an index or a layer one dimension down
+                heads.extend(given)
+            return completions(m, doms, given)
+
         monkeypatch.setattr(enumeration, "_fan_out", record)
         assert count_by_retract_classes(n) == count_functions(n)
-        zero = enumeration._pinned((0,) * 3 ** (n - 1))
+        zero = (0,) * 3 ** (n - 1)
         assert len(units) == len(classify_all(n - 1)[1]) - 1
-        assert all(doms != zero for _, doms in units)
+        assert all(values_from_packed(head, n - 1) != zero for _, head in units)
+        monkeypatch.setattr(enumeration, "_completions", record_heads)
+        assert spectrum(n).total_functions == N_FUNCTIONS[n]
+        assert heads == [head for _, head in units]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_units_are_the_packed_representatives(self, n):
+        # the units keep the heads in value order, the records are sorted
+        # by (cardinality, values): read through a decode of their own,
+        # the heads are the nonzero representatives, each with its orbit
+        from tritrade import enumeration
+
+        units = enumeration._units(n)
+        heads = [values_from_packed(head, n - 1) for _, head in units]
+        records = {r.representative.values: r for r in classify_all(n - 1)[1]}
+        zero = (0,) * 3 ** (n - 1)
+        assert sorted(heads) == sorted(set(records) - {zero})
+        assert all(a < b for a, b in zip(heads, heads[1:]))
+        assert [weight for weight, _ in units] == [records[h].orbit_size for h in heads]
+        assert zero not in heads
 
 
 class TestSpectrum:
@@ -601,20 +647,6 @@ class TestClassifyAll:
     def test_representatives_are_canonical(self, n):
         for rec in classify_all(n)[1]:
             assert canonical_by_recursion(rec.representative) == rec.representative.to_text()
-
-    def test_coarse_key_is_caught(self, monkeypatch):
-        from tritrade import enumeration
-
-        monkeypatch.setattr(
-            enumeration,
-            "_retract_class_key",
-            lambda code, n, class_of: len(code) - code.count(0),
-        )
-        # a fresh cache, so the session's cached layers stay in place
-        fresh = lru_cache(maxsize=None)(enumeration._class_layer.__wrapped__)
-        monkeypatch.setattr(enumeration, "_class_layer", fresh)
-        with pytest.raises(BrokenInvariant):
-            classify_all(4)
 
     def test_records_are_frozen_and_lists_fresh(self):
         count, records = classify_all(3)

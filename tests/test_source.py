@@ -273,3 +273,20 @@ def test_word_walk_lines_have_no_reader_in_src():
             names = [*_reads(node), *(alias.name for alias in imported)]
             found += [f"{path.name}:{name}" for name in names if name in walk]
     assert not found, f"the word walk is read in src: {found}"
+
+
+def test_one_parse_to_packed_domains():
+    # the octal digits of allowed values are read only by the public
+    # domain parse; a class representative reaches the search as its
+    # packed solution, never parsed back from its values into domains
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            loads = [
+                sub.id
+                for sub in ast.walk(top)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+            ]
+            if "_DOMAIN_DIGIT" in loads + _attribute_reads(top):
+                readers.append(f"{path.stem}.{getattr(top, 'name', top.lineno)}")
+    assert readers == ["enumeration._packed_domains"]
