@@ -58,6 +58,7 @@ from .construct import (
     hprime,
     k_extension,
     maximal_bitrade,
+    minimal_bitrade,
     pot12,
     product,
     rank2_family,

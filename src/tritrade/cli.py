@@ -15,12 +15,19 @@ class layer one dimension down (N(6) through the 92 n = 5 classes), and
 only the count uses `--jobs`; its manifest records the workers it used.
 Class reports key each class by its representative, which the class
 layer yields in canonical form.
+
+The `construct` families come from one table, `_FAMILIES`, read by
+`--what <family>` (whose self-check fails off the family's size formula)
+and by the trade specs of `product` and `kext`; one H'_t audit serves both
+hprime commands, and one writer sends each report to stdout or to `--out`.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import inspect
 import json
 import random
 import sys
@@ -29,7 +36,13 @@ from typing import Optional
 
 from . import __version__, construct, enumeration, monomial, refdata, testsets
 from .enumeration import bitrade_catalog, classify_all, spectrum
-from .errors import BrokenInvariant, DimensionTooLarge, DimensionTooSmall, TritradeError
+from .errors import (
+    BrokenInvariant,
+    DimensionTooLarge,
+    DimensionTooSmall,
+    PreconditionFailed,
+    TritradeError,
+)
 from .funcspace import BoolFn, u_from_bool
 from .monomial import MonomialSet
 from .trade import (
@@ -39,7 +52,6 @@ from .trade import (
     mod3_admissible,
     small_bitrade_admissible,
     unitrade_alpha_admissible,
-    xor_of_two_bitrades,
 )
 
 SCHEMA = "tritrade/1"
@@ -62,31 +74,21 @@ def _manifest(args_list, seed, jobs, t0, payload_bytes) -> dict:
 
 
 def _emit(payload, csv_rows, kind, args_list, seed, jobs, t0, out: Optional[str], fmt: str):
+    """The report, to `out` or else to stdout: JSON embedding its manifest,
+    or CSV with the manifest in the sidecar `<out>.manifest.json`."""
     if fmt == "json":
         payload_bytes = json.dumps(payload, sort_keys=True).encode()
-        doc = {
-            "schema": SCHEMA,
-            "kind": kind,
-            "payload": payload,
-            "manifest": _manifest(args_list, seed, jobs, t0, payload_bytes),
-        }
-        text = json.dumps(doc, indent=2, sort_keys=True)
-        if out:
-            with open(out, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
-    else:  # csv payload with a sidecar manifest
-        rows = csv_rows
-        text = "\n".join(",".join(str(c) for c in row) for row in rows) + "\n"
-        if out:
-            with open(out, "w") as fh:
-                fh.write(text)
-            manifest = _manifest(args_list, seed, jobs, t0, text.encode())
-            with open(out + ".manifest.json", "w") as fh:
-                json.dump({"schema": SCHEMA, "kind": kind, "manifest": manifest}, fh, indent=2)
-        else:
-            sys.stdout.write(text)
+        manifest = _manifest(args_list, seed, jobs, t0, payload_bytes)
+        doc = {"schema": SCHEMA, "kind": kind, "payload": payload, "manifest": manifest}
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    else:
+        text = "\n".join(",".join(str(c) for c in row) for row in csv_rows) + "\n"
+        manifest = _manifest(args_list, seed, jobs, t0, text.encode())
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(text)
+    if out and fmt == "csv":
+        with open(out + ".manifest.json", "w") as fh:
+            json.dump({"schema": SCHEMA, "kind": kind, "manifest": manifest}, fh, indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -245,23 +247,25 @@ def _check_pot12(n: int, rng) -> tuple[bool, dict]:
     }
 
 
+def _hprime_audit(t: int):
+    """H'_t, its odd-distance report, and the checks both hprime commands share."""
+    code = construct.hprime(t)
+    report = construct.verify_odd_distance_bound(code.codewords(), q=3)
+    checks = {
+        "length_ok": code.length == 2 ** t - 2 + (3 ** t - 1) // 2,
+        "pairwise_odd": report.pairwise_odd,
+        "distinct_row_compositions": construct.distinct_row_compositions(code),
+    }
+    return code, report, checks
+
+
 def _check_hprime(n: int, rng) -> tuple[bool, dict]:
     detail = {}
     ok = True
     for t in (2, 3):
-        code = construct.hprime(t)
-        words = code.codewords()
-        length_ok = code.length == 2 ** t - 2 + (3 ** t - 1) // 2
-        report = construct.verify_odd_distance_bound(words, q=3)
-        uniq = construct.distinct_row_compositions(code)
-        detail[f"t={t}"] = {
-            "length": code.length,
-            "length_ok": length_ok,
-            "pairwise_odd": report.pairwise_odd,
-            "within_bound": report.within_bound,
-            "distinct_row_compositions": uniq,
-        }
-        ok = ok and length_ok and report.pairwise_odd and report.within_bound and uniq
+        code, report, checks = _hprime_audit(t)
+        detail[f"t={t}"] = {"length": code.length, "within_bound": report.within_bound, **checks}
+        ok = ok and report.within_bound and all(checks.values())
     return ok, detail
 
 
@@ -291,7 +295,8 @@ def _check_recover(n: int, rng) -> tuple[bool, dict]:
 
 
 def _random_recoverable_set(rng, n: int) -> MonomialSet:
-    """2..3 words with pairwise distance >= n-1 (inequality holds easily)."""
+    """1..3 words with pairwise distance >= n-1, `construct.recoverable`
+    at their code distance (which holds easily)."""
     while True:
         size = rng.choice([1, 2, 3])
         words = set()
@@ -299,13 +304,12 @@ def _random_recoverable_set(rng, n: int) -> MonomialSet:
         while len(words) < size and guard < 200:
             guard += 1
             w = tuple(rng.randrange(3) for _ in range(n))
-            if all(sum(1 for a, b in zip(w, u) if a != b) >= n - 1 for u in words):
+            if construct.min_distance([w, *words]) >= n - 1:
                 words.add(w)
         if len(words) == size:
-            V = MonomialSet(n, words)
             D = construct.min_distance(sorted(words))
-            if len(words) * 2 ** (n - min(D, n) + 1) < 2 ** (n - 2):
-                return V
+            if construct.recoverable(size, n, D):
+                return MonomialSet(n, words)
 
 
 def _check_testset(n: int, rng) -> tuple[bool, dict]:
@@ -318,13 +322,12 @@ def _check_testset(n: int, rng) -> tuple[bool, dict]:
     decomposable = 0
     extractable = 0
     for bits in range(1, 1 << (1 << m)):
-        U = u_from_bool(BoolFn(m, bits))
-        pair = xor_of_two_bitrades(U, catalog)
-        if pair is not None:
+        try:  # the catalog checks the hypothesis: U is no xor of two bitrades
+            T = testsets.extract_testset(u_from_bool(BoolFn(m, bits)), catalog)
+        except PreconditionFailed:
             decomposable += 1
             continue
         extractable += 1
-        T = testsets.extract_testset(U)
         if len(T) != 2 ** m - 1:
             ok = False
     report["xor_decomposable"] = decomposable
@@ -389,7 +392,23 @@ def _trade_payload(B) -> dict:
     }
 
 
+# name -> (bitrade, its formula's cardinality) from a spec's integers or
+# from the `construct` options named like the parameters; each reads its
+# `construct` builder when called, so a test can patch the builder
+_FAMILIES = {
+    "maximal": lambda n: (construct.maximal_bitrade(n), 2 * 3 ** (n - 1)),
+    "rank2": lambda n, s: (construct.rank2_family(n, s), 2 ** (n + 1) - 2 ** (s + 1)),
+    "bitrade14": lambda n: (construct.bitrade14(n), 14 * 3 ** (n - 3)),
+    "minimal": lambda n: (construct.minimal_bitrade(n), 2 ** n),
+}
+
+
+def _family_params(name: str) -> list[str]:
+    return list(inspect.signature(_FAMILIES[name]).parameters)
+
+
 def _parse_trade_spec(spec: str):
+    """`family:int:...` of `_FAMILIES` or `@file.json`; else a ValueError naming it."""
     if spec.startswith("@"):
         with open(spec[1:]) as fh:
             U = TradeSet.from_json(json.load(fh))
@@ -397,62 +416,41 @@ def _parse_trade_spec(spec: str):
         if B is None:
             raise ValueError("file does not hold a bitrade")
         return B
-    parts = spec.split(":")
-    name = parts[0]
-    ints = [int(p) for p in parts[1:]]
-    if any(i < 0 for i in ints):
-        raise ValueError(f"trade spec {spec!r} has a negative parameter")
-    if name == "maximal":
-        return construct.maximal_bitrade(*ints)
-    if name == "rank2":
-        return construct.rank2_family(*ints)
-    if name == "bitrade14":
-        return construct.bitrade14(*ints)
-    if name == "minimal":
-        (n,) = ints
-        construct.check_dimension(n)
-        return bipartition(monomial.monomial_cube((0,) * n))
-    raise ValueError(f"unknown trade spec {spec!r}")
+    name, *parts = spec.split(":")
+    try:
+        ints = [int(p) for p in parts]
+    except ValueError:
+        ints = None
+    if name in _FAMILIES and ints and len(ints) == len(_family_params(name)) and min(ints) >= 0:
+        return _FAMILIES[name](*ints)[0]
+    grammar = ", ".join(":".join([f, *_family_params(f)]) for f in _FAMILIES)
+    raise ValueError(f"bad trade spec {spec!r}; have {grammar} or @file.json")
 
 
 def _cmd_construct(args, argv) -> int:
     t0 = time.time()
-    if args.what == "maximal":
-        payload = _trade_payload(construct.maximal_bitrade(args.n))
-        payload["self_check"]["expected_size"] = 2 * 3 ** (args.n - 1)
-    elif args.what == "rank2":
-        B = construct.rank2_family(args.n, args.s)
+    if args.what in _FAMILIES:
+        B, size = _FAMILIES[args.what](*(getattr(args, p) for p in _family_params(args.what)))
         payload = _trade_payload(B)
-        payload["self_check"]["expected_size"] = 2 ** (args.n + 1) - 2 ** (args.s + 1)
-    elif args.what == "bitrade14":
-        B = construct.bitrade14(args.n)
-        payload = _trade_payload(B)
-        payload["self_check"]["expected_size"] = 14 * 3 ** (args.n - 3)
+        payload["self_check"]["expected_size"] = size
     elif args.what == "product":
         B = construct.product(_parse_trade_spec(args.left), _parse_trade_spec(args.right))
         payload = _trade_payload(B)
     elif args.what == "kext":
-        B = construct.k_extension(_parse_trade_spec(args.base), args.m)
-        payload = _trade_payload(B)
+        payload = _trade_payload(construct.k_extension(_parse_trade_spec(args.base), args.m))
     elif args.what == "hprime":
-        code = construct.hprime(args.t)
-        report = construct.verify_odd_distance_bound(code.codewords(), q=3)
-        payload = {
-            **code.to_json(),
-            "self_check": {
-                "length_ok": code.length == 2 ** args.t - 2 + (3 ** args.t - 1) // 2,
-                "pairwise_odd": report.pairwise_odd,
-                "distinct_row_compositions": construct.distinct_row_compositions(code),
-                "code_unique_rows": construct.code_unique_compositions(code),
-            },
-        }
+        code, _, checks = _hprime_audit(args.t)
+        checks["code_unique_rows"] = construct.code_unique_compositions(code)
+        payload = {**code.to_json(), "self_check": checks}
     else:  # pot12; argparse admits no other construction
         payload = _trade_payload(construct.pot12(BoolFn.from_text(args.f)))
     csv_rows = [["field", "value"]] + [
         [k, json.dumps(v, sort_keys=True)] for k, v in sorted(payload.items())
     ]
+    # expected_size is the family formula's cardinality, not a flag
     failures = [
-        k for k, v in payload.get("self_check", {}).items() if v is False
+        k for k, v in payload.get("self_check", {}).items()
+        if v is False or k == "expected_size" and v != payload["cardinality"]
     ]
     _emit(payload, csv_rows, f"construct/{args.what}", argv, None, 1, t0, args.out, args.format)
     if failures:
@@ -473,15 +471,11 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--n", type=int, required=True)
     pe.add_argument("--mode", choices=["count", "spectrum", "classes"], default="count")
     pe.add_argument("--jobs", type=int, default=1)
-    pe.add_argument("--out", default=None)
-    pe.add_argument("--format", choices=["json", "csv"], default="json")
 
     pv = sub.add_parser("verify", help="named theorem checks")
     pv.add_argument("--check", required=True)
     pv.add_argument("--n", type=int, required=True)
     pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--out", default=None)
-    pv.add_argument("--format", choices=["json", "csv"], default="json")
 
     pc = sub.add_parser("construct", help="named constructions")
     pc.add_argument("--what", required=True,
@@ -494,8 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--right", default="maximal:2")
     pc.add_argument("--base", default="maximal:2")
     pc.add_argument("--f", default="01")
-    pc.add_argument("--out", default=None)
-    pc.add_argument("--format", choices=["json", "csv"], default="json")
+    for sp in (pe, pv, pc):
+        sp.add_argument("--out", default=None)
+        sp.add_argument("--format", choices=["json", "csv"], default="json")
     return p
 
 

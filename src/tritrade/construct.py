@@ -2,7 +2,7 @@
 
 Products and the alphabet extension realize the cardinality series
 |B|*|C|, 2^m*|B| and 3^m*|B|; the named families (maximal, rank-2,
-size-14-series) pin concrete witnesses used throughout the test suite.
+size-14-series, minimal cube) pin concrete witnesses used throughout the test suite.
 The ternary codes H_t (simplex, dual-Hamming) and H'_t (column-duplicated,
 pairwise odd distances, unique-composition basis) provide the
 monomial-recovery playground: a monomial set with large code distance is
@@ -27,7 +27,7 @@ from .funcspace import (
     trade_from_tern,
     u_from_bool,
 )
-from .monomial import MonomialSet, _monomial_tables, trade_from_monomials
+from .monomial import MonomialSet, _monomial_tables, monomial_cube, trade_from_monomials
 from .trade import BipartiteTrade, TradeSet, _normalized, bipartition, is_unitrade
 
 
@@ -127,6 +127,18 @@ def rank2_family(n: int, s: int) -> BipartiteTrade:
     B = bipartition(U)
     if B is None:
         raise BrokenInvariant(f"rank-2 unitrade {u}, {v} is not bipartite")
+    return B
+
+
+def minimal_bitrade(n: int) -> BipartiteTrade:
+    """The monomial cube of the all-zero word: a bitrade of the minimal
+    cardinality 2^n."""
+    if n < 0:
+        raise ValueError("need n >= 0")
+    check_dimension(n)
+    B = bipartition(monomial_cube((0,) * n))
+    if B is None:
+        raise BrokenInvariant(f"the monomial cube of dimension {n} is not bipartite")
     return B
 
 
@@ -330,11 +342,17 @@ def min_distance(words: Sequence[tuple[int, ...]]) -> int:
     )
 
 
+def recoverable(size: int, n: int, D: int) -> bool:
+    """The recovery precondition |V| * 2^(n-D+1) < 2^(n-2) for a monomial
+    set V of `size` words of length n at code distance D."""
+    return size * 2 ** (n - D + 1) < 2 ** (n - 2)
+
+
 def recover_monomials(U: TradeSet, D: int) -> MonomialSet:
     """Recover the generating monomial set of U by intersection counts:
     v is kept exactly when |U and cube_v| >= 2^n - 2^(n-2).  Valid when
-    the generator V satisfies |V| * 2^(n-D+1) < 2^(n-2) for its code
-    distance D; the result is checked by round-trip."""
+    the generator V is `recoverable` at its code distance D; the result
+    is checked by round-trip."""
     n = U.n
     threshold = 2 ** n - 2 ** (n - 2)
     found = []
@@ -344,7 +362,7 @@ def recover_monomials(U: TradeSet, D: int) -> MonomialSet:
             found.append(v)
     V = MonomialSet(n, found)
     d_found = min_distance(found)
-    if len(found) * 2 ** (n - min(D, d_found) + 1) >= 2 ** (n - 2):
+    if not recoverable(len(found), n, min(D, d_found)):
         raise ValueError(
             f"|V|*2^(n-D+1) vs 2^(n-2) fails for |V|={len(found)}, D<={d_found}"
         )

@@ -64,7 +64,9 @@ class TradeSet:
 
     @staticmethod
     def from_text(n: int, k: int, text: str) -> "TradeSet":
-        if len(text) != k ** n:
+        # k^n >= 2^n outgrows the text well before the power is worth
+        # computing: a huge n from a trade file must not stall the check
+        if k > 1 and n > len(text).bit_length() or len(text) != k ** n:
             raise ValueError("support string length mismatch")
         return TradeSet(n, k, cube.text_mask(text))
 
@@ -75,7 +77,11 @@ class TradeSet:
         missing = [key for key in ("n", "k", "support") if key not in obj]
         if missing:
             raise ValueError(f"trade set JSON lacks the field(s) {', '.join(missing)}")
-        return TradeSet.from_text(int(obj["n"]), int(obj["k"]), obj["support"])
+        try:
+            n, k = int(obj["n"]), int(obj["k"])
+        except OverflowError:  # JSON reads 1e400 as an infinite float
+            raise ValueError("trade set JSON needs finite n and k") from None
+        return TradeSet.from_text(n, k, obj["support"])
 
     # ---- views ------------------------------------------------------------
 

@@ -237,7 +237,7 @@ class TestVerifyCommand:
         assert detail["refused"] == ["recovered set does not reproduce the input"] * 5
 
     def test_testset_broken_extraction_fails_the_check(self, capsys, monkeypatch):
-        def broken(U):
+        def broken(U, catalog=None):
             raise BrokenInvariant("expected rank 26 and 7 points, got 25 and 6")
 
         monkeypatch.setattr(testsets, "extract_testset", broken)
@@ -492,6 +492,8 @@ _Q4_PAIR = {"n": 1, "k": 4, "support": "1100"}
 # k^n asks for, so only the alphabet check refuses it
 _NO_ALPHABET = {"n": 2, "k": 0, "support": ""}
 _NEGATIVE_ALPHABET = {"n": 2, "k": -3, "support": "000000000"}
+_HUGE_N = {"n": 10 ** 9, "k": 3, "support": "1"}
+_INFINITE_N = {"n": float("inf"), "k": 3, "support": "1"}  # written as Infinity
 
 
 @pytest.mark.parametrize(
@@ -513,6 +515,16 @@ _NEGATIVE_ALPHABET = {"n": 2, "k": -3, "support": "000000000"}
     + [
         pytest.param(doc, "construct --what product --left @{} --right minimal:1", "k >= 1", id=name)
         for name, doc in (("k=0", _NO_ALPHABET), ("k=-3", _NEGATIVE_ALPHABET))
+    ]
+    # the length check refuses before it computes 3^n, which took seconds
+    # at n = 10^7 and did not end at n = 10^8
+    + [
+        pytest.param(
+            _HUGE_N, "construct --what product --left @{} --right minimal:1", "support", id="n=10^9"
+        ),
+        pytest.param(
+            _INFINITE_N, "construct --what product --left @{} --right minimal:1", "finite", id="n=inf"
+        ),
     ],
 )
 def test_trade_file_missing_a_field_exits_bad_params(capsys, tmp_path, doc, argv, needle):
@@ -521,6 +533,56 @@ def test_trade_file_missing_a_field_exits_bad_params(capsys, tmp_path, doc, argv
     code, _, err = run(capsys, *argv.format(spec).split())
     assert code == EXIT_BAD_PARAMS
     assert err.startswith("parameter error") and needle in err
+
+
+@pytest.mark.parametrize("spec", ["maximal:2:3", "rank2:3", "minimal", "bogus:1", "maximal:-1"])
+def test_malformed_trade_spec_names_the_spec(capsys, spec):
+    # an unknown family, a wrong parameter count or a negative parameter
+    # is one refusal of the spec, not a message from the builder's call
+    code, _, err = run(capsys, "construct", "--what", "product", "--left", spec)
+    assert code == EXIT_BAD_PARAMS
+    assert err.startswith("parameter error") and f"bad trade spec {spec!r}" in err
+
+
+# one JSON and one CSV command per subcommand
+_WRITER_CASES = [
+    "enumerate --n 2 --mode spectrum",
+    "enumerate --n 3 --mode count --format csv",
+    "verify --check mod3 --n 2",
+    "verify --check gap-14 --n 4 --format csv",
+    "construct --what rank2 --n 3 --s 1",
+    "construct --what hprime --t 2 --format csv",
+]
+
+
+@pytest.mark.parametrize("argv", _WRITER_CASES)
+def test_stdout_and_out_write_the_same_report(capsys, tmp_path, monkeypatch, argv):
+    # what stdout shows without --out is what --out writes; the other lines
+    # (a count, a check's verdict) stay on stdout either way
+    monkeypatch.chdir(tmp_path)
+    argv = argv.split()
+    code, plain, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert list(tmp_path.iterdir()) == []  # no sidecar without --out
+    path = tmp_path / "report"
+    code, rest, _ = run(capsys, *argv, "--out", str(path))
+    assert code == EXIT_OK
+    text = path.read_text()
+    sidecar = tmp_path / "report.manifest.json"
+    if "csv" in argv:
+        assert plain.replace(text, "", 1) == rest
+        assert json.loads(sidecar.read_text())["manifest"]["command"] == [*argv, "--out", str(path)]
+        return
+    assert not sidecar.exists()
+    start = plain.index("{")
+    doc, end = json.JSONDecoder().raw_decode(plain, start)
+    assert plain[:start] + plain[end + 1:] == rest
+    written = json.loads(text)
+    assert doc["manifest"].pop("command") == argv
+    assert written["manifest"].pop("command") == [*argv, "--out", str(path)]
+    for d in (doc, written):
+        del d["manifest"]["wall_time_s"]
+    assert doc == written
 
 
 class TestConstructCommand:
@@ -551,6 +613,32 @@ class TestConstructCommand:
         code, _, _ = run(
             capsys, "construct", "--what", "maximal", "--n", str(n), "--out", str(out_file)
         )
+        assert code == EXIT_OK
+        assert json.loads(out_file.read_text())["manifest"]["payload_sha256"] == digest
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            ("construct --what rank2 --n 5 --s 2", "2ae424545aad8b7fb4b018ad6f55970d8a1a8b83ed293f1436c2e19d63b73701"),
+            ("construct --what bitrade14 --n 5", "fa62027353095510c026500ea5ea20f3f9def5b8e4c4426a80a2d8227a6c7d1a"),
+            ("construct --what hprime --t 3", "e377e986b0b3354d7b6d27ced9abfb2045ea39536bbbe769434d5f35924ae26c"),
+            (
+                "construct --what product --left rank2:3:1 --right bitrade14:3",
+                "dcd6372bd3d433fc526b2ea4fa5e538d071922f7b8555f0c8c6508230464cb4e",
+            ),
+            ("construct --what kext --base maximal:2 --m 2", "fe20f2838f4dccbaa3972e63664da52b8e6686af8755bb1186374d327d1512a3"),
+            ("construct --what pot12 --f 0110", "a68fdd6a0d7536f670feb6531e2abe5b100ed6ba5bbfcf74496467aa226d7dca"),
+            ("verify --check hprime --n 3", "1983aa8dd1fff20f300fa328432f44bb516c5e2adef0e24c15d9a1403475c583"),
+            ("verify --check testset --n 3", "1787151045bee817e4c03a9f984086e41be3637e9fa67ba49df36f821fb77f2d"),
+            ("verify --check recover --n 3", "0ae175951421b68d6f221bf5a92afdaf8ad0cb096608686a76868e40075786c0"),
+        ],
+    )
+    def test_family_and_audit_payloads_pinned(self, capsys, tmp_path, argv, digest):
+        # locks what the family table, the trade specs, the hprime audit,
+        # the testing-set hypothesis check and the recovery precondition
+        # produce, whichever code path reaches them
+        out_file = tmp_path / "out.json"
+        code, _, _ = run(capsys, *argv.split(), "--out", str(out_file))
         assert code == EXIT_OK
         assert json.loads(out_file.read_text())["manifest"]["payload_sha256"] == digest
 
@@ -594,6 +682,16 @@ class TestConstructCommand:
         )
         assert code == EXIT_OK
         assert json.loads(out_file.read_text())["payload"]["cardinality"] == 4
+
+    def test_size_off_the_formula_fails_the_self_check(self, capsys, monkeypatch):
+        # expected_size is a number, so only its comparison with the
+        # cardinality can fail it
+        real = construct.rank2_family
+        monkeypatch.setattr(construct, "rank2_family", lambda n, s: real(n, s + 1))
+        code, out, err = run(capsys, "construct", "--what", "rank2", "--n", "5", "--s", "2")
+        assert code == EXIT_CHECK_FAILED
+        assert json.loads(out)["payload"]["cardinality"] == 48
+        assert err.strip() == "self-check failed: ['expected_size']"
 
     def test_bad_params(self, capsys):
         code, _, err = run(capsys, "construct", "--what", "rank2", "--n", "3", "--s", "9")

@@ -18,10 +18,12 @@ from tritrade.construct import (
     k_extension,
     maximal_bitrade,
     min_distance,
+    minimal_bitrade,
     pot12,
     product,
     rank2_family,
     recover_monomials,
+    recoverable,
     rm_embed,
     verify_odd_distance_bound,
 )
@@ -155,6 +157,19 @@ class TestRank2Family:
             rank2_family(3, 3)
 
 
+class TestMinimalBitrade:
+    @pytest.mark.parametrize("n", range(5))
+    def test_is_the_zero_monomial_cube(self, n):
+        B = minimal_bitrade(n)
+        assert B.base == monomial_cube((0,) * n)
+        assert B.cardinality == 2 ** n
+
+    def test_negative_n(self):
+        # (0,) * -1 is (), which would build the dimension-0 cube
+        with pytest.raises(ValueError, match="n >= 0"):
+            minimal_bitrade(-1)
+
+
 class TestBitrade14:
     def test_witness(self):
         B = bitrade14(3)
@@ -272,6 +287,14 @@ class TestRecoverMonomials:
             if recover_monomials(U, min_distance(sorted(words))) == V:
                 good += 1
         assert good == 100
+
+    @pytest.mark.parametrize(
+        "size,n,D,ok",
+        # |V| * 2^(n-D+1) < 2^(n-2) at both sides of equality
+        [(1, 8, 8, True), (1, 3, 4, True), (1, 3, 3, False), (2, 8, 5, True), (2, 8, 4, False)],
+    )
+    def test_recoverable(self, size, n, D, ok):
+        assert recoverable(size, n, D) is ok
 
     def test_precondition_guard(self):
         # too many close monomials: the inequality fails
