@@ -43,7 +43,7 @@ from .errors import (
     PreconditionFailed,
     TritradeError,
 )
-from .funcspace import BoolFn, u_from_bool
+from .funcspace import BoolFn
 from .monomial import MonomialSet
 from .trade import (
     TradeSet,
@@ -321,9 +321,11 @@ def _check_testset(n: int, rng) -> tuple[bool, dict]:
     ok = True
     decomposable = 0
     extractable = 0
-    for bits in range(1, 1 << (1 << m)):
+    for bits, mask in enumeration.unitrade_supports(m):
+        if not bits:
+            continue
         try:  # the catalog checks the hypothesis: U is no xor of two bitrades
-            T = testsets.extract_testset(u_from_bool(BoolFn(m, bits)), catalog)
+            T = testsets.extract_testset(TradeSet(m, 3, mask), catalog)
         except PreconditionFailed:
             decomposable += 1
             continue

@@ -81,15 +81,15 @@ def k_extension(B: BipartiteTrade, m: int) -> BipartiteTrade:
     f = tern_from_trade(B)
     if m and f.n < 1:
         raise DimensionTooSmall("extension needs at least one coordinate")
-    values = f.values
+    code = f.code
     for n in range(f.n, f.n + m):
-        values = _fold(n)(values)
-    return trade_from_tern(TernFn(f.n + m, values))
+        code = bytes(_fold(n)(code))
+    return trade_from_tern(TernFn._unchecked(f.n + m, code))
 
 
 @lru_cache(maxsize=None)
-def _fold(n: int) -> Callable[[Sequence[int]], tuple[int, ...]]:
-    """The values at dimension n to those of the fold at n + 1: cell c
+def _fold(n: int) -> Callable[[bytes], tuple[int, ...]]:
+    """The code at dimension n to the bytes of the fold at n + 1: cell c
     reads the cell of (x_1..x_{n-1}, (x_n + x_{n+1}) mod 3), that is
     (c // 9) * 3 + (c // 3 + c) % 3.  At n >= 1 it reads 9 or more cells,
     so it returns a tuple."""

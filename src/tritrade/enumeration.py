@@ -33,12 +33,11 @@ n <= 3 is one read, and a node at n = 4 or 5 reads its digit-1 tails one
 dimension down, whatever the domains.
 
 A streamed solution is decoded once: its octal digits, translated to
-signed bytes, are unpacked into the value tuple by one cached struct call
-per n, and its cardinality is read off the 0 plane, so the TernFn never
-counts its zeros.  The direct count runs in one process and stops at
-n = 5: it is the cross-check of `count_by_retract_classes`, the one
-production count, which reads N(n) for n <= 6 off the class layer one
-dimension down and alone fans work over worker processes.
+signed bytes (_signed), are the code the TernFn holds, the bytes the
+class layer keys its candidates on.  The direct count runs in one process
+and stops at n = 5: it is the cross-check of `count_by_retract_classes`,
+the one production count, which reads N(n) for n <= 6 off the class layer
+one dimension down and alone fans work over worker processes.
 
 One cached class layer, `_class_layer(n)` for n <= 5, serves every
 class-based count: it keeps the first completion of an n-1 representative
@@ -56,12 +55,11 @@ strings because the dimension-7 reference values overflow 64 bits.
 from __future__ import annotations
 
 import itertools
-import struct
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import or_
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import cube
 from .errors import BrokenInvariant, DimensionTooLarge, DimensionTooSmall
@@ -170,16 +168,10 @@ def _completions(n: int, doms: int, heads: Iterable[int]) -> Iterator[int]:
             yield f0 | f1 << w | f2 << 2 * w
 
 
-@lru_cache(maxsize=None)
-def _decoder(n: int) -> Callable[[int], tuple[int, ...]]:
-    """Packed solution at dimension n to its value tuple: the octal digits,
-    cell 0 first, translated once to signed bytes and unpacked in one call."""
-    unpack = struct.Struct(f"{3 ** n}b").unpack
-
-    def decode(f: int) -> tuple[int, ...]:
-        return unpack(oct(f)[:1:-1].encode().translate(_DIGIT_VALUE))
-
-    return decode
+def _signed(f: int) -> bytes:
+    """The code of a packed solution: its octal digits, cell 0 first,
+    translated to signed bytes."""
+    return oct(f)[:1:-1].encode().translate(_DIGIT_VALUE)
 
 
 _BLOCK = 4096  # solutions per block of the column build
@@ -276,11 +268,9 @@ def enumerate_functions(
     if n > STREAM_MAX_N:
         raise DimensionTooLarge(f"streaming capped at n={STREAM_MAX_N}")
     doms = _packed_domains(n, cell_domains)  # first: it rejects n < 0
-    cells, b0 = 3 ** n, _b0(3 ** n)
-    decode, new = _decoder(n), TernFn._unchecked
+    new = TernFn._unchecked
     for f in _enum(n, doms):
-        # the 0 plane counts the zeros
-        yield new(n, decode(f), cells - ((f >> 1) & b0).bit_count())
+        yield new(n, _signed(f))
 
 
 COUNT_MAX_N = 5
@@ -420,16 +410,19 @@ CLASSIFY_MAX_N = 5
 
 
 class _ClassIndex(dict):
-    """Value string, as the signed bytes of `cube.signed_bytes`, to the
-    position of its class in a layer's records, filled on first lookup
-    through the layer's certified keys."""
+    """A TernFn's code to the position of its class in a layer's records,
+    found through the layer's certified keys.  A lookup is stored only
+    below CLASSIFY_MAX_N, where the next layer's build reads every code
+    (29875 at n = 4); at the top a query is answered and dropped."""
 
     def __init__(self, n: int, position: dict[tuple, int], below: dict[bytes, int]):
         super().__init__()
         self.n, self.position, self.below = n, position, below
 
     def __missing__(self, code: bytes) -> int:
-        pos = self[code] = self.position[_retract_class_key(code, self.n, self.below)]
+        pos = self.position[_retract_class_key(code, self.n, self.below)]
+        if self.n < CLASSIFY_MAX_N:
+            self[code] = pos
         return pos
 
 
@@ -461,10 +454,8 @@ def _class_layer(n: int) -> tuple[tuple[ClassRecord, ...], dict[bytes, int], tup
         candidates = _completions(n, FULL_MASK * _b0(3 ** n), (f for _, f in heads))
     kept: dict[tuple, int] = {}
     for f in candidates:
-        code = oct(f)[:1:-1].encode().translate(_DIGIT_VALUE)
-        kept.setdefault(_retract_class_key(code, n, below), f)
-    decode = _decoder(n)
-    reps = {key: TernFn(n, decode(f)) for key, f in kept.items()}
+        kept.setdefault(_retract_class_key(_signed(f), n, below), f)
+    reps = {key: TernFn._unchecked(n, _signed(f)) for key, f in kept.items()}
     # reps is in value order, so a stable sort by cardinality orders the
     # records by (cardinality, values)
     keys = sorted(reps, key=lambda k: reps[k].cardinality)
@@ -527,9 +518,8 @@ def bitrade_catalog(n: int) -> list[BipartiteTrade]:
         raise DimensionTooLarge(f"catalog capped at n={CATALOG_MAX_N}")
     out = [BipartiteTrade(TradeSet(n, 3, 0), 0, 0)]
     for f in enumerate_functions(n):
-        values = f.values
-        first = next((v for v in values if v), 0)
-        if first != 1:  # keep the sign choice whose first support cell is +1
+        # keep the sign choice whose first support cell is +1
+        if f.code.lstrip(b"\x00")[:1] != b"\x01":
             continue
         out.append(trade_from_tern(f))
     return out

@@ -2,7 +2,7 @@
 
 ``BoolFn`` is a boolean function on Q_2^n stored as a truth-table bitmask
 (bit j = value at cell j).  ``TernFn`` is a {-1,0,+1}-valued function on
-Q_3^n stored as a value tuple.  GF(3) arithmetic is centered: digit 2 of a
+Q_3^n stored as its signed bytes.  GF(3) arithmetic is centered: digit 2 of a
 word stands for -1, and all mod-3 reductions return representatives in
 {-1,0,+1}.
 
@@ -19,6 +19,7 @@ minimal words is kept as the test-side oracle.
 
 from __future__ import annotations
 
+import struct
 from functools import lru_cache
 
 from . import cube
@@ -117,18 +118,21 @@ def parity_counter(n: int) -> BoolFn:
 
 _TERN_TEXT = bytes.maketrans(b"\xff\x00\x01", b"-0+")  # signed byte -> character
 _TERN_BYTES = bytes.maketrans(b"-0+", b"\xff\x00\x01")
+_SIGN_FLIP = bytes.maketrans(b"\x01\xff", b"\xff\x01")  # value v -> -v on codes
 
 
 class TernFn:
-    """A {-1,0,+1}-valued function on Q_3^n: its value tuple in cell order.
+    """A {-1,0,+1}-valued function on Q_3^n, held as its code: the signed
+    bytes of ``cube.signed_bytes`` in cell order (-1 is 0xff), which the
+    stream, the class index and the predicates read; `values` is a new
+    tuple built from it on each read.
 
     The constructor is the package's one value check: any other value would
     be read as its sign, negated or encoded into the key of another
     function.  It raises ValueError for such a value or for a tuple of the
-    wrong length; `_unchecked` skips both for the enumeration's stream and
-    for values built from two leg masks."""
+    wrong length; `_unchecked` takes a code the caller vouches for."""
 
-    __slots__ = ("n", "values", "_cardinality")
+    __slots__ = ("n", "code")
 
     def __init__(self, n: int, values: tuple[int, ...]):
         if len(values) != 3 ** n:
@@ -136,15 +140,17 @@ class TernFn:
         if not set(values) <= {-1, 0, 1}:
             raise ValueError("expected a {-1,0,+1}-valued function")
         self.n = n
-        self.values = values
-        self._cardinality = None
+        try:
+            self.code = cube.signed_bytes(values)
+        except struct.error:  # a float such as 1.0 passes the set test
+            raise ValueError("expected integer values") from None
 
     @classmethod
-    def _unchecked(cls, n: int, values: tuple[int, ...], cardinality: int) -> "TernFn":
-        """A function whose values and cardinality the caller vouches for,
-        built without checks (the enumeration's stream, `_tern_from_legs`)."""
+    def _unchecked(cls, n: int, code: bytes) -> "TernFn":
+        """A function whose 3^n-byte code the caller vouches for, built
+        without checks (the enumeration's stream, `_tern_from_legs`)."""
         f = object.__new__(cls)
-        f.n, f.values, f._cardinality = n, values, cardinality
+        f.n, f.code = n, code
         return f
 
     @staticmethod
@@ -156,42 +162,46 @@ class TernFn:
             n += 1
         if 3 ** n != len(text):
             raise ValueError("value string length must be a power of three")
-        return TernFn(n, tuple(memoryview(text.encode().translate(_TERN_BYTES)).cast("b")))
+        return TernFn._unchecked(n, text.encode().translate(_TERN_BYTES))
 
     def to_text(self) -> str:
-        return cube.signed_bytes(self.values).translate(_TERN_TEXT).decode()
+        return self.code.translate(_TERN_TEXT).decode()
+
+    @property
+    def values(self) -> tuple[int, ...]:
+        """The value tuple in cell order, a new one on every read."""
+        return tuple(memoryview(self.code).cast("b"))
 
     def value(self, cell: int) -> int:
-        return self.values[cell]
+        return memoryview(self.code).cast("b")[cell]
 
     def __call__(self, word: tuple[int, ...]) -> int:
-        return self.values[cube.checked_cell(word, self.n, 3)]
+        return self.value(cube.checked_cell(word, self.n, 3))
 
     @property
     def cardinality(self) -> int:
-        c = self._cardinality
-        if c is None:
-            c = self._cardinality = len(self.values) - self.values.count(0)
-        return c
+        return len(self.code) - self.code.count(0)
 
     def support(self) -> TradeSet:
-        zeros = cube.bytes_mask(cube.signed_bytes(self.values), 0)
-        return TradeSet(self.n, 3, zeros ^ ((1 << len(self.values)) - 1))
+        zeros = cube.bytes_mask(self.code, 0)
+        return TradeSet(self.n, 3, zeros ^ ((1 << len(self.code)) - 1))
 
     def retract(self, coord: int, value: int) -> "TernFn":
         cells = cube.retract_cells(self.n, 3, coord, value)
-        return TernFn(self.n - 1, tuple(self.values[c] for c in cells))
+        return TernFn._unchecked(self.n - 1, bytes(map(self.code.__getitem__, cells)))
 
     def apply_isometry(self, g: "cube.Isometry") -> "TernFn":
         """The image at cell g(c) is the value at c (negated by a sign flip)."""
-        values = tuple(map(self.values.__getitem__, g.inverse().cell_map(3)))
-        return TernFn(self.n, tuple(-v for v in values) if g.sign_flip else values)
+        if g.n != self.n:
+            raise ValueError(f"an isometry of Q_3^{g.n} does not act on Q_3^{self.n}")
+        code = bytes(map(self.code.__getitem__, g.inverse().cell_map(3)))
+        return TernFn._unchecked(self.n, code.translate(_SIGN_FLIP) if g.sign_flip else code)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, TernFn) and (self.n, self.values) == (other.n, other.values)
+        return isinstance(other, TernFn) and (self.n, self.code) == (other.n, other.code)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.values))
+        return hash((self.n, self.code))
 
     def __repr__(self) -> str:
         return f"TernFn(n={self.n}, {self.to_text()})"
@@ -207,11 +217,10 @@ def tern_from_trade(B: BipartiteTrade) -> TernFn:
 
 def _tern_from_legs(n: int, plus: int, minus: int) -> TernFn:
     """+1 on the cells of `plus`, -1 on those of the disjoint `minus`: the
-    legs' signed bytes (0x01 and 0xff) in cell order, read as signed."""
+    legs' signed bytes (0x01 and 0xff) in cell order."""
     size = 3 ** n
     signed = cube.mask_bytes(plus, size, 0x01) | cube.mask_bytes(minus, size, 0xFF)
-    values = tuple(memoryview(signed.to_bytes(size, "little")).cast("b"))
-    return TernFn._unchecked(n, values, (plus | minus).bit_count())
+    return TernFn._unchecked(n, signed.to_bytes(size, "little"))
 
 
 def trade_from_tern(f: TernFn) -> BipartiteTrade:
@@ -221,8 +230,7 @@ def trade_from_tern(f: TernFn) -> BipartiteTrade:
     the support in no cell or in a +1 and a -1.  This is the package's
     test of that space; the test-side oracle `line_sums` reads it cell by
     cell, over the words of ``cube.lines``."""
-    signed = cube.signed_bytes(f.values)
-    p0, p1 = cube.bytes_mask(signed, 0x01), cube.bytes_mask(signed, 0xFF)
+    p0, p1 = cube.bytes_mask(f.code, 0x01), cube.bytes_mask(f.code, 0xFF)
     base = TradeSet(f.n, 3, p0 | p1)
     if not is_unitrade(base):
         raise NotAUnitrade("support of f is not a unitrade")

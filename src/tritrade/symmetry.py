@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter, methodcaller
-from typing import Callable, Sequence
+from typing import Callable
 
 from . import cube
 from .cube import Isometry
@@ -81,11 +81,6 @@ _FLIP = bytes.maketrans(b"\x00\x02", b"\x02\x00")  # the sign flip on encoded va
 _SHIFT = bytes.maketrans(b"\xff\x00\x01", b"\x00\x01\x02")  # signed byte v -> v + 1
 
 
-def _encode(values: Sequence[int]) -> bytes:
-    """The orbit key of a value tuple: value v as byte v + 1."""
-    return cube.signed_bytes(values).translate(_SHIFT)
-
-
 # ---------------------------------------------------------------------------
 # Canonical form
 # ---------------------------------------------------------------------------
@@ -96,11 +91,11 @@ def canonical_form(f: TernFn) -> str:
     Defined for line-sum-zero functions with n <= 5: the representative of
     f's class in the class layer (``enumeration._class_layer``), which is
     the class's lex-minimal member, found through the certified retract
-    key of f's signed bytes (``cube.signed_bytes``), the codec the layer
-    keys every class on.  The first call at a dimension builds that
-    layer, about 5 s at n = 5.  Raises ValueError when f is not
-    line-sum-zero, as `trade_from_tern` finds it (the key of such an f
-    can collide with a real class), and DimensionTooLarge at n >= 6.
+    key of f's code, the signed bytes the layer keys every class on.  The
+    first call at a dimension builds that layer, about 5 s at n = 5.
+    Raises ValueError when f is not line-sum-zero, as `trade_from_tern`
+    finds it (the key of such an f can collide with a real class), and
+    DimensionTooLarge at n >= 6.
     """
     from .enumeration import _class_layer  # enumeration imports this module
 
@@ -109,7 +104,7 @@ def canonical_form(f: TernFn) -> str:
     except NotAUnitrade as exc:
         raise ValueError(f"canonical forms need a line-sum-zero function: {exc}") from None
     records, index, _ = _class_layer(f.n)
-    return records[index[cube.signed_bytes(f.values)]].representative.to_text()
+    return records[index[f.code]].representative.to_text()
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +124,8 @@ def orbit_values(values: tuple[int, ...], n: int) -> set[bytes]:
     n = ORBIT_MAX_N: an n = 6 orbit can hold millions of 729-byte keys."""
     if n > ORBIT_MAX_N:
         raise DimensionTooLarge(f"orbit closure capped at n={ORBIT_MAX_N}")
-    values = TernFn(n, values).values
     gets = _gen_getters(n)
-    start = _encode(values)
+    start = TernFn(n, values).code.translate(_SHIFT)
     seen = {start}
     frontier = [start]
     while frontier:

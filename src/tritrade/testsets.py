@@ -53,7 +53,10 @@ class TestSet:
         missing = [key for key in ("m", "points") if key not in obj]
         if missing:
             raise ValueError(f"testing set JSON lacks the field(s) {', '.join(missing)}")
-        m = int(obj["m"])
+        try:
+            m = int(obj["m"])
+        except OverflowError:  # JSON reads 1e400 as an infinite float
+            raise ValueError("testing set JSON needs a finite m") from None
         pts = frozenset(tuple(int(ch) for ch in s) for s in obj["points"])
         for p in pts:
             cube.checked_cell(p, m, 3)

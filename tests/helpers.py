@@ -198,11 +198,11 @@ def k_extension_by_words(B, m):
     folded into their sum mod 3."""
     f = tern_from_trade(B)
     for _ in range(m):
-        n = f.n
+        n, values = f.n, f.values
         vals = []
         for word in cube.all_words(n + 1, 3):
             folded = word[: n - 1] + ((word[n - 1] + word[n]) % 3,)
-            vals.append(f.values[cube.cell_of_word(folded, 3)])
+            vals.append(values[cube.cell_of_word(folded, 3)])
         f = TernFn(n + 1, tuple(vals))
     return trade_from_tern(f)
 
@@ -358,9 +358,10 @@ def match_count_by_runs(f, g, find_one=False):
     # targets[m]: at m = 0 the leaf list itself; above, per value order, the
     # counts that the retracts (member i, value d) must have: those of run
     # 3i + order.index(d) of 3^(m-1) cells
-    targets = [tuple((v,) for v in g.values)]
+    gv = g.values
+    targets = [tuple((v,) for v in gv)]
     for size in (3 ** m for m in range(n)):
-        runs = [_run_profile(g.values[i:i + size]) for i in range(0, 3 ** n, size)]
+        runs = [_run_profile(gv[i:i + size]) for i in range(0, 3 ** n, size)]
         targets.append(tuple(
             tuple(runs[i + order.index(d)] for i in range(0, len(runs), 3) for d in range(3))
             for order in _SYM3

@@ -10,11 +10,13 @@ from helpers import (
     gf3_rank,
     in_gf3_space,
     line_sums,
+    random_isometry,
     random_n5_function,
     signed_masks_by_values,
 )
 
-from tritrade.cube import below
+from tritrade import cube
+from tritrade.cube import Isometry, below
 from tritrade.errors import NotAUnitrade
 from tritrade.funcspace import (
     BoolFn,
@@ -30,6 +32,7 @@ from tritrade.funcspace import (
     trade_from_tern,
     u_from_bool,
 )
+from tritrade.symmetry import orbit_values
 from tritrade.trade import TradeSet, bipartition, is_unitrade
 
 
@@ -307,12 +310,13 @@ class TestLineSums:
 
 @pytest.mark.parametrize(
     "n,values",
-    [(1, (2, -2, 0)), (2, (0,) * 8 + (5,))],
-    ids=["two-and-minus-two", "last-cell-5"],
+    [(1, (2, -2, 0)), (2, (0,) * 8 + (5,)), (1, (1.0, -1, 0))],
+    ids=["two-and-minus-two", "last-cell-5", "float-one"],
 )
 def test_tern_rejects_values_outside_signs(n, values):
     # TernFn(1, (2, -2, 0)) was accepted: its line read as a signed triple,
-    # its cardinality as 2, and repr and to_text raised KeyError
+    # its cardinality as 2, and repr and to_text raised KeyError; a float
+    # 1.0 was accepted, and to_text raised struct.error
     with pytest.raises(ValueError):
         TernFn(n, values)
 
@@ -446,3 +450,67 @@ def test_bool_text_rejects_other_characters(text):
 def test_tern_text_rejects_other_characters(text):
     with pytest.raises(ValueError):
         TernFn.from_text(text)
+
+
+def _streamed():
+    """A dimension-3 function of the stream with both signs."""
+    from tritrade.enumeration import enumerate_functions
+
+    return next(f for f in enumerate_functions(3) if f.cardinality > 8)
+
+
+def _isometry(sign_flip):
+    g = random_isometry(random.Random(33), 3, 3, allow_sign=False)
+    return Isometry(g.coord_perm, g.symbol_perms, sign_flip)
+
+
+_BUILDERS = {
+    "constructor": lambda: TernFn(2, (1, -1, 0, 0, 0, 0, -1, 1, 0)),
+    "from_text": lambda: TernFn.from_text("+-0000-+0"),
+    "stream": _streamed,
+    "tern_from_trade": lambda: tern_from_trade(trade_from_tern(_streamed())),
+    "gf2_basis_fn": lambda: gf2_basis_fn((0, 1, 1)),
+    "retract": lambda: _streamed().retract(1, 2),
+    "isometry": lambda: _streamed().apply_isometry(_isometry(False)),
+    "isometry-sign-flip": lambda: _streamed().apply_isometry(_isometry(True)),
+}
+
+
+class TestCodec:
+    """A TernFn holds its code, the signed bytes of its values; every
+    builder writes the same code as the checked constructor, and `values`
+    is a tuple built from it."""
+
+    @pytest.mark.parametrize("build", _BUILDERS.values(), ids=_BUILDERS)
+    def test_code_is_signed_bytes_of_values(self, build):
+        f = build()
+        values = f.values
+        assert f.code == cube.signed_bytes(values)
+        g = TernFn(f.n, values)
+        assert f == g and hash(f) == hash(g)
+        assert f.cardinality == len(values) - values.count(0)
+        assert type(values) is tuple and values[:3] == tuple(values[:3])
+        assert hash(values) == hash(tuple(values))
+
+    def test_builders_match_value_walks(self):
+        f = _streamed()
+        values = f.values
+        cells = cube.retract_cells(3, 3, 1, 2)
+        assert f.retract(1, 2).values == tuple(values[c] for c in cells)
+        for flip in (False, True):
+            g = _isometry(flip)
+            image = [0] * 27
+            for c, image_cell in enumerate(g.cell_map(3)):
+                image[image_cell] = -values[c] if flip else values[c]
+            assert f.apply_isometry(g).values == tuple(image)
+        assert [f.value(c) for c in range(27)] == list(values)
+
+    def test_isometry_of_another_dimension_is_refused(self):
+        with pytest.raises(ValueError):
+            _streamed().apply_isometry(random_isometry(random.Random(1), 2, 3))
+
+    def test_orbit_keys_are_values_plus_one(self):
+        values = (1, -1, 0)
+        keys = orbit_values(values, 1)
+        assert bytes(v + 1 for v in values) in keys
+        assert keys == {bytes(p) for p in itertools.permutations((0, 1, 2))}

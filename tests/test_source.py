@@ -150,6 +150,8 @@ _KEEP = {
     "construct.grid_cycle_bitrade": "paper object: the 2k-cycle bitrade of Q_k^2",
     "construct.rm_embed": "paper object: the k = 4 degree embedding into boolean functions",
     "cube.Isometry.compose": "paper object: the product of the isometry group",
+    "cube.below": "paper object: the minimal words under y that define U[f], read by the "
+    "test oracle of u_from_bool",
     "funcspace.BoolFn.retract": "paper object: the retract of a function onto a hyperface",
     "funcspace.TernFn.retract": "paper object: the retract of a function onto a hyperface",
     "trade.TradeSet.retract": "paper object: the retract of a set onto a hyperface",
@@ -179,6 +181,7 @@ _KEEP = {
     "cube.lines_through": "read by bench/ (the trade-queries set-up)",
     "monomial.cardinality_formula": "read by bench/ (trade-queries); the subset formula",
     "monomial.f_from_monomials": "read by bench/ (the trade-queries set-up)",
+    "monomial.rank": "read by bench/ (trade-queries); the monomial rank of a unitrade",
     "monomial.triple_is_bitrade": "read by bench/ (trade-queries); the triple classifier",
     "symmetry.canonical_form": "read by bench/ (classify-mix)",
     "symmetry.equivalent": "read by bench/ (classify-mix)",
@@ -212,6 +215,16 @@ def _attribute_reads(node):
     return [sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)]
 
 
+def _module_reads(node):
+    """The (module, name) pairs a subtree reads in the `module.name` form:
+    an attribute of a bare name."""
+    return [
+        (sub.value.id, sub.attr)
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+    ]
+
+
 def _reads(node):
     """The names a subtree reads: bare names and attribute names (an import
     binds a name but does not read it, so a re-export in __init__ is not a
@@ -223,12 +236,14 @@ def test_every_public_name_has_a_reader_in_src():
     # a public name nothing in the package reads is dead code or a test
     # oracle, unless the keep-list above says why it stays.  A method counts
     # as read only through an attribute of its name.  A top-level name
-    # counts as an attribute anywhere, and as a bare name only in its own
-    # module or in a module that imports it by name, so a local variable or
-    # a stdlib module of the same name elsewhere does not hide it.  A
-    # definition's reads of its own name (recursion) do not count
+    # counts as an attribute only in the `module.name` form, and as a bare
+    # name only in its own module or in a module that imports it by name,
+    # so a method, a local variable or a stdlib module of the same name
+    # elsewhere does not hide it.  A definition's reads of its own name
+    # (recursion) do not count
     trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in SRC.glob("*.py")}
     attributes = Counter(name for tree in trees.values() for name in _attribute_reads(tree))
+    qualified = Counter(pair for tree in trees.values() for pair in _module_reads(tree))
     names = {module: Counter(_name_reads(tree)) for module, tree in trees.items()}
     # (source module, name) -> the modules that bind it by a from-import, and as what
     bound: dict[tuple[str, str], list[tuple[str, str]]] = {}
@@ -245,13 +260,14 @@ def test_every_public_name_has_a_reader_in_src():
     for module, tree in trees.items():
         for qualname, node in _public_definitions(tree, module):
             defined.add(qualname)
-            own = _attribute_reads(node).count(node.name)
-            reads = attributes[node.name]
-            if qualname.count(".") == 1:  # top-level: bare names count too
-                own += _name_reads(node).count(node.name)
-                reads += names[module][node.name] + sum(
+            if qualname.count(".") == 1:  # top-level: module.name and bare names
+                own = _name_reads(node).count(node.name)
+                reads = qualified[(module, node.name)] + names[module][node.name] + sum(
                     names[reader][alias] for reader, alias in bound.get((module, node.name), ())
                 )
+            else:
+                own = _attribute_reads(node).count(node.name)
+                reads = attributes[node.name]
             if reads == own and qualname not in _KEEP:
                 unread.append(qualname)
     assert not unread, f"no reader in src/ and no keep-list reason: {unread}"

@@ -132,6 +132,21 @@ class TestCanonicalForm:
             assert canonical_form(f) == key
             assert canonical_form(g) == key
 
+    def test_n5_lookups_are_not_kept(self, classes5):
+        # no layer above n = 5 reads its class index, so a query there is
+        # answered without being stored; it had grown by one entry per
+        # distinct function, bounded only by N(5)
+        from tritrade.enumeration import _class_layer
+
+        records, index, _ = _class_layer(5)
+        before = len(index)
+        reps = {rec.representative.to_text() for rec in records}
+        rng = random.Random(9)
+        fl4 = list(enumerate_functions(4))
+        for _ in range(30):
+            assert canonical_form(random_n5_function(rng, fl4)) in reps
+        assert len(index) == before
+
     @pytest.mark.parametrize(
         "n,values",
         [(1, (1, 1, 0)), (2, (1, -1, 0) * 3), (0, (2,)), (1, (2, -1, -1))],

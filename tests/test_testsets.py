@@ -207,6 +207,12 @@ def test_testset_json_refuses_a_point_off_the_cube(obj):
         TestSet.from_json(obj)
 
 
+def test_testset_json_refuses_an_infinite_m():
+    # JSON reads 1e400 as an infinite float, which int() refused with OverflowError
+    with pytest.raises(ValueError, match="finite m"):
+        TestSet.from_json('{"m": 1e400, "points": []}')
+
+
 def test_restriction_refuses_another_dimension():
     S = u_from_bool(BoolFn(2, 0b1001))
     with pytest.raises(ValueError, match="dimension 1 for a set of dimension 2"):
